@@ -14,7 +14,7 @@ import sys
 from dataclasses import dataclass, field, fields as dc_fields
 from pathlib import Path
 
-from . import analysis, evaluation
+from . import analysis, evaluation, ops
 from .checkpoint import load_checkpoint
 from .datasets import (SYNTH_MAX_CLASSES, DatasetManifest, ManifestEntry,
                        load_manifest, write_synth_dataset)
@@ -173,8 +173,10 @@ def cmd_eval(args) -> int:
         return load_clip_file(path, target_rate=rate,
                               normalize=cfg.data["peak_normalize"])
 
-    report = evaluation.evaluate(model, manifest, args.fold,
-                                 clip_loader=loader, hop=cfg.eval["hop"])
+    # kernels follow the checkpoint's training setting
+    with ops.gemm_kernels(not ckpt.train_config.deterministic):
+        report = evaluation.evaluate(model, manifest, args.fold,
+                                     clip_loader=loader, hop=cfg.eval["hop"])
 
     out = Path(args.report)
     out.mkdir(parents=True, exist_ok=True)
@@ -271,7 +273,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--manifest", required=True)
     p.add_argument("--fold", type=int, required=True)
     p.add_argument("--out", required=True, help="checkpoint path")
-    p.add_argument("--deterministic", action="store_true")
+    p.add_argument("--deterministic", action="store_true",
+                   help="use the tap-ordered reference convolution kernels, "
+                        "bit-identical on any BLAS and thread count (the default "
+                        "GEMM kernels repeat only at a fixed BLAS thread count); "
+                        "eval follows the checkpoint's setting")
     p.add_argument("--checkpoint-every", type=int, default=None)
     p.add_argument("--threads", type=int, default=1,
                    help="upper bound on worker threads (execution is serial)")

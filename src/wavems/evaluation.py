@@ -15,10 +15,11 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .audio import AudioClip, load_clip_file, segment_for_voting
+from . import ops
+from .audio import AudioClip, segment_for_voting
 from .datasets import DatasetManifest, fold_split
 from .model import ModelConfig, single_branch_variant
-from .training import TrainConfig, train
+from .training import TrainConfig, _default_clip_loader, train
 
 
 @dataclass
@@ -63,20 +64,22 @@ def evaluate(model, manifest: DatasetManifest, test_fold: int,
              clips: Optional[dict[str, AudioClip]] = None,
              clip_loader: Optional[Callable[[str], AudioClip]] = None,
              hop: Optional[int] = None) -> EvalReport:
-    """Vote over every clip of the held-out fold and tally a confusion matrix."""
+    """Vote over every clip of the held-out fold and tally a confusion matrix.
+
+    Clips come from ``clips``, else from ``clip_loader``, else from disk,
+    resampled to the model's rate and peak-normalized as for training.
+    """
     _, test_entries = fold_split(manifest, test_fold)
     if not test_entries:
         raise ValueError(f"fold {test_fold} has no entries")
 
+    if clips is None and clip_loader is None:
+        clip_loader = _default_clip_loader(model.config.sample_rate)
+
     k = manifest.num_classes
     confusion = np.zeros((k, k), dtype=np.int64)
     for entry in test_entries:
-        if clips is not None:
-            clip = clips[entry.path]
-        elif clip_loader is not None:
-            clip = clip_loader(entry.path)
-        else:
-            clip = load_clip_file(entry.path)
+        clip = clips[entry.path] if clips is not None else clip_loader(entry.path)
         pred, _ = predict_clip(model, clip, hop=hop)
         confusion[entry.label, pred] += 1
 
@@ -101,7 +104,8 @@ def _default_fold_runner(clips: Optional[dict[str, AudioClip]] = None) -> FoldRu
         cfg = replace(train_config, seed=train_config.seed + repeat)
         ckpt = train(model_config, cfg, manifest, fold, clips=clips)
         model = ckpt.restore_model()
-        report = evaluate(model, manifest, fold, clips=clips)
+        with ops.gemm_kernels(not train_config.deterministic):
+            report = evaluate(model, manifest, fold, clips=clips)
         return report.accuracy
     return run
 

@@ -1,18 +1,48 @@
 """Differentiable operations over :class:`~wavems.tensor.Tensor`.
 
-Only the operators the architecture needs. Convolution and pooling kernels
-accumulate taps in a fixed (channel, tap) order so results are bit-identical
-to a sequential nested-loop evaluation at the same precision, and therefore
-reproducible run to run. Max selections route gradients to the first
-(lowest-index) maximum.
+Only the operators the architecture needs. Max selections route gradients to
+the first (lowest-index) maximum.
+
+Convolutions have two kernel families. The reference kernels, the default,
+accumulate taps in a fixed (channel, tap) order, so their results are
+bit-identical to a sequential nested-loop evaluation at the same precision,
+on any BLAS and at any thread count. Inside :class:`gemm_kernels` both
+convolutions instead build im2col columns and run one matrix multiply per
+chunk of output positions. That is many times faster, but the summation
+order is BLAS's: results agree with the reference kernels to rounding and
+repeat bit for bit only with the same BLAS build and thread count.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ShapeError
 from .tensor import Tensor, accumulate_grad, make_node
+
+_gemm_enabled = False
+
+
+class gemm_kernels:
+    """Context manager that routes :func:`conv1d` and :func:`conv2d` to
+    their GEMM kernels; ``gemm_kernels(False)`` selects the reference
+    kernels instead. The previous choice returns on exit.
+    """
+
+    def __init__(self, enabled: bool = True):
+        self.enabled = bool(enabled)
+
+    def __enter__(self):
+        global _gemm_enabled
+        self._prev = _gemm_enabled
+        _gemm_enabled = self.enabled
+        return self
+
+    def __exit__(self, *exc):
+        global _gemm_enabled
+        _gemm_enabled = self._prev
+        return False
 
 
 def _check_dtypes(*tensors: Tensor) -> np.dtype:
@@ -44,6 +74,10 @@ def conv1d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1) -> Tensor:
         raise ShapeError(f"conv1d bias shape {bias.shape} != ({fout},)")
     if length < k:
         raise ShapeError(f"conv1d input length {length} < filter length {k}")
+
+    if _gemm_enabled:
+        return _gemm_conv(x, x.data, weight, bias, lambda a, **kw: sliding_window_view(
+            a, k, axis=1, **kw)[:, ::stride], lambda gx: gx)
 
     lout = (length - k) // stride + 1
     span = (lout - 1) * stride + 1
@@ -94,6 +128,9 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
 
     xpad = np.zeros((cin, h + 2, w + 2), dtype=x.data.dtype)
     xpad[:, 1:-1, 1:-1] = x.data
+    if _gemm_enabled:
+        return _gemm_conv(x, xpad, weight, bias, lambda a, **kw: sliding_window_view(
+            a, (3, 3), axis=(1, 2), **kw), lambda gpad: gpad[:, 1:-1, 1:-1])
     wd = weight.data
 
     out = np.broadcast_to(bias.data[:, None, None], (fout, h, w)).copy()
@@ -120,6 +157,60 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
             accumulate_grad(weight, gw)
         if bias.requires_grad:
             accumulate_grad(bias, g.sum(axis=(1, 2)))
+
+    return make_node(out, (x, weight, bias), _bw)
+
+
+def _gemm_conv(x: Tensor, src: np.ndarray, weight: Tensor, bias: Tensor,
+               windows, crop) -> Tensor:
+    """GEMM form of a convolution node.
+
+    ``windows(a, writeable=False)`` views ``a`` (``src`` or its gradient) as
+    (C, P, *S, *taps): the taps under every output position, with P the axis
+    the work is chunked along. ``crop`` maps the gradient of ``src`` to the
+    shape of ``x``. Each chunk's (C*taps, n) column buffer is no larger than
+    the output, and backward rebuilds the columns rather than keeping them.
+    """
+    wd = weight.data
+    fout, taps = wd.shape[0], wd.shape[2:]
+    w2 = wd.reshape(fout, -1)
+    win = windows(src)
+    out = np.empty((fout,) + win.shape[1:win.ndim - len(taps)], dtype=src.dtype)
+    flat = out.reshape(fout, -1)
+    rows, per_row = win.shape[1], flat.shape[1] // win.shape[1]
+    # rows of P per chunk, so that depth * step * |S| <= fout * P * |S|
+    step = max(1, fout * rows // w2.shape[1])
+    chunks = [(lo, min(lo + step, rows)) for lo in range(0, rows, step)]
+
+    def columns(lo: int, hi: int) -> np.ndarray:
+        part = win[:, lo:hi]
+        tap_axes = range(part.ndim - len(taps), part.ndim)
+        return np.moveaxis(part, tap_axes, range(1, len(taps) + 1)).reshape(w2.shape[1], -1)
+
+    for lo, hi in chunks:  # straight into the output, no product temporary
+        np.matmul(w2, columns(lo, hi), out=flat[:, lo * per_row:hi * per_row])
+    out += bias.data.reshape((fout,) + (1,) * (out.ndim - 1))
+
+    def _bw(g: np.ndarray) -> None:
+        gw = np.zeros_like(w2) if weight.requires_grad else None
+        gsrc = np.zeros_like(src) if x.requires_grad else None
+        gwin = None if gsrc is None else windows(gsrc, writeable=True)
+        for lo, hi in chunks:
+            gc = g[:, lo:hi].reshape(fout, -1)
+            if gw is not None:
+                gw += gc @ columns(lo, hi).T
+            if gwin is not None:
+                target = gwin[:, lo:hi]
+                gcols = (w2.T @ gc).reshape((-1,) + taps + target.shape[1:-len(taps)])
+                # one add per tap: within a tap no two positions share an element
+                for tap in np.ndindex(*taps):
+                    target[(Ellipsis,) + tap] += gcols[(slice(None),) + tap]
+        if gsrc is not None:
+            accumulate_grad(x, crop(gsrc))
+        if gw is not None:
+            accumulate_grad(weight, gw.reshape(wd.shape))
+        if bias.requires_grad:
+            accumulate_grad(bias, g.reshape(fout, -1).sum(axis=1))
 
     return make_node(out, (x, weight, bias), _bw)
 

@@ -35,7 +35,7 @@ class TrainConfig:
     lr_stages: tuple[tuple[int, float], ...] = (
         (60, 1e-2), (60, 1e-3), (20, 1e-4), (20, 1e-5))
     seed: int = 0
-    deterministic: bool = False
+    deterministic: bool = False  # reference conv kernels, not GEMM (wavems.ops)
 
     def __post_init__(self):
         self.lr_stages = tuple((int(s), float(lr)) for s, lr in self.lr_stages)
@@ -89,6 +89,9 @@ def train_epoch(model: Model, entries: list[ManifestEntry],
                 config: TrainConfig) -> dict:
     """One pass: fresh random crop per entry, seeded shuffle, SGD per batch.
 
+    Convolutions run on the GEMM kernels unless ``config.deterministic``
+    asks for the reference kernels (see :mod:`wavems.ops`).
+
     Returns {"epoch", "lr", "loss", "train_acc", "n_examples"}; loss is the
     mean per-crop cross-entropy over the epoch.
     """
@@ -104,25 +107,28 @@ def train_epoch(model: Model, entries: list[ManifestEntry],
 
     total_loss = 0.0
     correct = 0
-    for batch_lo in range(0, len(order), config.batch_size):
-        batch = order[batch_lo:batch_lo + config.batch_size]
-        zero_grads(params)
-        losses = []
-        for idx in batch:
-            entry = entries[int(idx)]
-            crop = random_crop(clips[entry.path], window, crop_rng, entry.label)
-            logits = model.forward(crop.samples)
-            if int(np.argmax(logits.data)) == entry.label:
-                correct += 1
-            losses.append(ops.softmax_cross_entropy(logits, entry.label))
-        loss = losses[0]
-        for extra in losses[1:]:
-            loss = ops.add(loss, extra)
-        loss = ops.scale(loss, 1.0 / len(batch))
-        backward(loss)
-        sgd_step(params, lr=lr, momentum=config.momentum,
-                 weight_decay=config.weight_decay)
-        total_loss += loss.item() * len(batch)
+    with ops.gemm_kernels(not config.deterministic):
+        for batch_lo in range(0, len(order), config.batch_size):
+            batch = order[batch_lo:batch_lo + config.batch_size]
+            zero_grads(params)
+            losses = []
+            for idx in batch:
+                entry = entries[int(idx)]
+                crop = random_crop(clips[entry.path], window, crop_rng, entry.label)
+                logits = model.forward(crop.samples)
+                if int(np.argmax(logits.data)) == entry.label:
+                    correct += 1
+                losses.append(ops.softmax_cross_entropy(logits, entry.label))
+            loss = losses[0]
+            for extra in losses[1:]:
+                loss = ops.add(loss, extra)
+            loss = ops.scale(loss, 1.0 / len(batch))
+            backward(loss)
+            sgd_step(params, lr=lr, momentum=config.momentum,
+                     weight_decay=config.weight_decay)
+            total_loss += loss.item() * len(batch)
+            # free this step's graph before the next batch's forward
+            del loss, losses, logits
 
     n = len(entries)
     return {"epoch": epoch, "lr": lr, "loss": total_loss / n,

@@ -249,3 +249,36 @@ class TestAblationStructure:
         assert "96/0/0" in csv_text
         table = ablation_table_text(result)
         assert "low" in table and "multi" in table
+
+
+class TestEvaluateDefaultLoader:
+    def test_resamples_to_model_rate(self, tmp_path, monkeypatch):
+        """Without clips or a loader, files are decoded at the model's rate."""
+        import types
+
+        import wavems.evaluation as evaluation_mod
+        from wavems.audio import encode_wav_pcm16
+
+        entries = []
+        for label in range(2):
+            path = tmp_path / f"c{label}.wav"
+            tone = np.sin(np.linspace(0, 40 * np.pi, 4410))  # 0.2 s at 22.05 kHz
+            path.write_bytes(encode_wav_pcm16(0.5 * tone, 22050))
+            entries.append(ManifestEntry(str(path), label, 1))
+        manifest = DatasetManifest(entries, 2, 1)
+
+        class Uniform:
+            window_length = 441
+            config = types.SimpleNamespace(sample_rate=4410)
+
+            def predict_proba(self, samples):
+                return np.full(2, 0.5)
+
+        lengths = []
+        real_predict = evaluation_mod.predict_clip
+        monkeypatch.setattr(evaluation_mod, "predict_clip",
+                            lambda m, clip, **k: lengths.append(len(clip.samples))
+                            or real_predict(m, clip, **k))
+        report = evaluate(Uniform(), manifest, 1)
+        assert report.n_clips == 2
+        assert lengths == [882, 882]
