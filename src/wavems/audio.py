@@ -11,7 +11,7 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -197,3 +197,12 @@ def load_clip_file(path: str | Path, target_rate: Optional[int] = None,
     if normalize:
         clip = peak_normalize(clip)
     return clip
+
+
+def make_clip_loader(target_rate: Optional[int],
+                     normalize: bool = True) -> Callable[[str], AudioClip]:
+    """``path -> clip`` through :func:`load_clip_file`: resampled to
+    ``target_rate`` unless it is ``None``, peak-normalized if ``normalize``."""
+    def load(path: str) -> AudioClip:
+        return load_clip_file(path, target_rate=target_rate, normalize=normalize)
+    return load

@@ -111,9 +111,16 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
         raise CheckpointError(f"corrupt header JSON: {exc}") from exc
     pos += hlen
 
-    model_config = ModelConfig.from_dict(header["model_config"])
-    train_config = TrainConfig.from_dict(header["train_config"])
-    table = [(name, tuple(shape)) for name, shape in header["params"]]
+    try:
+        model_config = ModelConfig.from_dict(header["model_config"])
+        train_config = TrainConfig.from_dict(header["train_config"])
+        table = [(name, tuple(shape)) for name, shape in header["params"]]
+        epoch = int(header["epoch"])
+        history = list(header["metrics_history"])
+        n_words = int(header["rng_words"])
+    except (KeyError, TypeError, ValueError) as exc:  # ConfigError is a ValueError
+        raise CheckpointError(
+            f"bad checkpoint header ({type(exc).__name__}: {exc})") from exc
     expected = model_config.parameter_shapes()
     if table != expected:
         raise CheckpointError("parameter table does not match the embedded model config")
@@ -130,11 +137,10 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
     parameters = {name: read_array(name, shape) for name, shape in table}
     velocities = {name: read_array(f"{name} (velocity)", shape) for name, shape in table}
 
-    n_words = int(header["rng_words"])
-    if pos + 8 * n_words > len(data):
-        raise CheckpointError("file truncated mid RNG state")
+    if pos + 8 * n_words != len(data):  # truncated, or bytes after the RNG words
+        raise CheckpointError(f"{len(data) - pos} bytes follow the arrays, but the header "
+                              f"declares {n_words} RNG words ({8 * n_words} bytes)")
     rng_state = struct.unpack_from(f"<{n_words}Q", data, pos)
 
-    return Checkpoint(model_config, train_config, int(header["epoch"]),
-                      parameters, velocities, tuple(rng_state),
-                      list(header["metrics_history"]))
+    return Checkpoint(model_config, train_config, epoch, parameters,
+                      velocities, tuple(rng_state), history)

@@ -18,7 +18,7 @@ from . import analysis, evaluation, ops
 from .checkpoint import load_checkpoint
 from .datasets import (SYNTH_MAX_CLASSES, DatasetManifest, ManifestEntry,
                        load_manifest, write_synth_dataset)
-from .audio import load_clip_file
+from .audio import make_clip_loader
 from .errors import CheckpointError, ConfigError, DecodeError, ManifestError
 from .model import ModelConfig, param_count
 from .training import TrainConfig, train
@@ -104,12 +104,22 @@ def _check_fold(manifest: DatasetManifest, fold: int) -> None:
         raise UsageError(f"fold {fold} not in manifest (folds: {folds})")
 
 
+def _check_classes(manifest: DatasetManifest, num_classes: int) -> None:
+    if manifest.num_classes != num_classes:
+        raise UsageError(f"checkpoint has {num_classes} classes but the manifest "
+                         f"has {manifest.num_classes}")
+
+
+def _clip_loader(cfg: RunConfig, model_rate: int):
+    """Clip loader honoring the data-section toggles for a model at ``model_rate``."""
+    return make_clip_loader(model_rate if cfg.data["resample"] else None,
+                            cfg.data["peak_normalize"])
+
+
 def _preload_clips(manifest: DatasetManifest, cfg: RunConfig) -> dict:
     """Decode every manifest clip once, honoring the data-section toggles."""
-    rate = cfg.model.sample_rate if cfg.data["resample"] else None
-    return {e.path: load_clip_file(e.path, target_rate=rate,
-                                   normalize=cfg.data["peak_normalize"])
-            for e in manifest.entries}
+    load = _clip_loader(cfg, cfg.model.sample_rate)
+    return {e.path: load(e.path) for e in manifest.entries}
 
 
 def _log(msg: str) -> None:
@@ -164,15 +174,11 @@ def cmd_eval(args) -> int:
     ckpt = load_checkpoint(args.ckpt)
     manifest = _load_manifest_file(args.manifest)
     _check_fold(manifest, args.fold)
+    _check_classes(manifest, ckpt.model_config.num_classes)
     model = ckpt.restore_model()
     cfg = _load_run_config(args.config)
     # clips must arrive at the rate the model was trained on
-    rate = ckpt.model_config.sample_rate if cfg.data["resample"] else None
-
-    def loader(path: str):
-        return load_clip_file(path, target_rate=rate,
-                              normalize=cfg.data["peak_normalize"])
-
+    loader = _clip_loader(cfg, ckpt.model_config.sample_rate)
     # kernels follow the checkpoint's training setting
     with ops.gemm_kernels(not ckpt.train_config.deterministic):
         report = evaluation.evaluate(model, manifest, args.fold,

@@ -16,10 +16,10 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import ops
-from .audio import AudioClip, segment_for_voting
+from .audio import AudioClip, make_clip_loader, segment_for_voting
 from .datasets import DatasetManifest, fold_split
 from .model import ModelConfig, single_branch_variant
-from .training import TrainConfig, _default_clip_loader, train
+from .training import TrainConfig, train
 
 
 @dataclass
@@ -74,7 +74,7 @@ def evaluate(model, manifest: DatasetManifest, test_fold: int,
         raise ValueError(f"fold {test_fold} has no entries")
 
     if clips is None and clip_loader is None:
-        clip_loader = _default_clip_loader(model.config.sample_rate)
+        clip_loader = make_clip_loader(model.config.sample_rate)
 
     k = manifest.num_classes
     confusion = np.zeros((k, k), dtype=np.int64)

@@ -75,36 +75,8 @@ def conv1d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1) -> Tensor:
     if length < k:
         raise ShapeError(f"conv1d input length {length} < filter length {k}")
 
-    if _gemm_enabled:
-        return _gemm_conv(x, x.data, weight, bias, lambda a, **kw: sliding_window_view(
-            a, k, axis=1, **kw)[:, ::stride], lambda gx: gx)
-
-    lout = (length - k) // stride + 1
-    span = (lout - 1) * stride + 1
-    xd, wd = x.data, weight.data
-
-    out = np.broadcast_to(bias.data[:, None], (fout, lout)).copy()
-    for c in range(cin):
-        for j in range(k):
-            out += wd[:, c, j][:, None] * xd[c, j:j + span:stride][None, :]
-
-    def _bw(g: np.ndarray) -> None:
-        if x.requires_grad:
-            gx = np.zeros_like(xd)
-            for c in range(cin):
-                for j in range(k):
-                    gx[c, j:j + span:stride] += wd[:, c, j] @ g
-            accumulate_grad(x, gx)
-        if weight.requires_grad:
-            gw = np.empty_like(wd)
-            for c in range(cin):
-                for j in range(k):
-                    gw[:, c, j] = g @ xd[c, j:j + span:stride]
-            accumulate_grad(weight, gw)
-        if bias.requires_grad:
-            accumulate_grad(bias, g.sum(axis=1))
-
-    return make_node(out, (x, weight, bias), _bw)
+    return _conv(x, x.data, weight, bias, lambda a, **kw: sliding_window_view(
+        a, k, axis=1, **kw)[:, ::stride], lambda gx: gx)
 
 
 def conv2d(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
@@ -128,87 +100,92 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
 
     xpad = np.zeros((cin, h + 2, w + 2), dtype=x.data.dtype)
     xpad[:, 1:-1, 1:-1] = x.data
-    if _gemm_enabled:
-        return _gemm_conv(x, xpad, weight, bias, lambda a, **kw: sliding_window_view(
-            a, (3, 3), axis=(1, 2), **kw), lambda gpad: gpad[:, 1:-1, 1:-1])
-    wd = weight.data
-
-    out = np.broadcast_to(bias.data[:, None, None], (fout, h, w)).copy()
-    for c in range(cin):
-        for i in range(3):
-            for j in range(3):
-                out += wd[:, c, i, j][:, None, None] * xpad[c, i:i + h, j:j + w][None]
-
-    def _bw(g: np.ndarray) -> None:
-        gflat = g.reshape(fout, -1)
-        if x.requires_grad:
-            gpad = np.zeros_like(xpad)
-            for c in range(cin):
-                for i in range(3):
-                    for j in range(3):
-                        gpad[c, i:i + h, j:j + w] += (wd[:, c, i, j] @ gflat).reshape(h, w)
-            accumulate_grad(x, gpad[:, 1:-1, 1:-1])
-        if weight.requires_grad:
-            gw = np.empty_like(wd)
-            for c in range(cin):
-                for i in range(3):
-                    for j in range(3):
-                        gw[:, c, i, j] = gflat @ xpad[c, i:i + h, j:j + w].reshape(-1)
-            accumulate_grad(weight, gw)
-        if bias.requires_grad:
-            accumulate_grad(bias, g.sum(axis=(1, 2)))
-
-    return make_node(out, (x, weight, bias), _bw)
+    return _conv(x, xpad, weight, bias, lambda a, **kw: sliding_window_view(
+        a, (3, 3), axis=(1, 2), **kw), lambda gpad: gpad[:, 1:-1, 1:-1])
 
 
-def _gemm_conv(x: Tensor, src: np.ndarray, weight: Tensor, bias: Tensor,
-               windows, crop) -> Tensor:
-    """GEMM form of a convolution node.
+def _terms(channels: int, taps: tuple[int, ...]):
+    """Weight and window indices of each (channel, tap) term, in the
+    reference summation order: channels outer, taps in raster order."""
+    for c in range(channels):
+        for tap in np.ndindex(*taps):
+            yield (slice(None), c) + tap, (c, Ellipsis) + tap
+
+
+def _conv(x: Tensor, src: np.ndarray, weight: Tensor, bias: Tensor,
+          windows, crop) -> Tensor:
+    """One convolution node, in the kernel family selected when it is built.
 
     ``windows(a, writeable=False)`` views ``a`` (``src`` or its gradient) as
-    (C, P, *S, *taps): the taps under every output position, with P the axis
-    the work is chunked along. ``crop`` maps the gradient of ``src`` to the
-    shape of ``x``. Each chunk's (C*taps, n) column buffer is no larger than
-    the output, and backward rebuilds the columns rather than keeping them.
+    (C, P, *S, *taps): the taps under every output position, with P the
+    first output axis. ``crop`` maps the gradient of ``src`` to the shape
+    of ``x``.
+
+    The reference family starts each output from its bias and adds one
+    (channel, tap) term at a time, in the order of :func:`_terms`; each term
+    reads the same elements as a nested-loop evaluation, so results are
+    bit-reproducible on any BLAS. The GEMM family (inside
+    :class:`gemm_kernels`) multiplies the (F, C*taps) weights by im2col
+    columns one chunk of P at a time, each chunk's column buffer no larger
+    than the output, and adds the bias last; backward rebuilds the columns
+    rather than keeping them.
     """
     wd = weight.data
     fout, taps = wd.shape[0], wd.shape[2:]
-    w2 = wd.reshape(fout, -1)
     win = windows(src)
     out = np.empty((fout,) + win.shape[1:win.ndim - len(taps)], dtype=src.dtype)
-    flat = out.reshape(fout, -1)
-    rows, per_row = win.shape[1], flat.shape[1] // win.shape[1]
-    # rows of P per chunk, so that depth * step * |S| <= fout * P * |S|
-    step = max(1, fout * rows // w2.shape[1])
-    chunks = [(lo, min(lo + step, rows)) for lo in range(0, rows, step)]
+    col = (fout,) + (1,) * (out.ndim - 1)  # a per-filter value against the output
 
-    def columns(lo: int, hi: int) -> np.ndarray:
-        part = win[:, lo:hi]
-        tap_axes = range(part.ndim - len(taps), part.ndim)
-        return np.moveaxis(part, tap_axes, range(1, len(taps) + 1)).reshape(w2.shape[1], -1)
+    if _gemm_enabled:
+        w2 = wd.reshape(fout, -1)
+        flat = out.reshape(fout, -1)
+        rows, per_row = win.shape[1], flat.shape[1] // win.shape[1]
+        # rows of P per chunk, so that depth * step * |S| <= fout * P * |S|
+        step = max(1, fout * rows // w2.shape[1])
+        chunks = [(lo, min(lo + step, rows)) for lo in range(0, rows, step)]
 
-    for lo, hi in chunks:  # straight into the output, no product temporary
-        np.matmul(w2, columns(lo, hi), out=flat[:, lo * per_row:hi * per_row])
-    out += bias.data.reshape((fout,) + (1,) * (out.ndim - 1))
+        def columns(lo: int, hi: int) -> np.ndarray:
+            part = win[:, lo:hi]
+            tap_axes = range(part.ndim - len(taps), part.ndim)
+            return np.moveaxis(part, tap_axes, range(1, len(taps) + 1)).reshape(w2.shape[1], -1)
+
+        for lo, hi in chunks:  # straight into the output, no product temporary
+            np.matmul(w2, columns(lo, hi), out=flat[:, lo * per_row:hi * per_row])
+        out += bias.data.reshape(col)
+
+        def grads(g: np.ndarray, gw, gwin) -> None:
+            gw2 = None if gw is None else gw.reshape(fout, -1)
+            for lo, hi in chunks:
+                gc = g[:, lo:hi].reshape(fout, -1)
+                if gw2 is not None:
+                    gw2 += gc @ columns(lo, hi).T
+                if gwin is not None:
+                    target = gwin[:, lo:hi]
+                    gcols = (w2.T @ gc).reshape((-1,) + taps + target.shape[1:-len(taps)])
+                    # one add per tap: within a tap no two positions share an element
+                    for tap in np.ndindex(*taps):
+                        target[(Ellipsis,) + tap] += gcols[(slice(None),) + tap]
+    else:
+        out[...] = bias.data.reshape(col)
+        for wi, xi in _terms(win.shape[0], taps):
+            out += wd[wi].reshape(col) * win[xi]
+
+        def grads(g: np.ndarray, gw, gwin) -> None:
+            gflat = g.reshape(fout, -1)
+            for wi, xi in _terms(win.shape[0], taps):
+                if gwin is not None:
+                    gwin[xi] += (wd[wi] @ gflat).reshape(g.shape[1:])
+                if gw is not None:
+                    gw[wi] = gflat @ win[xi].reshape(-1)
 
     def _bw(g: np.ndarray) -> None:
-        gw = np.zeros_like(w2) if weight.requires_grad else None
+        gw = np.zeros(wd.shape, dtype=wd.dtype) if weight.requires_grad else None
         gsrc = np.zeros_like(src) if x.requires_grad else None
-        gwin = None if gsrc is None else windows(gsrc, writeable=True)
-        for lo, hi in chunks:
-            gc = g[:, lo:hi].reshape(fout, -1)
-            if gw is not None:
-                gw += gc @ columns(lo, hi).T
-            if gwin is not None:
-                target = gwin[:, lo:hi]
-                gcols = (w2.T @ gc).reshape((-1,) + taps + target.shape[1:-len(taps)])
-                # one add per tap: within a tap no two positions share an element
-                for tap in np.ndindex(*taps):
-                    target[(Ellipsis,) + tap] += gcols[(slice(None),) + tap]
+        grads(g, gw, None if gsrc is None else windows(gsrc, writeable=True))
         if gsrc is not None:
             accumulate_grad(x, crop(gsrc))
         if gw is not None:
-            accumulate_grad(weight, gw.reshape(wd.shape))
+            accumulate_grad(weight, gw)
         if bias.requires_grad:
             accumulate_grad(bias, g.reshape(fout, -1).sum(axis=1))
 

@@ -3,9 +3,11 @@
 Values live in numpy arrays (row-major, C order). Operations in
 :mod:`wavems.ops` record their inputs and a backward closure on the output
 tensor; calling :func:`backward` on a scalar result fills ``grad`` on every
-reachable tensor that requires gradients. Gradients accumulate additively,
-both across multiple uses of a tensor and across repeated backward calls;
-reset them explicitly with :func:`zero_grads`.
+reachable leaf (a tensor no op produced, such as a parameter or an input)
+that requires gradients. Op outputs keep ``grad`` at ``None``: their
+adjoints live only during the sweep. Gradients accumulate additively, both
+across multiple uses of a tensor and across repeated backward calls; reset
+them explicitly with :func:`zero_grads`.
 
 A computation graph uses one precision throughout (float32 or float64;
 mixed graphs are rejected by the ops) and is confined to a single logical
@@ -104,26 +106,24 @@ _active_sweep: Optional[dict[int, np.ndarray]] = None
 
 
 def accumulate_grad(t: Tensor, g: np.ndarray) -> None:
-    """Add a gradient contribution to ``t``. Never mutates existing grads in place.
+    """Add a gradient contribution to ``t``'s adjoint in the running sweep.
 
-    During a backward sweep contributions collect in sweep-local adjoints,
-    so repeated backward calls each add exactly one d(loss)/d(t) to ``grad``.
+    Only backward closures call this, and they run only inside
+    :func:`backward`. Never mutates an existing adjoint in place.
     """
-    if not t.requires_grad:
-        return
-    if _active_sweep is not None:
+    if t.requires_grad:
         key = id(t)
         cur = _active_sweep.get(key)
         _active_sweep[key] = g if cur is None else cur + g
-    else:
-        t.grad = g if t.grad is None else t.grad + g
 
 
 def backward(loss: Tensor) -> None:
     """Reverse-mode sweep from a scalar loss.
 
-    Populates ``grad`` on every requires_grad tensor reachable through the
-    recorded graph. Repeated calls accumulate on top of existing grads.
+    Adds d(loss)/d(t) to ``grad`` on every leaf ``t`` that requires
+    gradients and is reachable through the recorded graph, on top of any
+    gradient already there. Op outputs get no ``grad``: each adjoint is
+    dropped as soon as its node's closure has consumed it.
     """
     global _active_sweep
     if loss.shape != ():
@@ -151,18 +151,17 @@ def backward(loss: Tensor) -> None:
     _active_sweep = sweep
     try:
         accumulate_grad(loss, np.ones((), dtype=loss.data.dtype))
+        # every consumer of a node comes before it, so its adjoint is complete
         for node in reversed(topo):
+            adjoint = sweep.pop(id(node), None)
+            if adjoint is None:
+                continue
             if node._backward is not None:
-                adjoint = sweep.get(id(node))
-                if adjoint is not None:
-                    node._backward(adjoint)
+                node._backward(adjoint)
+            else:
+                node.grad = adjoint if node.grad is None else node.grad + adjoint
     finally:
         _active_sweep = None
-
-    for node in topo:
-        adjoint = sweep.get(id(node))
-        if adjoint is not None:
-            node.grad = adjoint if node.grad is None else node.grad + adjoint
 
 
 class Parameter:

@@ -16,7 +16,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import ops
-from .audio import AudioClip, load_clip_file, random_crop
+from .audio import AudioClip, make_clip_loader, random_crop
 from .checkpoint import Checkpoint, save_checkpoint
 from .datasets import DatasetManifest, ManifestEntry, fold_split
 from .errors import ConfigError
@@ -135,12 +135,6 @@ def train_epoch(model: Model, entries: list[ManifestEntry],
             "train_acc": correct / n, "n_examples": n}
 
 
-def _default_clip_loader(target_rate: int) -> Callable[[str], AudioClip]:
-    def load(path: str) -> AudioClip:
-        return load_clip_file(path, target_rate=target_rate, normalize=True)
-    return load
-
-
 def train(model_config: ModelConfig, train_config: TrainConfig,
           manifest: DatasetManifest, test_fold: int,
           clips: Optional[dict[str, AudioClip]] = None,
@@ -163,7 +157,7 @@ def train(model_config: ModelConfig, train_config: TrainConfig,
     train_entries = sorted(train_entries, key=lambda e: e.path)
 
     if clips is None:
-        loader = _default_clip_loader(model_config.sample_rate)
+        loader = make_clip_loader(model_config.sample_rate)
         clips = {e.path: loader(e.path) for e in train_entries}
 
     if resume_from is not None:

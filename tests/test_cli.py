@@ -263,3 +263,59 @@ class TestRunConfig:
         out = capsys.readouterr().out
         for flag in flags:
             assert flag in out
+
+
+class TestBadInputExitCodes:
+    @staticmethod
+    def _checkpoint(tmp_path, **overrides):
+        from wavems.checkpoint import Checkpoint
+        from wavems.model import build_model
+
+        model = build_model(ModelConfig.from_dict({**MICRO_MODEL, **overrides}), seed=0)
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(Checkpoint.from_model(
+            model, TrainConfig.from_dict(MICRO_TRAIN), 0, [], (0, 0)), path)
+        return path
+
+    @staticmethod
+    def _assert_error_line(capsys):
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "Traceback" not in err
+        return err
+
+    @pytest.mark.parametrize("edit,needle", [
+        (lambda header: header.pop("model_config"), "model_config"),
+        (lambda header: header.update(rng_words=-1), "RNG words"),
+    ], ids=["no_model_config", "negative_rng_words"])
+    def test_bad_header_exits_1(self, tmp_path, capsys, edit, needle):
+        path = self._checkpoint(tmp_path)
+        data = path.read_bytes()
+        hlen = int.from_bytes(data[8:16], "little")
+        header = json.loads(data[16:16 + hlen])
+        edit(header)
+        blob = json.dumps(header).encode()
+        path.write_bytes(data[:8] + len(blob).to_bytes(8, "little") + blob
+                         + data[16 + hlen:])
+        assert main(["inspect", "--ckpt", str(path)]) == 1
+        assert needle in self._assert_error_line(capsys)
+
+    def test_trailing_bytes_exit_1(self, tmp_path, capsys):
+        path = self._checkpoint(tmp_path)
+        path.write_bytes(path.read_bytes() + b"\0" * 8)
+        assert main(["inspect", "--ckpt", str(path)]) == 1
+        assert "RNG words" in self._assert_error_line(capsys)
+
+    def test_eval_class_count_mismatch_exits_2(self, tmp_path, capsys):
+        ckpt = self._checkpoint(tmp_path, num_classes=3)
+        data = tmp_path / "data"
+        assert main(["synth", "--out", str(data), "--classes", "2",
+                     "--clips-per-class", "3", "--seconds", "0.15", "--seed", "7",
+                     "--rate", "4410"]) == 0
+        capsys.readouterr()
+        rc = main(["eval", "--ckpt", str(ckpt), "--manifest", str(data / "manifest.csv"),
+                   "--fold", "1", "--report", str(tmp_path / "r")])
+        assert rc == 2
+        err = self._assert_error_line(capsys)
+        assert "3 classes" in err and "has 2" in err
+        assert not (tmp_path / "r").exists()
