@@ -13,7 +13,7 @@ from .datasets import (DatasetManifest, ManifestEntry, dump_manifest,
                        fold_split, load_manifest, synth_dataset,
                        write_synth_dataset)
 from .errors import (CheckpointError, ConfigError, DecodeError, ManifestError,
-                     ShapeError)
+                     NonFiniteLossError, ShapeError)
 from .evaluation import (AblationResult, AblationRow, EvalReport,
                          ablate_levels, ablate_temporal, cross_validate,
                          evaluate, level_variant_configs, predict_clip,

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import CheckpointError
-from .model import Model, ModelConfig, build_model
+from .model import Model, ModelConfig, make_parameter
 
 MAGIC = b"WMSN"
 VERSION = 1
@@ -47,12 +47,13 @@ class Checkpoint:
                    tuple(int(w) for w in rng_state), list(metrics_history))
 
     def restore_model(self) -> Model:
-        """Materialize a single-precision model with the stored state."""
-        model = build_model(self.model_config, seed=0, precision="single")
-        for name, p in model.named_parameters():
-            p.value.data = self.parameters[name].astype(np.float32, copy=True)
+        """Materialize a single-precision model from copies of the stored state."""
+        params = {}
+        for name, _ in self.param_table():
+            p = make_parameter(name, self.parameters[name].astype(np.float32, copy=True))
             p.velocity = self.velocities[name].astype(np.float32, copy=True)
-        return model
+            params[name] = p
+        return Model(self.model_config, params, precision="single")
 
     def param_table(self) -> list[tuple[str, tuple[int, ...]]]:
         return self.model_config.parameter_shapes()
@@ -107,7 +108,7 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
         raise CheckpointError("truncated header")
     try:
         header = json.loads(data[pos:pos + hlen].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise CheckpointError(f"corrupt header JSON: {exc}") from exc
     pos += hlen
 
@@ -118,7 +119,8 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
         epoch = int(header["epoch"])
         history = list(header["metrics_history"])
         n_words = int(header["rng_words"])
-    except (KeyError, TypeError, ValueError) as exc:  # ConfigError is a ValueError
+    # a hostile header can fail in any of these; ConfigError is a ValueError
+    except (LookupError, TypeError, ValueError, ArithmeticError) as exc:
         raise CheckpointError(
             f"bad checkpoint header ({type(exc).__name__}: {exc})") from exc
     expected = model_config.parameter_shapes()
@@ -134,8 +136,9 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
         pos += nbytes
         return arr.reshape(shape).copy()
 
-    parameters = {name: read_array(name, shape) for name, shape in table}
-    velocities = {name: read_array(f"{name} (velocity)", shape) for name, shape in table}
+    # read by the config's table: the header's may hold equal non-ints (4.0, true)
+    parameters = {name: read_array(name, shape) for name, shape in expected}
+    velocities = {name: read_array(f"{name} (velocity)", shape) for name, shape in expected}
 
     if pos + 8 * n_words != len(data):  # truncated, or bytes after the RNG words
         raise CheckpointError(f"{len(data) - pos} bytes follow the arrays, but the header "

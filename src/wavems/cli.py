@@ -71,7 +71,7 @@ def parse_run_config(text: str) -> RunConfig:
             base = TrainConfig().to_dict()
             base.update(doc["train"])
             cfg.train = TrainConfig.from_dict(base)
-    except (ConfigError, TypeError) as exc:
+    except (LookupError, TypeError, ValueError, ArithmeticError) as exc:  # ConfigError too
         raise UsageError(f"invalid config: {exc}") from exc
     cfg.data.update(doc.get("data", {}))
     cfg.eval.update(doc.get("eval", {}))

@@ -19,3 +19,7 @@ class ManifestError(ValueError):
 
 class CheckpointError(ValueError):
     """A checkpoint file is corrupt, truncated, or incompatible."""
+
+
+class NonFiniteLossError(RuntimeError):
+    """Training met a NaN or infinite loss; the message names epoch and batch."""

@@ -86,6 +86,8 @@ class ModelConfig:
                 f"last_n_levels must be in 1..{len(self.conv_channels)}, got {self.last_n_levels}")
         if len(self.level_pool_windows) != len(self.conv_channels):
             raise ConfigError("need one pool window per conv level")
+        if min(min(wd) for wd in self.level_pool_windows) < 1 or min(self.level_pool_target) < 1:
+            raise ConfigError("pool windows and the level pool target must be positive")
         if self.fc_hidden < 1 or self.num_classes < 2:
             raise ConfigError("fc_hidden >= 1 and num_classes >= 2 required")
         if self.window_length < 1 or self.sample_rate < 1:
@@ -346,9 +348,13 @@ def build_model(config: ModelConfig, seed: int, precision: str = "single") -> Mo
     params: dict[str, Parameter] = {}
     for name, shape in config.parameter_shapes():
         if name.endswith(".bias"):
-            params[name] = Parameter(Tensor(np.zeros(shape, dtype=dtype)),
-                                     decay_exempt=True)
+            data = np.zeros(shape, dtype=dtype)
         else:
-            fan_in = int(np.prod(shape[1:]))
-            params[name] = Parameter(Tensor(_uniform_fan_in(rng, shape, fan_in, dtype)))
+            data = _uniform_fan_in(rng, shape, int(np.prod(shape[1:])), dtype)
+        params[name] = make_parameter(name, data)
     return Model(config, params, precision)
+
+
+def make_parameter(name: str, data: np.ndarray) -> Parameter:
+    """The parameter called ``name``, holding ``data`` itself; biases skip weight decay."""
+    return Parameter(Tensor(data), decay_exempt=name.endswith(".bias"))

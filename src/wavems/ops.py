@@ -1,7 +1,13 @@
 """Differentiable operations over :class:`~wavems.tensor.Tensor`.
 
-Only the operators the architecture needs. Max selections route gradients to
-the first (lowest-index) maximum.
+Only the operators the architecture needs.
+
+Both max pools, :func:`maxpool2d` and :func:`adaptive_maxpool`, build one
+node type (:func:`_pool`): a running maximum over output-shaped strided
+slices (``maxpool2d``) or gathers (``adaptive_maxpool``) of the input, with
+each bin's gradient routed to its first maximum (window raster order for
+``maxpool2d``, lowest index for ``adaptive_maxpool``). The node keeps no
+copy of its input.
 
 Convolutions have two kernel families. The reference kernels, the default,
 accumulate taps in a fixed (channel, tap) order, so their results are
@@ -202,37 +208,21 @@ def maxpool2d(x: Tensor, window: tuple[int, int]) -> Tensor:
         raise ValueError(f"pool window must be positive, got {window}")
     if x.data.ndim != 3:
         raise ShapeError(f"maxpool2d expects (C,H,W), got {x.shape}")
-    c, hin, win = x.shape
+    _, hin, win = x.shape
     if h > hin or w > win:
         raise ShapeError(f"pool window {window} exceeds input {hin}x{win}")
-    hout, wout = hin // h, win // w
+    rows, cols = hin // h * h, win // w * w
 
-    tiles = (x.data[:, :hout * h, :wout * w]
-             .reshape(c, hout, h, wout, w)
-             .transpose(0, 1, 3, 2, 4)
-             .reshape(c, hout, wout, h * w))
-    out = tiles.max(axis=3)
-
-    def _bw(g: np.ndarray) -> None:
-        if not x.requires_grad:
-            return
-        idx = tiles.argmax(axis=3)  # first occurrence on ties
-        gt = np.zeros_like(tiles)
-        np.put_along_axis(gt, idx[..., None], g[..., None], axis=3)
-        gx = np.zeros_like(x.data)
-        gx[:, :hout * h, :wout * w] = (gt.reshape(c, hout, wout, h, w)
-                                       .transpose(0, 1, 3, 2, 4)
-                                       .reshape(c, hout * h, wout * w))
-        accumulate_grad(x, gx)
-
-    return make_node(out, (x,), _bw)
+    return _pool(x, [(slice(None), slice(i, rows, h), slice(j, cols, w))
+                     for i in range(h) for j in range(w)])
 
 
 def adaptive_maxpool(x: Tensor, target: int, axis: int) -> Tensor:
     """Max-pool one axis down to exactly ``target`` bins.
 
     Bin i covers input indices [floor(i*L/target), floor((i+1)*L/target));
-    every index lands in exactly one bin and no bin is empty.
+    every index lands in exactly one bin and no bin is empty. Gradient flows
+    to the first maximum of a bin on ties.
     """
     if target <= 0:
         raise ValueError(f"target must be positive, got {target}")
@@ -240,25 +230,41 @@ def adaptive_maxpool(x: Tensor, target: int, axis: int) -> Tensor:
     if length < target:
         raise ShapeError(f"axis extent {length} < pool target {target}")
 
-    bounds = [(i * length) // target for i in range(target + 1)]
-    xm = np.moveaxis(x.data, axis, -1)
-    out = np.empty(xm.shape[:-1] + (target,), dtype=x.data.dtype)
-    for i in range(target):
-        out[..., i] = xm[..., bounds[i]:bounds[i + 1]].max(axis=-1)
+    bounds = np.arange(target + 1) * length // target
+    starts, ends = bounds[:-1], bounds[1:]
+    # row j holds the j-th index of every bin; short bins repeat their last
+    rows = np.minimum(starts + np.arange((ends - starts).max())[:, None], ends - 1)
+    lead = (slice(None),) * (axis % x.data.ndim)
+    return _pool(x, [lead + (row,) for row in rows])
+
+
+def _pool(x: Tensor, taps: list[tuple]) -> Tensor:
+    """One max-pool node: the maximum over each bin, gradient to its first maximum.
+
+    ``taps`` is in tie-break order. Each tap indexes ``x`` into an
+    output-shaped array whose element i is one element of bin i, so tap j
+    reads the j-th element of every bin. A bin may repeat an element in
+    later taps, which changes neither its maximum nor its first maximum.
+
+    Forward takes a running maximum over the taps. Backward gives each
+    output's gradient to the first tap that equals the output; no input
+    copy is kept. A bin holding NaN outputs NaN, matches no tap and passes
+    no gradient (training stops on the non-finite loss first).
+    """
+    out = x.data[taps[0]].copy()
+    for tap in taps[1:]:
+        np.maximum(out, x.data[tap], out=out)
 
     def _bw(g: np.ndarray) -> None:
-        if not x.requires_grad:
-            return
-        gm = np.moveaxis(g, axis, -1)
-        gout = np.zeros_like(xm)
-        for i in range(target):
-            seg = xm[..., bounds[i]:bounds[i + 1]]
-            idx = seg.argmax(axis=-1)
-            np.put_along_axis(gout[..., bounds[i]:bounds[i + 1]],
-                              idx[..., None], gm[..., i:i + 1], axis=-1)
-        accumulate_grad(x, np.ascontiguousarray(np.moveaxis(gout, -1, axis)))
+        gx = np.zeros_like(x.data)
+        free = np.ones(out.shape, dtype=bool)  # bins whose maximum is not yet found
+        for tap in taps:
+            hit = free & (x.data[tap] == out)
+            free ^= hit
+            gx[tap] = np.where(hit, g, gx[tap])
+        accumulate_grad(x, gx)
 
-    return make_node(np.ascontiguousarray(np.moveaxis(out, -1, axis)), (x,), _bw)
+    return make_node(out, (x,), _bw)
 
 
 def relu(x: Tensor) -> Tensor:

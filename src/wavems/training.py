@@ -19,7 +19,7 @@ from . import ops
 from .audio import AudioClip, make_clip_loader, random_crop
 from .checkpoint import Checkpoint, save_checkpoint
 from .datasets import DatasetManifest, ManifestEntry, fold_split
-from .errors import ConfigError
+from .errors import ConfigError, NonFiniteLossError
 from .model import Model, ModelConfig, build_model
 from .optim import sgd_step
 from .tensor import backward, zero_grads
@@ -93,7 +93,8 @@ def train_epoch(model: Model, entries: list[ManifestEntry],
     asks for the reference kernels (see :mod:`wavems.ops`).
 
     Returns {"epoch", "lr", "loss", "train_acc", "n_examples"}; loss is the
-    mean per-crop cross-entropy over the epoch.
+    mean per-crop cross-entropy over the epoch. A NaN or infinite batch loss
+    raises NonFiniteLossError before that batch's backward pass or update.
     """
     if not entries:
         raise ValueError("training set is empty")
@@ -123,6 +124,11 @@ def train_epoch(model: Model, entries: list[ManifestEntry],
             for extra in losses[1:]:
                 loss = ops.add(loss, extra)
             loss = ops.scale(loss, 1.0 / len(batch))
+            if not np.isfinite(loss.data):
+                raise NonFiniteLossError(
+                    f"non-finite loss {loss.item()} at epoch {epoch}, batch "
+                    f"{batch_lo // config.batch_size} (0-based); parameters are "
+                    f"left as they were before this batch")
             backward(loss)
             sgd_step(params, lr=lr, momentum=config.momentum,
                      weight_decay=config.weight_decay)
@@ -133,6 +139,34 @@ def train_epoch(model: Model, entries: list[ManifestEntry],
     n = len(entries)
     return {"epoch": epoch, "lr": lr, "loss": total_loss / n,
             "train_acc": correct / n, "n_examples": n}
+
+
+def _check_resumable(ckpt: Checkpoint, model_config: ModelConfig,
+                     config: TrainConfig) -> None:
+    """Raise ConfigError unless ``config`` continues ``ckpt``'s run bit-exactly.
+
+    The schedule may be extended, but every completed epoch must have run
+    at the learning rate ``config`` gives it, and everything else that
+    shapes a step or its random draws must match.
+    """
+    if ckpt.model_config != model_config:
+        raise ConfigError("checkpoint model config differs from the requested one")
+    done = ckpt.train_config
+    for key in ("seed", "batch_size", "momentum", "weight_decay", "deterministic"):
+        if getattr(done, key) != getattr(config, key):
+            raise ConfigError(f"cannot resume: checkpoint {key}={getattr(done, key)!r}, "
+                              f"requested {key}={getattr(config, key)!r}")
+    if not 0 <= ckpt.epoch <= min(done.epochs, config.epochs):
+        raise ConfigError(f"cannot resume: checkpoint has {ckpt.epoch} epochs done, its "
+                          f"schedule {done.epochs} and the requested one {config.epochs}")
+    for epoch in range(ckpt.epoch):
+        if lr_at(done, epoch) != lr_at(config, epoch):
+            raise ConfigError(f"cannot resume: epoch {epoch} ran at lr "
+                              f"{lr_at(done, epoch):g}, the requested schedule "
+                              f"gives {lr_at(config, epoch):g}")
+    if tuple(ckpt.rng_state) != (config.seed, ckpt.epoch):
+        raise ConfigError(f"cannot resume: checkpoint RNG state {tuple(ckpt.rng_state)} "
+                          f"is not (seed, epoch) = {(config.seed, ckpt.epoch)}")
 
 
 def train(model_config: ModelConfig, train_config: TrainConfig,
@@ -161,8 +195,7 @@ def train(model_config: ModelConfig, train_config: TrainConfig,
         clips = {e.path: loader(e.path) for e in train_entries}
 
     if resume_from is not None:
-        if resume_from.model_config != model_config:
-            raise ConfigError("checkpoint model config differs from the requested one")
+        _check_resumable(resume_from, model_config, train_config)
         model = resume_from.restore_model()
         history = list(resume_from.metrics_history)
         start_epoch = resume_from.epoch

@@ -77,3 +77,37 @@ def adaptive_maxpool_oracle(x, target, axis):
                     best = v
             out[idx + (i,)] = best
     return np.moveaxis(out, -1, axis)
+
+
+def maxpool2d_grad_oracle(x, window, g):
+    """Input gradient of maxpool2d for output gradient ``g``: each window's
+    gradient goes to its first maximum in raster order (rows outer)."""
+    h, w = window
+    c, hin, win = x.shape
+    gx = np.zeros_like(x)
+    for ch in range(c):
+        for r in range(hin // h):
+            for s in range(win // w):
+                best = (r * h, s * w)
+                for i in range(h):
+                    for j in range(w):
+                        if x[ch, r * h + i, s * w + j] > x[(ch,) + best]:
+                            best = (r * h + i, s * w + j)
+                gx[(ch,) + best] = g[ch, r, s]
+    return gx
+
+
+def adaptive_maxpool_grad_oracle(x, target, axis, g):
+    """Input gradient of adaptive_maxpool for output gradient ``g``: each
+    bin's gradient goes to its lowest-index maximum."""
+    xm = np.moveaxis(x, axis, -1)
+    gm = np.moveaxis(g, axis, -1)
+    gx = np.zeros_like(xm)
+    for idx in np.ndindex(xm.shape[:-1]):
+        for i, (lo, hi) in enumerate(adaptive_pool_bins(xm.shape[-1], target)):
+            best = lo
+            for p in range(lo + 1, hi):
+                if xm[idx + (p,)] > xm[idx + (best,)]:
+                    best = p
+            gx[idx + (best,)] = gm[idx + (i,)]
+    return np.moveaxis(gx, -1, axis)

@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from wavems.checkpoint import load_checkpoint, save_checkpoint
@@ -319,3 +320,66 @@ class TestBadInputExitCodes:
         err = self._assert_error_line(capsys)
         assert "3 classes" in err and "has 2" in err
         assert not (tmp_path / "r").exists()
+
+
+class TestRobustnessExitCodes:
+    def _edit_header(self, tmp_path, edit_blob):
+        path = TestBadInputExitCodes._checkpoint(tmp_path)
+        data = path.read_bytes()
+        hlen = int.from_bytes(data[8:16], "little")
+        blob = edit_blob(data[16:16 + hlen])
+        path.write_bytes(data[:8] + len(blob).to_bytes(8, "little") + blob
+                         + data[16 + hlen:])
+        return path
+
+    @pytest.mark.parametrize("edit_blob", [
+        lambda blob: blob.replace(b'"epoch": 0', b'"epoch": 1e400'),
+        lambda blob: blob.replace(b'"rng_words": 2', b'"rng_words": -1e400'),
+        lambda blob: blob.replace(b'"metrics_history": []',
+                                  b'"metrics_history": ' + b"[" * 100000 + b"]" * 100000),
+    ], ids=["overflowing_epoch", "overflowing_rng_words", "deeply_nested"])
+    def test_hostile_header_exits_1(self, tmp_path, capsys, edit_blob):
+        path = self._edit_header(tmp_path, edit_blob)
+        assert main(["inspect", "--ckpt", str(path)]) == 1
+        TestBadInputExitCodes._assert_error_line(capsys)
+
+    def test_equal_non_int_extents_load(self, tmp_path):
+        path = self._edit_header(tmp_path, lambda blob: blob.replace(
+            b'[["branch1.conv.weight", [4, 1, 7]]', b'[["branch1.conv.weight", [4.0, true, 7]]'))
+        assert load_checkpoint(path).parameters["branch1.conv.weight"].shape == (4, 1, 7)
+
+    @pytest.mark.parametrize("model", [
+        {"level_pool_target": [2]},
+        {"level_pool_windows": [[0, 2], [2, 2], [2, 2], [2, 2]]},
+        {"conv_channels": ["wide", 8, 8, 8]},
+    ], ids=["short_target", "zero_window", "non_int_channels"])
+    def test_bad_model_config_values_exit_2(self, corpus_dir, tmp_path, capsys, model):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"model": model}))
+        rc = main(["train", "--config", str(bad),
+                   "--manifest", str(corpus_dir / "manifest.csv"),
+                   "--fold", "1", "--out", str(tmp_path / "x.ckpt")])
+        assert rc == 2
+        assert "invalid config" in TestBadInputExitCodes._assert_error_line(capsys)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_loss_exits_1(self, corpus_dir, config_file, tmp_path, capsys,
+                                     monkeypatch):
+        import wavems.training as training_mod
+
+        real_build = training_mod.build_model
+
+        def build_with_inf(*args, **kwargs):
+            model = real_build(*args, **kwargs)
+            model.param("fc2.weight").value.data[0, 0] = np.inf
+            return model
+
+        monkeypatch.setattr(training_mod, "build_model", build_with_inf)
+        ckpt = tmp_path / "model.ckpt"
+        rc = main(["train", "--config", str(config_file),
+                   "--manifest", str(corpus_dir / "manifest.csv"),
+                   "--fold", "1", "--out", str(ckpt)])
+        assert rc == 1
+        err = TestBadInputExitCodes._assert_error_line(capsys)
+        assert "non-finite loss" in err and "epoch 0, batch 0" in err
+        assert not ckpt.exists()

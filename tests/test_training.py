@@ -1,5 +1,7 @@
 """LR schedule, epoch loop, optimizer integration, checkpoint round-trips."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,7 @@ import wavems.training as training_mod
 from wavems import ops
 from wavems.checkpoint import load_checkpoint, save_checkpoint
 from wavems.datasets import synth_dataset
-from wavems.errors import CheckpointError, ConfigError
+from wavems.errors import CheckpointError, ConfigError, NonFiniteLossError
 from wavems.model import build_model
 from wavems.optim import sgd_step
 from wavems.tensor import backward, zero_grads
@@ -282,3 +284,105 @@ class TestCheckpointFormat:
         with pytest.raises(ConfigError):
             train(other, micro_train_config(2), manifest, 1, clips=clips,
                   resume_from=ckpt)
+
+
+@pytest.fixture(scope="module")
+def halfway():
+    """The micro corpus and a checkpoint after 2 epochs at lr 1e-2, seed 5."""
+    manifest, clips = micro_corpus()
+    return manifest, clips, train(tiny_model_config(), micro_train_config(2),
+                                  manifest, 1, clips=clips)
+
+
+class TestResumeRefusal:
+    """Resume only what continues bit-exactly; everything else is a ConfigError."""
+
+    @staticmethod
+    def _resume(halfway, ckpt=None, **overrides):
+        manifest, clips, done = halfway
+        tc = micro_train_config(4, **{"lr_stages": ((4, 1e-2),), **overrides})
+        return train(tiny_model_config(), tc, manifest, 1, clips=clips,
+                     resume_from=ckpt or done)
+
+    def test_extended_schedule_resumes(self, halfway):
+        assert self._resume(halfway).epoch == 4
+
+    @pytest.mark.parametrize("key,value", [
+        ("seed", 6), ("batch_size", 4), ("momentum", 0.5), ("weight_decay", 0.0),
+        ("deterministic", True)])
+    def test_changed_step_setting_refused(self, halfway, key, value):
+        with pytest.raises(ConfigError, match=key):
+            self._resume(halfway, **{key: value})
+
+    def test_changed_lr_on_completed_epoch_refused(self, halfway):
+        with pytest.raises(ConfigError, match="epoch 0"):
+            self._resume(halfway, lr_stages=((1, 1e-3), (3, 1e-2)))
+
+    def test_changed_lr_after_checkpoint_allowed(self, halfway):
+        ckpt = self._resume(halfway, lr_stages=((2, 1e-2), (2, 1e-3)))
+        assert [m["lr"] for m in ckpt.metrics_history] == [1e-2, 1e-2, 1e-3, 1e-3]
+
+    def test_checkpoint_past_requested_epochs_refused(self, halfway):
+        manifest, clips, done = halfway
+        with pytest.raises(ConfigError, match="2 epochs done"):
+            train(tiny_model_config(), micro_train_config(1), manifest, 1, clips=clips,
+                  resume_from=done)
+
+    @pytest.mark.parametrize("rng_state", [(5, 1), (6, 2), (5, 2, 0), ()])
+    def test_tampered_rng_state_refused(self, halfway, tmp_path, rng_state):
+        save_checkpoint(dataclasses.replace(halfway[2], rng_state=rng_state),
+                        tmp_path / "half.ckpt")
+        with pytest.raises(ConfigError, match="RNG state"):
+            self._resume(halfway, load_checkpoint(tmp_path / "half.ckpt"))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf/nan arithmetic on the way
+class TestNonFiniteLoss:
+    def test_inf_weight_stops_before_update(self):
+        manifest, clips = micro_corpus()
+        model = build_model(tiny_model_config(), seed=0)
+        model.param("fc2.weight").value.data[0, 0] = np.inf
+        before = {n: (p.value.data.copy(), p.velocity.copy())
+                  for n, p in model.named_parameters()}
+        with pytest.raises(NonFiniteLossError, match="epoch 0, batch 0"):
+            train_epoch(model, manifest.entries, clips, 0, micro_train_config(1))
+        for n, p in model.named_parameters():
+            assert np.array_equal(p.value.data, before[n][0])
+            assert np.array_equal(p.velocity, before[n][1])
+
+    def test_names_the_failing_batch(self, monkeypatch):
+        manifest, clips = micro_corpus()
+        model = build_model(tiny_model_config(), seed=0)
+        real_step = training_mod.sgd_step
+
+        def step_then_poison(params, **kw):  # the second batch sees an inf weight
+            real_step(params, **kw)
+            model.param("fc2.weight").value.data[0, 0] = np.inf
+
+        monkeypatch.setattr(training_mod, "sgd_step", step_then_poison)
+        with pytest.raises(NonFiniteLossError, match="epoch 3, batch 1"):
+            train_epoch(model, manifest.entries, clips, 3, micro_train_config(4))
+
+
+class TestRestoreModel:
+    def test_copies_stored_state_without_sharing(self):
+        manifest, clips = micro_corpus()
+        ckpt = train(tiny_model_config(), micro_train_config(1), manifest, 1, clips=clips)
+        model = ckpt.restore_model()
+        assert model.config == ckpt.model_config and model.precision == "single"
+        assert [n for n, _ in model.named_parameters()] == list(ckpt.parameters)
+        for name, p in model.named_parameters():
+            assert np.array_equal(p.value.data, ckpt.parameters[name])
+            assert np.array_equal(p.velocity, ckpt.velocities[name])
+            assert p.value.data.dtype == p.velocity.dtype == np.float32
+            assert not np.shares_memory(p.value.data, ckpt.parameters[name])
+            assert not np.shares_memory(p.velocity, ckpt.velocities[name])
+            assert p.value.requires_grad
+            assert p.decay_exempt == name.endswith(".bias")
+
+    def test_draws_no_random_weights(self, monkeypatch):
+        import wavems.model as model_mod
+        manifest, clips = micro_corpus()
+        ckpt = train(tiny_model_config(), micro_train_config(1), manifest, 1, clips=clips)
+        monkeypatch.setattr(model_mod, "_uniform_fan_in", None)  # any draw would fail
+        ckpt.restore_model()
