@@ -13,6 +13,7 @@ training bit-exactly.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -108,19 +109,20 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
         raise CheckpointError("truncated header")
     try:
         header = json.loads(data[pos:pos + hlen].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+    # decode errors, JSON syntax and integers past the digit limit are ValueErrors
+    except (ValueError, RecursionError) as exc:
         raise CheckpointError(f"corrupt header JSON: {exc}") from exc
     pos += hlen
 
     try:
-        model_config = ModelConfig.from_dict(header["model_config"])
-        train_config = TrainConfig.from_dict(header["train_config"])
+        model_config = ModelConfig.from_dict(header["model_config"], "model_config")
+        train_config = TrainConfig.from_dict(header["train_config"], "train_config")
         table = [(name, tuple(shape)) for name, shape in header["params"]]
         epoch = int(header["epoch"])
         history = list(header["metrics_history"])
         n_words = int(header["rng_words"])
     # a hostile header can fail in any of these; ConfigError is a ValueError
-    except (LookupError, TypeError, ValueError, ArithmeticError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise CheckpointError(
             f"bad checkpoint header ({type(exc).__name__}: {exc})") from exc
     expected = model_config.parameter_shapes()
@@ -129,11 +131,11 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
 
     def read_array(name: str, shape: tuple[int, ...]) -> np.ndarray:
         nonlocal pos
-        nbytes = int(np.prod(shape)) * 4
-        if pos + nbytes > len(data):
+        count = math.prod(shape)  # exact: np.prod wraps past int64
+        if pos + 4 * count > len(data):
             raise CheckpointError(f"file truncated mid-array {name!r}")
-        arr = np.frombuffer(data, dtype="<f4", count=int(np.prod(shape)), offset=pos)
-        pos += nbytes
+        arr = np.frombuffer(data, dtype="<f4", count=count, offset=pos)
+        pos += 4 * count
         return arr.reshape(shape).copy()
 
     # read by the config's table: the header's may hold equal non-ints (4.0, true)

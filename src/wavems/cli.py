@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field, fields as dc_fields
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from . import analysis, evaluation, ops
@@ -19,7 +19,8 @@ from .checkpoint import load_checkpoint
 from .datasets import (SYNTH_MAX_CLASSES, DatasetManifest, ManifestEntry,
                        load_manifest, write_synth_dataset)
 from .audio import make_clip_loader
-from .errors import CheckpointError, ConfigError, DecodeError, ManifestError
+from .config import Config
+from .errors import ConfigError
 from .model import ModelConfig, param_count
 from .training import TrainConfig, train
 
@@ -28,55 +29,55 @@ class UsageError(Exception):
     """Bad argument or config values; maps to exit code 2."""
 
 
-_MODEL_KEYS = {f.name for f in dc_fields(ModelConfig)}
-_TRAIN_KEYS = {f.name for f in dc_fields(TrainConfig)}
-_DATA_KEYS = {"peak_normalize", "resample"}
-_EVAL_KEYS = {"repeats", "hop"}
-_ANALYSIS_KEYS = {"nfft"}
-_SECTIONS = {"model": _MODEL_KEYS, "train": _TRAIN_KEYS, "data": _DATA_KEYS,
-             "eval": _EVAL_KEYS, "analysis": _ANALYSIS_KEYS}
+@dataclass
+class DataConfig(Config):
+    """Run-config ``data`` section: how clips are decoded."""
+    peak_normalize: bool = True
+    resample: bool = True
 
 
 @dataclass
-class RunConfig:
+class EvalConfig(Config):
+    """Run-config ``eval`` section: ablation repeats and the voting hop (null: default)."""
+    repeats: int = 1
+    hop: int | None = None
+
+    def validate(self) -> None:
+        if self.repeats < 1 or (self.hop is not None and self.hop < 1):
+            raise ConfigError(f"need eval.repeats, eval.hop >= 1, got {self.repeats}, {self.hop}")
+
+
+@dataclass
+class AnalysisConfig(Config):
+    """Run-config ``analysis`` section; ``wavems analyze`` reads ``--nfft`` instead."""
+    nfft: int = 2048
+
+    def validate(self) -> None:
+        if self.nfft < 1:
+            raise ConfigError(f"analysis.nfft must be >= 1, got {self.nfft}")
+
+
+@dataclass
+class RunConfig(Config):
+    """The whole JSON run config; each key of the root object is one section."""
     model: ModelConfig = field(default_factory=ModelConfig)
     train: TrainConfig = field(default_factory=TrainConfig)
-    data: dict = field(default_factory=lambda: {"peak_normalize": True, "resample": True})
-    eval: dict = field(default_factory=lambda: {"repeats": 1, "hop": None})
-    analysis: dict = field(default_factory=lambda: {"nfft": 2048})
+    data: DataConfig = field(default_factory=DataConfig)
+    eval: EvalConfig = field(default_factory=EvalConfig)
+    analysis: AnalysisConfig = field(default_factory=AnalysisConfig)
 
 
 def parse_run_config(text: str) -> RunConfig:
     """Parse the JSON run config; unknown keys are rejected with their path."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    # JSON syntax and integers past the digit limit are ValueErrors
+    except (ValueError, RecursionError) as exc:
         raise UsageError(f"config is not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise UsageError("config root must be a JSON object")
-    for section, body in doc.items():
-        if section not in _SECTIONS:
-            raise UsageError(f"unknown config section {section!r}")
-        if not isinstance(body, dict):
-            raise UsageError(f"config section {section!r} must be an object")
-        for key in body:
-            if key not in _SECTIONS[section]:
-                raise UsageError(f"unknown config key {section}.{key}")
-
-    cfg = RunConfig()
     try:
-        if "model" in doc:
-            cfg.model = ModelConfig.from_dict(doc["model"])
-        if "train" in doc:
-            base = TrainConfig().to_dict()
-            base.update(doc["train"])
-            cfg.train = TrainConfig.from_dict(base)
-    except (LookupError, TypeError, ValueError, ArithmeticError) as exc:  # ConfigError too
+        return RunConfig.from_dict(doc)
+    except ConfigError as exc:
         raise UsageError(f"invalid config: {exc}") from exc
-    cfg.data.update(doc.get("data", {}))
-    cfg.eval.update(doc.get("eval", {}))
-    cfg.analysis.update(doc.get("analysis", {}))
-    return cfg
 
 
 def _load_run_config(path: str | None) -> RunConfig:
@@ -112,8 +113,8 @@ def _check_classes(manifest: DatasetManifest, num_classes: int) -> None:
 
 def _clip_loader(cfg: RunConfig, model_rate: int):
     """Clip loader honoring the data-section toggles for a model at ``model_rate``."""
-    return make_clip_loader(model_rate if cfg.data["resample"] else None,
-                            cfg.data["peak_normalize"])
+    return make_clip_loader(model_rate if cfg.data.resample else None,
+                            cfg.data.peak_normalize)
 
 
 def _preload_clips(manifest: DatasetManifest, cfg: RunConfig) -> dict:
@@ -131,8 +132,6 @@ def _log(msg: str) -> None:
 def cmd_synth(args) -> int:
     if not 1 <= args.classes <= SYNTH_MAX_CLASSES:
         raise UsageError(f"--classes must be in 1..{SYNTH_MAX_CLASSES}, got {args.classes}")
-    if args.clips_per_class < 1:
-        raise UsageError("--clips-per-class must be positive")
     if args.seconds <= 0:
         raise UsageError("--seconds must be positive")
     try:
@@ -149,12 +148,10 @@ def cmd_synth(args) -> int:
 def cmd_train(args) -> int:
     cfg = _load_run_config(args.config)
     if args.deterministic:
-        cfg.train.deterministic = True
+        cfg = replace(cfg, train=replace(cfg.train, deterministic=True))
     manifest = _load_manifest_file(args.manifest)
     _check_fold(manifest, args.fold)
-    if manifest.num_classes != cfg.model.num_classes:
-        cfg.model.num_classes = manifest.num_classes
-        cfg.model.validate()
+    cfg = replace(cfg, model=replace(cfg.model, num_classes=manifest.num_classes))
 
     print("epoch,lr,loss,train_acc")
 
@@ -182,7 +179,7 @@ def cmd_eval(args) -> int:
     # kernels follow the checkpoint's training setting
     with ops.gemm_kernels(not ckpt.train_config.deterministic):
         report = evaluation.evaluate(model, manifest, args.fold,
-                                     clip_loader=loader, hop=cfg.eval["hop"])
+                                     clip_loader=loader, hop=cfg.eval.hop)
 
     out = Path(args.report)
     out.mkdir(parents=True, exist_ok=True)
@@ -197,12 +194,8 @@ def cmd_eval(args) -> int:
 def cmd_ablate(args) -> int:
     cfg = _load_run_config(args.config)
     manifest = _load_manifest_file(args.manifest)
-    if manifest.num_classes != cfg.model.num_classes:
-        cfg.model.num_classes = manifest.num_classes
-        cfg.model.validate()
-    repeats = args.repeats if args.repeats is not None else cfg.eval["repeats"]
-    if repeats < 1:
-        raise UsageError(f"--repeats must be >= 1, got {repeats}")
+    cfg = replace(cfg, model=replace(cfg.model, num_classes=manifest.num_classes))
+    repeats = args.repeats if args.repeats is not None else cfg.eval.repeats
 
     # decode once; every variant x fold training run shares the same clips
     clips = _preload_clips(manifest, cfg)
@@ -227,6 +220,9 @@ def cmd_ablate(args) -> int:
 
 def cmd_analyze(args) -> int:
     ckpt = load_checkpoint(args.ckpt)
+    longest = max(b.filter_len for b in ckpt.model_config.branches)
+    if args.nfft < longest:
+        raise UsageError(f"--nfft {args.nfft} is below the longest branch filter ({longest})")
     model = ckpt.restore_model()
     paths = analysis.export_all_branches(model, args.out, nfft=args.nfft)
     for p in paths:
@@ -257,6 +253,13 @@ def cmd_inspect(args) -> int:
 
 # --- parser -----------------------------------------------------------------
 
+def _positive_int(text: str) -> int:
+    """argparse type for counts and sizes: an integer of at least 1."""
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="wavems",
@@ -267,11 +270,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synth", help="generate the synthetic WAV corpus")
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--classes", type=int, required=True)
-    p.add_argument("--clips-per-class", type=int, required=True)
+    p.add_argument("--clips-per-class", type=_positive_int, required=True)
     p.add_argument("--seconds", type=float, default=3.0)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--rate", type=int, default=44100, help="sample rate in Hz")
-    p.add_argument("--folds", type=int, default=5)
+    p.add_argument("--folds", type=_positive_int, default=5)
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("train", help="train on one fold split")
@@ -284,8 +287,8 @@ def build_parser() -> argparse.ArgumentParser:
                         "bit-identical on any BLAS and thread count (the default "
                         "GEMM kernels repeat only at a fixed BLAS thread count); "
                         "eval follows the checkpoint's setting")
-    p.add_argument("--checkpoint-every", type=int, default=None)
-    p.add_argument("--threads", type=int, default=1,
+    p.add_argument("--checkpoint-every", type=_positive_int, default=None)
+    p.add_argument("--threads", type=_positive_int, default=1,
                    help="upper bound on worker threads (execution is serial)")
     p.set_defaults(func=cmd_train)
 
@@ -295,7 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fold", type=int, required=True)
     p.add_argument("--report", required=True, help="report output directory")
     p.add_argument("--config", help="JSON run config")
-    p.add_argument("--threads", type=int, default=1,
+    p.add_argument("--threads", type=_positive_int, default=1,
                    help="upper bound on worker threads (execution is serial)")
     p.set_defaults(func=cmd_eval)
 
@@ -304,15 +307,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", help="JSON run config")
     p.add_argument("--manifest", required=True)
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--repeats", type=int, default=None)
-    p.add_argument("--threads", type=int, default=1,
+    p.add_argument("--repeats", type=_positive_int, default=None)
+    p.add_argument("--threads", type=_positive_int, default=1,
                    help="upper bound on worker threads (execution is serial)")
     p.set_defaults(func=cmd_ablate)
 
     p = sub.add_parser("analyze", help="export learned-filter frequency responses")
     p.add_argument("--ckpt", required=True)
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--nfft", type=int, default=2048)
+    p.add_argument("--nfft", type=_positive_int, default=2048)
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("inspect", help="print checkpoint config and layer shapes")
@@ -329,8 +332,8 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (DecodeError, ManifestError, CheckpointError, ConfigError,
-            OSError, ValueError, RuntimeError) as exc:
+    # DecodeError, ManifestError, CheckpointError and ConfigError are ValueErrors
+    except (OSError, ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

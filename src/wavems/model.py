@@ -21,13 +21,16 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import ops
+from .config import Config
 from .errors import ConfigError, ShapeError
 from .tensor import DTYPES, Parameter, Tensor, no_grad
 
 
 @dataclass(frozen=True)
-class BranchSpec:
+class BranchSpec(Config):
     """One front-end branch: 1-D conv geometry and filter count."""
+    positional = True
+
     filter_len: int
     stride: int
     num_filters: int
@@ -46,7 +49,7 @@ def _conv1d_out_len(length: int, k: int, stride: int) -> int:
 
 
 @dataclass
-class ModelConfig:
+class ModelConfig(Config):
     """Full architecture description; defaults are the full-scale configuration."""
     branches: tuple[BranchSpec, ...] = (
         BranchSpec(11, 1, 32),
@@ -66,19 +69,9 @@ class ModelConfig:
     sample_rate: int = 44100
     relu_after_branch_conv: bool = True
 
-    def __post_init__(self):
-        self.branches = tuple(BranchSpec(*b) if not isinstance(b, BranchSpec) else b
-                              for b in self.branches)
-        self.conv_channels = tuple(int(c) for c in self.conv_channels)
-        self.level_pool_windows = tuple((int(h), int(w)) for h, w in self.level_pool_windows)
-        self.level_pool_target = (int(self.level_pool_target[0]), int(self.level_pool_target[1]))
-        self.validate()
-
     def validate(self) -> None:
         if not self.branches:
             raise ConfigError("at least one branch is required")
-        for b in self.branches:
-            b.validate()
         if self.phase_filter_len < 1 or self.phase_stride < 1:
             raise ConfigError("phase conv needs filter_len >= 1 and stride >= 1")
         if not 1 <= self.last_n_levels <= len(self.conv_channels):
@@ -164,30 +157,6 @@ class ModelConfig:
         table.append(("fc2.weight", (self.num_classes, self.fc_hidden)))
         table.append(("fc2.bias", (self.num_classes,)))
         return table
-
-    def to_dict(self) -> dict:
-        return {
-            "branches": [[b.filter_len, b.stride, b.num_filters] for b in self.branches],
-            "phase_filter_len": self.phase_filter_len,
-            "phase_stride": self.phase_stride,
-            "frontend_time_bins": self.frontend_time_bins,
-            "conv_channels": list(self.conv_channels),
-            "level_pool_windows": [list(wd) for wd in self.level_pool_windows],
-            "level_pool_target": list(self.level_pool_target),
-            "last_n_levels": self.last_n_levels,
-            "fc_hidden": self.fc_hidden,
-            "num_classes": self.num_classes,
-            "window_length": self.window_length,
-            "sample_rate": self.sample_rate,
-            "relu_after_branch_conv": self.relu_after_branch_conv,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ModelConfig":
-        d = dict(d)
-        if "branches" in d:
-            d["branches"] = tuple(BranchSpec(*b) for b in d["branches"])
-        return cls(**d)
 
 
 def full_scale_config(num_classes: int = 50) -> ModelConfig:

@@ -18,6 +18,7 @@ import numpy as np
 from . import ops
 from .audio import AudioClip, make_clip_loader, random_crop
 from .checkpoint import Checkpoint, save_checkpoint
+from .config import Config
 from .datasets import DatasetManifest, ManifestEntry, fold_split
 from .errors import ConfigError, NonFiniteLossError
 from .model import Model, ModelConfig, build_model
@@ -26,7 +27,7 @@ from .tensor import backward, zero_grads
 
 
 @dataclass
-class TrainConfig:
+class TrainConfig(Config):
     """Optimization protocol; defaults reproduce the full-scale recipe."""
     epochs: int = 160
     batch_size: int = 64
@@ -37,35 +38,22 @@ class TrainConfig:
     seed: int = 0
     deterministic: bool = False  # reference conv kernels, not GEMM (wavems.ops)
 
-    def __post_init__(self):
-        self.lr_stages = tuple((int(s), float(lr)) for s, lr in self.lr_stages)
+    def validate(self) -> None:
         if self.epochs < 0:
             raise ConfigError(f"epochs must be >= 0, got {self.epochs}")
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
+        if not (0 <= self.momentum < 1 and self.weight_decay >= 0):
+            raise ConfigError(f"need 0 <= momentum < 1 and weight_decay >= 0, got "
+                              f"{self.momentum} and {self.weight_decay}")
         if not 0 <= self.seed < 2 ** 64:
             raise ConfigError(f"seed must fit an unsigned 64-bit int, got {self.seed}")
+        for span, lr in self.lr_stages:
+            if span < 1 or lr < 0:
+                raise ConfigError(f"lr stages need a span >= 1 and an lr >= 0, got {[span, lr]}")
         if sum(s for s, _ in self.lr_stages) != self.epochs:
             raise ConfigError(
                 f"lr stage spans {[s for s, _ in self.lr_stages]} must sum to epochs={self.epochs}")
-
-    def to_dict(self) -> dict:
-        return {
-            "epochs": self.epochs,
-            "batch_size": self.batch_size,
-            "momentum": self.momentum,
-            "weight_decay": self.weight_decay,
-            "lr_stages": [[s, lr] for s, lr in self.lr_stages],
-            "seed": self.seed,
-            "deterministic": self.deterministic,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "TrainConfig":
-        d = dict(d)
-        if "lr_stages" in d:
-            d["lr_stages"] = tuple((s, lr) for s, lr in d["lr_stages"])
-        return cls(**d)
 
 
 def lr_at(config: TrainConfig, epoch: int) -> float:
