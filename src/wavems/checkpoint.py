@@ -20,6 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .config import _read
 from .errors import CheckpointError
 from .model import Model, ModelConfig, make_parameter
 
@@ -118,9 +119,9 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
         model_config = ModelConfig.from_dict(header["model_config"], "model_config")
         train_config = TrainConfig.from_dict(header["train_config"], "train_config")
         table = [(name, tuple(shape)) for name, shape in header["params"]]
-        epoch = int(header["epoch"])
+        epoch = _read(int, header["epoch"], "epoch")  # the config rule: no floats, no bools
         history = list(header["metrics_history"])
-        n_words = int(header["rng_words"])
+        n_words = _read(int, header["rng_words"], "rng_words")
     # a hostile header can fail in any of these; ConfigError is a ValueError
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise CheckpointError(

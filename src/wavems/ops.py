@@ -2,12 +2,20 @@
 
 Only the operators the architecture needs.
 
-Both max pools, :func:`maxpool2d` and :func:`adaptive_maxpool`, build one
-node type (:func:`_pool`): a running maximum over output-shaped strided
-slices (``maxpool2d``) or gathers (``adaptive_maxpool``) of the input, with
-each bin's gradient routed to its first maximum (window raster order for
-``maxpool2d``, lowest index for ``adaptive_maxpool``). The node keeps no
-copy of its input.
+Both max pools output each bin's maximum and route each bin's gradient to
+its first maximum (window raster order for :func:`maxpool2d`, lowest index
+for :func:`adaptive_maxpool`). A bin holding NaN outputs NaN and passes no
+gradient. The input's shape picks one of two kernels, neither of which
+keeps a copy of the input:
+
+- an :func:`adaptive_maxpool` over the last axis is a bin reduction
+  (:func:`_pool_bins`): one ``np.maximum.reduceat`` forward, and a backward
+  that scatters each bin's gradient to its first element equal to the
+  bin's output;
+- ``maxpool2d`` and an ``adaptive_maxpool`` over any other axis take a
+  running maximum over output-shaped strided slices or gathers of the
+  input (:func:`_pool`). There, ``reduceat`` would walk the input with a
+  stride and was measured slower.
 
 Convolutions have two kernel families. The reference kernels, the default,
 accumulate taps in a fixed (channel, tap) order, so their results are
@@ -16,10 +24,13 @@ on any BLAS and at any thread count. Inside :class:`gemm_kernels` both
 convolutions instead build im2col columns and run one matrix multiply per
 chunk of output positions. That is many times faster, but the summation
 order is BLAS's: results agree with the reference kernels to rounding and
-repeat bit for bit only with the same BLAS build and thread count.
+repeat bit for bit only with the same BLAS build and thread count. The
+choice is per thread.
 """
 
 from __future__ import annotations
+
+import threading
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -27,28 +38,37 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .errors import ShapeError
 from .tensor import Tensor, accumulate_grad, make_node
 
-_gemm_enabled = False
+
+class _KernelChoice(threading.local):
+    gemm = False  # every thread starts on the reference kernels
+
+
+_kernels = _KernelChoice()
 
 
 class gemm_kernels:
     """Context manager that routes :func:`conv1d` and :func:`conv2d` to
-    their GEMM kernels; ``gemm_kernels(False)`` selects the reference
-    kernels instead. The previous choice returns on exit.
+    their GEMM kernels in the calling thread; ``gemm_kernels(False)``
+    selects the reference kernels instead. The previous choice returns on
+    exit.
     """
 
     def __init__(self, enabled: bool = True):
         self.enabled = bool(enabled)
 
     def __enter__(self):
-        global _gemm_enabled
-        self._prev = _gemm_enabled
-        _gemm_enabled = self.enabled
+        self._prev = _kernels.gemm
+        _kernels.gemm = self.enabled
         return self
 
     def __exit__(self, *exc):
-        global _gemm_enabled
-        _gemm_enabled = self._prev
+        _kernels.gemm = self._prev
         return False
+
+
+def gemm_enabled() -> bool:
+    """Whether convolutions in the calling thread use the GEMM kernels."""
+    return _kernels.gemm
 
 
 def _check_dtypes(*tensors: Tensor) -> np.dtype:
@@ -134,7 +154,9 @@ def _conv(x: Tensor, src: np.ndarray, weight: Tensor, bias: Tensor,
     :class:`gemm_kernels`) multiplies the (F, C*taps) weights by im2col
     columns one chunk of P at a time, each chunk's column buffer no larger
     than the output, and adds the bias last; backward rebuilds the columns
-    rather than keeping them.
+    rather than keeping them. Every chunk's columns are cut from one
+    (C, *taps, P, *S) view of the windows, made once per call. The chunk
+    rule fixes each matmul's operands, so it also fixes the result bits.
     """
     wd = weight.data
     fout, taps = wd.shape[0], wd.shape[2:]
@@ -142,35 +164,42 @@ def _conv(x: Tensor, src: np.ndarray, weight: Tensor, bias: Tensor,
     out = np.empty((fout,) + win.shape[1:win.ndim - len(taps)], dtype=src.dtype)
     col = (fout,) + (1,) * (out.ndim - 1)  # a per-filter value against the output
 
-    if _gemm_enabled:
+    if _kernels.gemm:
         w2 = wd.reshape(fout, -1)
         flat = out.reshape(fout, -1)
         rows, per_row = win.shape[1], flat.shape[1] // win.shape[1]
         # rows of P per chunk, so that depth * step * |S| <= fout * P * |S|
         step = max(1, fout * rows // w2.shape[1])
-        chunks = [(lo, min(lo + step, rows)) for lo in range(0, rows, step)]
+        chunks = [slice(lo, min(lo + step, rows)) for lo in range(0, rows, step)]
+        lead = (slice(None),) * (1 + len(taps))  # the (C, *taps) axes of a tap-leading view
 
-        def columns(lo: int, hi: int) -> np.ndarray:
-            part = win[:, lo:hi]
-            tap_axes = range(part.ndim - len(taps), part.ndim)
-            return np.moveaxis(part, tap_axes, range(1, len(taps) + 1)).reshape(w2.shape[1], -1)
+        def tap_leading(a: np.ndarray) -> np.ndarray:
+            """(C, P, *S, *taps) windows viewed as (C, *taps, P, *S), once per call."""
+            return np.moveaxis(a, range(a.ndim - len(taps), a.ndim), range(1, len(taps) + 1))
 
-        for lo, hi in chunks:  # straight into the output, no product temporary
-            np.matmul(w2, columns(lo, hi), out=flat[:, lo * per_row:hi * per_row])
+        leading = tap_leading(win)
+
+        def columns(p: slice) -> np.ndarray:
+            return leading[lead + (p,)].reshape(w2.shape[1], -1)
+
+        for p in chunks:  # straight into the output, no product temporary
+            np.matmul(w2, columns(p), out=flat[:, p.start * per_row:p.stop * per_row])
         out += bias.data.reshape(col)
 
         def grads(g: np.ndarray, gw, gwin) -> None:
             gw2 = None if gw is None else gw.reshape(fout, -1)
-            for lo, hi in chunks:
-                gc = g[:, lo:hi].reshape(fout, -1)
+            gleading = None if gwin is None else tap_leading(gwin)
+            tap_index = [(slice(None),) + tap for tap in np.ndindex(*taps)]
+            for p in chunks:
+                gc = g[:, p].reshape(fout, -1)
                 if gw2 is not None:
-                    gw2 += gc @ columns(lo, hi).T
-                if gwin is not None:
-                    target = gwin[:, lo:hi]
-                    gcols = (w2.T @ gc).reshape((-1,) + taps + target.shape[1:-len(taps)])
+                    gw2 += gc @ columns(p).T
+                if gleading is not None:
+                    target = gleading[lead + (p,)]
+                    gcols = (w2.T @ gc).reshape(target.shape)
                     # one add per tap: within a tap no two positions share an element
-                    for tap in np.ndindex(*taps):
-                        target[(Ellipsis,) + tap] += gcols[(slice(None),) + tap]
+                    for tap in tap_index:
+                        target[tap] += gcols[tap]
     else:
         out[...] = bias.data.reshape(col)
         for wi, xi in _terms(win.shape[0], taps):
@@ -232,6 +261,8 @@ def adaptive_maxpool(x: Tensor, target: int, axis: int) -> Tensor:
 
     bounds = np.arange(target + 1) * length // target
     starts, ends = bounds[:-1], bounds[1:]
+    if axis % x.data.ndim == x.data.ndim - 1:
+        return _pool_bins(x, starts)
     # row j holds the j-th index of every bin; short bins repeat their last
     rows = np.minimum(starts + np.arange((ends - starts).max())[:, None], ends - 1)
     lead = (slice(None),) * (axis % x.data.ndim)
@@ -239,7 +270,9 @@ def adaptive_maxpool(x: Tensor, target: int, axis: int) -> Tensor:
 
 
 def _pool(x: Tensor, taps: list[tuple]) -> Tensor:
-    """One max-pool node: the maximum over each bin, gradient to its first maximum.
+    """One max-pool node over taps: the maximum over each bin, gradient to
+    its first maximum. Serves ``maxpool2d`` and an ``adaptive_maxpool``
+    over any axis but the last.
 
     ``taps`` is in tie-break order. Each tap indexes ``x`` into an
     output-shaped array whose element i is one element of bin i, so tap j
@@ -262,6 +295,35 @@ def _pool(x: Tensor, taps: list[tuple]) -> Tensor:
             hit = free & (x.data[tap] == out)
             free ^= hit
             gx[tap] = np.where(hit, g, gx[tap])
+        accumulate_grad(x, gx)
+
+    return make_node(out, (x,), _bw)
+
+
+def _pool_bins(x: Tensor, starts: np.ndarray) -> Tensor:
+    """One max-pool node over contiguous bins of the last axis, which start
+    at the ascending indices ``starts``; the same outputs and gradients as
+    :func:`_pool` with the same bins.
+
+    Forward is one ``np.maximum.reduceat``, which walks each row once, in
+    index order. Backward finds every element equal to its bin's output, in
+    ascending flat order, and gives each bin's gradient to the first of
+    them; no input copy is kept. A bin holding NaN outputs NaN, matches no
+    element and passes no gradient, and it writes nothing into other bins.
+    """
+    out = np.maximum.reduceat(x.data, starts, axis=-1)
+
+    def _bw(g: np.ndarray) -> None:
+        length, bins = x.shape[-1], len(starts)
+        sizes = np.diff(starts, append=length)
+        hits = np.flatnonzero(x.data == np.repeat(out, sizes, axis=-1))
+        row, index = np.divmod(hits, length)
+        # flat output position of each hit's bin; hits of one bin are adjacent
+        bin_at = row * bins + np.repeat(np.arange(bins), sizes)[index]
+        first = np.ones(bin_at.shape, dtype=bool)
+        np.not_equal(bin_at[1:], bin_at[:-1], out=first[1:])
+        gx = np.zeros(x.shape, dtype=x.data.dtype)
+        gx.reshape(-1)[hits[first]] = g.reshape(-1)[bin_at[first]]
         accumulate_grad(x, gx)
 
     return make_node(out, (x,), _bw)

@@ -12,11 +12,13 @@ them explicitly with :func:`zero_grads`.
 A computation graph uses one precision throughout (float32 or float64;
 mixed graphs are rejected by the ops) and is confined to a single logical
 thread from forward through backward. Tensors themselves are plain values
-and safe to hand between threads.
+and safe to hand between threads. Whether graphs are recorded
+(:class:`no_grad`) is set per thread.
 """
 
 from __future__ import annotations
 
+import threading
 from typing import Callable, Iterable, Optional
 
 import numpy as np
@@ -28,7 +30,12 @@ DTYPES = {"single": np.float32, "double": np.float64}
 
 _FLOAT_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
 
-_grad_enabled = True
+
+class _GradMode(threading.local):
+    enabled = True  # every thread starts out recording
+
+
+_grad_mode = _GradMode()
 
 
 def _as_float_array(data, dtype=None) -> np.ndarray:
@@ -72,22 +79,22 @@ class Tensor:
 
 
 class no_grad:
-    """Context manager that disables graph recording (inference mode)."""
+    """Context manager that disables graph recording (inference mode) in the
+    calling thread; the previous mode returns on exit."""
 
     def __enter__(self):
-        global _grad_enabled
-        self._prev = _grad_enabled
-        _grad_enabled = False
+        self._prev = _grad_mode.enabled
+        _grad_mode.enabled = False
         return self
 
     def __exit__(self, *exc):
-        global _grad_enabled
-        _grad_enabled = self._prev
+        _grad_mode.enabled = self._prev
         return False
 
 
 def grad_enabled() -> bool:
-    return _grad_enabled
+    """Whether ops in the calling thread record graph edges."""
+    return _grad_mode.enabled
 
 
 def make_node(out_data: np.ndarray, parents: Iterable[Tensor],
@@ -95,7 +102,7 @@ def make_node(out_data: np.ndarray, parents: Iterable[Tensor],
     """Wrap an op result, recording the graph edge when gradients are live."""
     out = Tensor(out_data)
     parents = tuple(parents)
-    if _grad_enabled and any(p.requires_grad for p in parents):
+    if _grad_mode.enabled and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = parents
         out._backward = backward_fn

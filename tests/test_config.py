@@ -196,8 +196,12 @@ def _replace_in_header(source: Path, dest: Path, old: bytes, new: bytes) -> Path
     (b'"deterministic": false', b'"deterministic": "yes"'),
     (b'"momentum": 0.9', b'"momentum": NaN'),
     (b'"epoch": 1', b'"epoch": ' + b"1" * 5000),
+    (b'"epoch": 1', b'"epoch": 1.9'),
+    (b'"epoch": 1', b'"epoch": true'),
+    (b'"rng_words": 2', b'"rng_words": 2.5'),
 ], ids=["window_length_overflow", "sample_rate_float", "deterministic_string",
-        "momentum_nan", "integer_past_digit_limit"])
+        "momentum_nan", "integer_past_digit_limit", "epoch_float", "epoch_bool",
+        "rng_words_float"])
 def test_bad_header_value_exits_1(tmp_path, capsys, micro_checkpoint, old, new):
     path = _replace_in_header(micro_checkpoint, tmp_path / "bad.ckpt", old, new)
     with pytest.raises(CheckpointError):

@@ -185,8 +185,8 @@ class TestSwitch:
         with ops.gemm_kernels():
             with ops.gemm_kernels(False):
                 out = ops.conv2d(Tensor(x), Tensor(w), Tensor(b)).data
-            assert ops._gemm_enabled
-        assert not ops._gemm_enabled
+            assert ops.gemm_enabled()
+        assert not ops.gemm_enabled()
         assert np.array_equal(out, conv2d_oracle(x, w, b))
 
 
@@ -195,7 +195,7 @@ def record_kernels(monkeypatch):
     seen = []
     real = ops.conv2d
     monkeypatch.setattr(ops, "conv2d",
-                        lambda *a, **k: seen.append(ops._gemm_enabled) or real(*a, **k))
+                        lambda *a, **k: seen.append(ops.gemm_enabled()) or real(*a, **k))
     return seen
 
 
@@ -216,7 +216,7 @@ class TestSelection:
         train_epoch(model, manifest.entries[:8], clips, 0,
                     micro_train_config(deterministic=deterministic))
         assert seen and set(seen) == {not deterministic}
-        assert not ops._gemm_enabled
+        assert not ops.gemm_enabled()
 
     @pytest.mark.parametrize("deterministic", [False, True])
     def test_eval_follows_checkpoint(self, deterministic, tmp_path, monkeypatch):

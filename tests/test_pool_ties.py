@@ -125,11 +125,35 @@ class TestAdaptiveMaxPoolTies:
         assert np.array_equal(gx, adaptive_maxpool_grad_oracle(x, 441, 1, g))
 
 
-@pytest.mark.parametrize("op", [lambda t: ops.maxpool2d(t, (1, 2)),
-                                lambda t: ops.adaptive_maxpool(t, 2, axis=2)],
-                         ids=["maxpool2d", "adaptive_maxpool"])
-def test_nan_bin_outputs_nan_and_passes_no_gradient(op):
-    x = np.array([[[1.0, np.nan, 3.0, 2.0]]])
-    out, gx = pool_and_grad(op, x, np.array([[[5.0, 6.0]]]))
-    assert np.isnan(out[0, 0, 0]) and out[0, 0, 1] == 3.0
-    assert gx.tolist() == [[[0.0, 0.0, 6.0, 0.0]]]
+# (input row, its input gradient for output gradients 5, 6, 7), pooled in bins of 2
+NAN_ROWS = {
+    "nan_first": ([1.0, np.nan, 3.0, 2.0], [0.0, 0.0, 6.0, 0.0]),
+    "nan_after_max_at_0": ([3.0, 1.0, np.nan, 2.0], [5.0, 0.0, 0.0, 0.0]),
+    "nan_between": ([1.0, 4.0, np.nan, 0.0, 2.0, 3.0], [0.0, 5.0, 0.0, 0.0, 0.0, 7.0]),
+}
+# each op pools a row laid along the last or the middle axis of (1, H, W)
+NAN_POOLS = {
+    "maxpool2d": (lambda t, bins: ops.maxpool2d(t, (1, 2)), (1, 1, -1)),
+    "adaptive_maxpool": (lambda t, bins: ops.adaptive_maxpool(t, bins, axis=2), (1, 1, -1)),
+    "maxpool2d-middle": (lambda t, bins: ops.maxpool2d(t, (2, 1)), (1, -1, 1)),
+    "adaptive_maxpool-middle": (lambda t, bins: ops.adaptive_maxpool(t, bins, axis=1), (1, -1, 1)),
+}
+NAN_CASES = {(pool if row == "nan_first" else f"{pool}-{row}"): (pool, row)
+             for pool in NAN_POOLS for row in NAN_ROWS}
+
+
+@pytest.mark.parametrize("pool,row", NAN_CASES.values(), ids=NAN_CASES.keys())
+def test_nan_bin_outputs_nan_and_passes_no_gradient(pool, row):
+    """A NaN bin outputs NaN and passes no gradient, and the finite bins
+    around it keep their outputs and gradients."""
+    op, layout = NAN_POOLS[pool]
+    values, expected = NAN_ROWS[row]
+    bins = np.array(values).reshape(-1, 2)
+    nan_bin = np.isnan(bins).any(axis=1)
+    x = np.array(values).reshape(layout)
+    g = np.arange(5.0, 5.0 + len(bins)).reshape(layout)
+    out, gx = pool_and_grad(lambda t: op(t, len(bins)), x, g)
+    out = out.reshape(-1)
+    assert np.array_equal(np.isnan(out), nan_bin)
+    assert np.array_equal(out[~nan_bin], bins[~nan_bin].max(axis=1))
+    assert gx.reshape(-1).tolist() == expected

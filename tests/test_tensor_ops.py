@@ -2,6 +2,7 @@
 error contracts, and the optimizer update rule."""
 
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ import pytest
 from wavems import ops
 from wavems.errors import ShapeError
 from wavems.optim import sgd_step
-from wavems.tensor import Parameter, Tensor, backward, no_grad, zero_grads
+from wavems.tensor import Parameter, Tensor, backward, grad_enabled, no_grad, zero_grads
 
 from gradcheck import assert_rel_close, check_op_gradients, fd_gradient
 from oracles import (adaptive_maxpool_oracle, adaptive_pool_bins, conv1d_oracle,
@@ -341,6 +342,32 @@ class TestBackward:
         with no_grad():
             out = ops.relu(x)
         assert out._backward is None and not out.requires_grad
+
+    @pytest.mark.parametrize("mode,read,default", [
+        (no_grad, grad_enabled, True), (ops.gemm_kernels, ops.gemm_enabled, False)],
+        ids=["no_grad", "gemm_kernels"])
+    def test_mode_is_per_thread(self, mode, read, default):
+        """A thread leaving the mode leaves another thread still inside it
+        alone, and a new thread starts from the default."""
+        entered, left = threading.Event(), threading.Event()
+        seen = []
+
+        def inner():  # enters after the main thread, reads after it has left
+            seen.append(read())
+            with mode():
+                entered.set()
+                assert left.wait(10)
+                seen.append(read())
+
+        with mode():
+            worker = threading.Thread(target=inner)
+            worker.start()
+            assert entered.wait(10)
+        left.set()
+        worker.join(10)
+        assert not worker.is_alive()
+        assert seen == [default, not default]
+        assert read() == default
 
     def test_mixed_precision_rejected(self):
         a = Tensor(np.zeros(3, dtype=np.float32))
