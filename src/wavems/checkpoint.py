@@ -14,9 +14,11 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import BinaryIO
 
 import numpy as np
 
@@ -50,11 +52,10 @@ class Checkpoint:
 
     def restore_model(self) -> Model:
         """Materialize a single-precision model from copies of the stored state."""
-        params = {}
-        for name, _ in self.param_table():
-            p = make_parameter(name, self.parameters[name].astype(np.float32, copy=True))
-            p.velocity = self.velocities[name].astype(np.float32, copy=True)
-            params[name] = p
+        params = {name: make_parameter(
+            name, self.parameters[name].astype(np.float32, copy=True),
+            self.velocities[name].astype(np.float32, copy=True))
+            for name, _ in self.param_table()}
         return Model(self.model_config, params, precision="single")
 
     def param_table(self) -> list[tuple[str, tuple[int, ...]]]:
@@ -92,24 +93,31 @@ def save_checkpoint(checkpoint: Checkpoint, path: str | Path) -> None:
 
 
 def load_checkpoint(path: str | Path) -> Checkpoint:
-    from .training import TrainConfig  # local import: training depends on this module
-
     try:
-        data = Path(path).read_bytes()
+        with open(path, "rb") as f:
+            return _read_checkpoint(f, os.fstat(f.fileno()).st_size, path)
     except OSError as exc:
         raise CheckpointError(f"cannot read checkpoint {path}: {exc}") from exc
 
-    if len(data) < 16 or data[:4] != MAGIC:
+
+def _read_checkpoint(f: BinaryIO, size: int, path) -> Checkpoint:
+    """Parse an open checkpoint file of ``size`` bytes. Every size the header
+    declares is checked against ``size`` before any array is allocated; the
+    arrays are then read straight into place."""
+    from .training import TrainConfig  # local import: training depends on this module
+
+    prefix = f.read(16)
+    if len(prefix) < 16 or prefix[:4] != MAGIC:
         raise CheckpointError(f"bad magic in {path}: expected {MAGIC!r}")
-    (version,) = struct.unpack_from("<I", data, 4)
+    (version,) = struct.unpack_from("<I", prefix, 4)
     if version != VERSION:
         raise CheckpointError(f"unsupported checkpoint version {version} (expected {VERSION})")
-    (hlen,) = struct.unpack_from("<Q", data, 8)
+    (hlen,) = struct.unpack_from("<Q", prefix, 8)
     pos = 16
-    if pos + hlen > len(data):
+    if pos + hlen > size:
         raise CheckpointError("truncated header")
     try:
-        header = json.loads(data[pos:pos + hlen].decode("utf-8"))
+        header = json.loads(_read_into(f, bytearray(hlen)).decode("utf-8"))
     # decode errors, JSON syntax and integers past the digit limit are ValueErrors
     except (ValueError, RecursionError) as exc:
         raise CheckpointError(f"corrupt header JSON: {exc}") from exc
@@ -126,27 +134,29 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise CheckpointError(
             f"bad checkpoint header ({type(exc).__name__}: {exc})") from exc
+    # read by the config's table: the header's may hold equal non-ints (4.0, true)
     expected = model_config.parameter_shapes()
     if table != expected:
         raise CheckpointError("parameter table does not match the embedded model config")
 
-    def read_array(name: str, shape: tuple[int, ...]) -> np.ndarray:
-        nonlocal pos
-        count = math.prod(shape)  # exact: np.prod wraps past int64
-        if pos + 4 * count > len(data):
+    for name, shape in expected + [(f"{name} (velocity)", shape) for name, shape in expected]:
+        pos += 4 * math.prod(shape)  # exact: np.prod wraps past int64
+        if pos > size:
             raise CheckpointError(f"file truncated mid-array {name!r}")
-        arr = np.frombuffer(data, dtype="<f4", count=count, offset=pos)
-        pos += 4 * count
-        return arr.reshape(shape).copy()
-
-    # read by the config's table: the header's may hold equal non-ints (4.0, true)
-    parameters = {name: read_array(name, shape) for name, shape in expected}
-    velocities = {name: read_array(f"{name} (velocity)", shape) for name, shape in expected}
-
-    if pos + 8 * n_words != len(data):  # truncated, or bytes after the RNG words
-        raise CheckpointError(f"{len(data) - pos} bytes follow the arrays, but the header "
+    if pos + 8 * n_words != size:  # truncated, or bytes after the RNG words
+        raise CheckpointError(f"{size - pos} bytes follow the arrays, but the header "
                               f"declares {n_words} RNG words ({8 * n_words} bytes)")
-    rng_state = struct.unpack_from(f"<{n_words}Q", data, pos)
+
+    parameters = {name: _read_into(f, np.empty(shape, dtype="<f4")) for name, shape in expected}
+    velocities = {name: _read_into(f, np.empty(shape, dtype="<f4")) for name, shape in expected}
+    rng_state = struct.unpack(f"<{n_words}Q", _read_into(f, bytearray(8 * n_words)))
 
     return Checkpoint(model_config, train_config, epoch, parameters,
                       velocities, tuple(rng_state), history)
+
+
+def _read_into(f: BinaryIO, buf):
+    """Fill the writable buffer ``buf`` (a bytearray or an array) from ``f``."""
+    if f.readinto(buf) != memoryview(buf).nbytes:  # the sizes were checked: the file changed
+        raise CheckpointError("checkpoint changed while it was read")
+    return buf

@@ -172,12 +172,14 @@ def cmd_eval(args) -> int:
     manifest = _load_manifest_file(args.manifest)
     _check_fold(manifest, args.fold)
     _check_classes(manifest, ckpt.model_config.num_classes)
-    model = ckpt.restore_model()
     cfg = _load_run_config(args.config)
     # clips must arrive at the rate the model was trained on
     loader = _clip_loader(cfg, ckpt.model_config.sample_rate)
     # kernels follow the checkpoint's training setting
-    with ops.gemm_kernels(not ckpt.train_config.deterministic):
+    gemm = not ckpt.train_config.deterministic
+    model = ckpt.restore_model()
+    del ckpt  # the model holds its own copy of the weights
+    with ops.gemm_kernels(gemm):
         report = evaluation.evaluate(model, manifest, args.fold,
                                      clip_loader=loader, hop=cfg.eval.hop)
 

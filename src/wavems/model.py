@@ -324,6 +324,8 @@ def build_model(config: ModelConfig, seed: int, precision: str = "single") -> Mo
     return Model(config, params, precision)
 
 
-def make_parameter(name: str, data: np.ndarray) -> Parameter:
-    """The parameter called ``name``, holding ``data`` itself; biases skip weight decay."""
-    return Parameter(Tensor(data), decay_exempt=name.endswith(".bias"))
+def make_parameter(name: str, data: np.ndarray,
+                   velocity: np.ndarray | None = None) -> Parameter:
+    """The parameter called ``name``, holding ``data`` itself and ``velocity``
+    (zeros if not given); biases skip weight decay."""
+    return Parameter(Tensor(data), decay_exempt=name.endswith(".bias"), velocity=velocity)

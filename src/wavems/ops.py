@@ -17,23 +17,28 @@ keeps a copy of the input:
   input (:func:`_pool`). There, ``reduceat`` would walk the input with a
   stride and was measured slower.
 
-Convolutions have two kernel families. The reference kernels, the default,
+Convolutions view their input, once per call, as a tap-leading window
+array (C, *taps, P, *S): element [c, *t, p, *s] is the input element under
+tap t of output position (p, *s), read through the input's own strides with
+no copy. They have two kernel families. The reference kernels, the default,
 accumulate taps in a fixed (channel, tap) order, so their results are
 bit-identical to a sequential nested-loop evaluation at the same precision,
 on any BLAS and at any thread count. Inside :class:`gemm_kernels` both
-convolutions instead build im2col columns and run one matrix multiply per
-chunk of output positions. That is many times faster, but the summation
-order is BLAS's: results agree with the reference kernels to rounding and
-repeat bit for bit only with the same BLAS build and thread count. The
-choice is per thread.
+convolutions instead copy that view into im2col columns and run one matrix
+multiply per chunk of output positions; a chunk's columns hold at most the
+larger of the output's size and a fixed budget of elements, so a small
+layer is one chunk. That is many times faster, but the summation order is
+BLAS's: results agree with the reference kernels to rounding and repeat bit
+for bit only with the same BLAS build and thread count. The choice is per
+thread.
 """
 
 from __future__ import annotations
 
+import itertools
 import threading
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ShapeError
 from .tensor import Tensor, accumulate_grad, make_node
@@ -101,8 +106,7 @@ def conv1d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1) -> Tensor:
     if length < k:
         raise ShapeError(f"conv1d input length {length} < filter length {k}")
 
-    return _conv(x, x.data, weight, bias, lambda a, **kw: sliding_window_view(
-        a, k, axis=1, **kw)[:, ::stride], lambda gx: gx)
+    return _conv(x, x.data, weight, bias, stride, lambda gx: gx)
 
 
 def conv2d(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
@@ -126,61 +130,81 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
 
     xpad = np.zeros((cin, h + 2, w + 2), dtype=x.data.dtype)
     xpad[:, 1:-1, 1:-1] = x.data
-    return _conv(x, xpad, weight, bias, lambda a, **kw: sliding_window_view(
-        a, (3, 3), axis=(1, 2), **kw), lambda gpad: gpad[:, 1:-1, 1:-1])
+    return _conv(x, xpad, weight, bias, 1, lambda gpad: gpad[:, 1:-1, 1:-1])
+
+
+#: Elements a GEMM chunk's im2col columns may hold when the output is smaller
+#: (4 MiB in float32), so a small layer is one matmul, not many narrow ones.
+_COLUMN_BUDGET = 1 << 20
+
+
+def _windows(a: np.ndarray, taps: tuple[int, ...], stride: int,
+             writeable: bool = False) -> np.ndarray:
+    """The (C, *taps, P, *S) view of a C-contiguous (C, *spatial) array:
+    element [c, *t, p, *s] is a[c, p*stride + t[0], s + t[1:]]. ``stride``
+    applies to the first spatial axis (P); the others step by one.
+
+    The view is built on ``a``'s buffer with ``a``'s own strides, which
+    numpy checks against the buffer's size; ``as_strided`` makes the same
+    view without that check and takes about ten times as long per call.
+    """
+    c, *dims = a.shape
+    channel, *steps = a.strides
+    positions = ((dims[0] - taps[0]) // stride + 1,) + tuple(
+        d - k + 1 for d, k in zip(dims[1:], taps[1:]))
+    view = np.ndarray((c, *taps, *positions), a.dtype, a, 0,
+                      (channel, *steps, steps[0] * stride, *steps[1:]))
+    view.flags.writeable = writeable
+    return view
 
 
 def _terms(channels: int, taps: tuple[int, ...]):
     """Weight and window indices of each (channel, tap) term, in the
     reference summation order: channels outer, taps in raster order."""
     for c in range(channels):
-        for tap in np.ndindex(*taps):
-            yield (slice(None), c) + tap, (c, Ellipsis) + tap
+        for tap in itertools.product(*map(range, taps)):
+            yield (slice(None), c) + tap, (c,) + tap
 
 
 def _conv(x: Tensor, src: np.ndarray, weight: Tensor, bias: Tensor,
-          windows, crop) -> Tensor:
+          stride: int, crop) -> Tensor:
     """One convolution node, in the kernel family selected when it is built.
 
-    ``windows(a, writeable=False)`` views ``a`` (``src`` or its gradient) as
-    (C, P, *S, *taps): the taps under every output position, with P the
-    first output axis. ``crop`` maps the gradient of ``src`` to the shape
-    of ``x``.
+    ``src`` is ``x``'s data, padded as the convolution needs, and is read
+    through one (C, *taps, P, *S) view (:func:`_windows`) per call: the taps
+    under every output position, with P the first output axis and
+    ``stride`` its step. Backward writes the gradient of ``src`` through the
+    same view of a zero array; ``crop`` maps it to the shape of ``x``.
 
     The reference family starts each output from its bias and adds one
     (channel, tap) term at a time, in the order of :func:`_terms`; each term
     reads the same elements as a nested-loop evaluation, so results are
     bit-reproducible on any BLAS. The GEMM family (inside
     :class:`gemm_kernels`) multiplies the (F, C*taps) weights by im2col
-    columns one chunk of P at a time, each chunk's column buffer no larger
-    than the output, and adds the bias last; backward rebuilds the columns
-    rather than keeping them. Every chunk's columns are cut from one
-    (C, *taps, P, *S) view of the windows, made once per call. The chunk
-    rule fixes each matmul's operands, so it also fixes the result bits.
+    columns one chunk of P at a time and adds the bias last; backward
+    rebuilds the columns rather than keeping them, and builds its per-tap
+    index list only when ``x`` needs a gradient. A chunk's (C*taps, n)
+    column buffer holds at most max(output size, ``_COLUMN_BUDGET``)
+    elements, and at least one row of P. The chunk rule fixes each matmul's
+    operands, so it also fixes the result bits.
     """
     wd = weight.data
     fout, taps = wd.shape[0], wd.shape[2:]
-    win = windows(src)
-    out = np.empty((fout,) + win.shape[1:win.ndim - len(taps)], dtype=src.dtype)
+    win = _windows(src, taps, stride)
+    out = np.empty((fout,) + win.shape[1 + len(taps):], dtype=src.dtype)
     col = (fout,) + (1,) * (out.ndim - 1)  # a per-filter value against the output
 
     if _kernels.gemm:
         w2 = wd.reshape(fout, -1)
         flat = out.reshape(fout, -1)
-        rows, per_row = win.shape[1], flat.shape[1] // win.shape[1]
-        # rows of P per chunk, so that depth * step * |S| <= fout * P * |S|
-        step = max(1, fout * rows // w2.shape[1])
+        rows, per_row = out.shape[1], flat.shape[1] // out.shape[1]
+        # rows of P per chunk, so that depth * step * per_row <= max(|out|, budget)
+        step = max(1, max(out.size, _COLUMN_BUDGET) // (w2.shape[1] * per_row))
         chunks = [slice(lo, min(lo + step, rows)) for lo in range(0, rows, step)]
-        lead = (slice(None),) * (1 + len(taps))  # the (C, *taps) axes of a tap-leading view
-
-        def tap_leading(a: np.ndarray) -> np.ndarray:
-            """(C, P, *S, *taps) windows viewed as (C, *taps, P, *S), once per call."""
-            return np.moveaxis(a, range(a.ndim - len(taps), a.ndim), range(1, len(taps) + 1))
-
-        leading = tap_leading(win)
+        lead = (slice(None),) * (1 + len(taps))  # the (C, *taps) axes of a window view
 
         def columns(p: slice) -> np.ndarray:
-            return leading[lead + (p,)].reshape(w2.shape[1], -1)
+            return win[lead + (p,)].reshape(w2.shape[1], -1)
 
         for p in chunks:  # straight into the output, no product temporary
             np.matmul(w2, columns(p), out=flat[:, p.start * per_row:p.stop * per_row])
@@ -188,14 +212,15 @@ def _conv(x: Tensor, src: np.ndarray, weight: Tensor, bias: Tensor,
 
         def grads(g: np.ndarray, gw, gwin) -> None:
             gw2 = None if gw is None else gw.reshape(fout, -1)
-            gleading = None if gwin is None else tap_leading(gwin)
-            tap_index = [(slice(None),) + tap for tap in np.ndindex(*taps)]
+            if gwin is not None:
+                tap_index = [(slice(None),) + tap
+                             for tap in itertools.product(*map(range, taps))]
             for p in chunks:
                 gc = g[:, p].reshape(fout, -1)
                 if gw2 is not None:
                     gw2 += gc @ columns(p).T
-                if gleading is not None:
-                    target = gleading[lead + (p,)]
+                if gwin is not None:
+                    target = gwin[lead + (p,)]
                     gcols = (w2.T @ gc).reshape(target.shape)
                     # one add per tap: within a tap no two positions share an element
                     for tap in tap_index:
@@ -216,7 +241,7 @@ def _conv(x: Tensor, src: np.ndarray, weight: Tensor, bias: Tensor,
     def _bw(g: np.ndarray) -> None:
         gw = np.zeros(wd.shape, dtype=wd.dtype) if weight.requires_grad else None
         gsrc = np.zeros_like(src) if x.requires_grad else None
-        grads(g, gw, None if gsrc is None else windows(gsrc, writeable=True))
+        grads(g, gw, None if gsrc is None else _windows(gsrc, taps, stride, writeable=True))
         if gsrc is not None:
             accumulate_grad(x, crop(gsrc))
         if gw is not None:
@@ -262,7 +287,7 @@ def adaptive_maxpool(x: Tensor, target: int, axis: int) -> Tensor:
     bounds = np.arange(target + 1) * length // target
     starts, ends = bounds[:-1], bounds[1:]
     if axis % x.data.ndim == x.data.ndim - 1:
-        return _pool_bins(x, starts)
+        return _pool_bins(x, starts, ends - starts)
     # row j holds the j-th index of every bin; short bins repeat their last
     rows = np.minimum(starts + np.arange((ends - starts).max())[:, None], ends - 1)
     lead = (slice(None),) * (axis % x.data.ndim)
@@ -300,9 +325,10 @@ def _pool(x: Tensor, taps: list[tuple]) -> Tensor:
     return make_node(out, (x,), _bw)
 
 
-def _pool_bins(x: Tensor, starts: np.ndarray) -> Tensor:
+def _pool_bins(x: Tensor, starts: np.ndarray, sizes: np.ndarray) -> Tensor:
     """One max-pool node over contiguous bins of the last axis, which start
-    at the ascending indices ``starts``; the same outputs and gradients as
+    at the ascending indices ``starts`` and hold ``sizes`` elements each,
+    together the whole axis; the same outputs and gradients as
     :func:`_pool` with the same bins.
 
     Forward is one ``np.maximum.reduceat``, which walks each row once, in
@@ -315,7 +341,6 @@ def _pool_bins(x: Tensor, starts: np.ndarray) -> Tensor:
 
     def _bw(g: np.ndarray) -> None:
         length, bins = x.shape[-1], len(starts)
-        sizes = np.diff(starts, append=length)
         hits = np.flatnonzero(x.data == np.repeat(out, sizes, axis=-1))
         row, index = np.divmod(hits, length)
         # flat output position of each hit's bin; hits of one bin are adjacent

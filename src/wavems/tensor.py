@@ -13,7 +13,8 @@ A computation graph uses one precision throughout (float32 or float64;
 mixed graphs are rejected by the ops) and is confined to a single logical
 thread from forward through backward. Tensors themselves are plain values
 and safe to hand between threads. Whether graphs are recorded
-(:class:`no_grad`) is set per thread.
+(:class:`no_grad`) is set per thread, and each thread's :func:`backward`
+keeps its adjoints to itself.
 """
 
 from __future__ import annotations
@@ -109,19 +110,25 @@ def make_node(out_data: np.ndarray, parents: Iterable[Tensor],
     return out
 
 
-_active_sweep: Optional[dict[int, np.ndarray]] = None
+class _Sweep(threading.local):
+    adjoints: Optional[dict[int, np.ndarray]] = None  # the running backward's, per thread
+
+
+_sweep = _Sweep()
 
 
 def accumulate_grad(t: Tensor, g: np.ndarray) -> None:
-    """Add a gradient contribution to ``t``'s adjoint in the running sweep.
+    """Add a gradient contribution to ``t``'s adjoint in the calling
+    thread's running sweep.
 
     Only backward closures call this, and they run only inside
     :func:`backward`. Never mutates an existing adjoint in place.
     """
     if t.requires_grad:
+        adjoints = _sweep.adjoints
         key = id(t)
-        cur = _active_sweep.get(key)
-        _active_sweep[key] = g if cur is None else cur + g
+        cur = adjoints.get(key)
+        adjoints[key] = g if cur is None else cur + g
 
 
 def backward(loss: Tensor) -> None:
@@ -130,9 +137,10 @@ def backward(loss: Tensor) -> None:
     Adds d(loss)/d(t) to ``grad`` on every leaf ``t`` that requires
     gradients and is reachable through the recorded graph, on top of any
     gradient already there. Op outputs get no ``grad``: each adjoint is
-    dropped as soon as its node's closure has consumed it.
+    dropped as soon as its node's closure has consumed it. Each thread runs
+    its own sweep, so threads may run ``backward`` on separate graphs at
+    once.
     """
-    global _active_sweep
     if loss.shape != ():
         raise ShapeError(f"backward requires a scalar loss, got shape {loss.shape}")
 
@@ -155,7 +163,7 @@ def backward(loss: Tensor) -> None:
                 stack.append((parent, False))
 
     sweep: dict[int, np.ndarray] = {}
-    _active_sweep = sweep
+    _sweep.adjoints = sweep
     try:
         accumulate_grad(loss, np.ones((), dtype=loss.data.dtype))
         # every consumer of a node comes before it, so its adjoint is complete
@@ -168,21 +176,24 @@ def backward(loss: Tensor) -> None:
             else:
                 node.grad = adjoint if node.grad is None else node.grad + adjoint
     finally:
-        _active_sweep = None
+        _sweep.adjoints = None
 
 
 class Parameter:
-    """Trainable tensor plus its momentum buffer.
+    """Trainable tensor plus its momentum buffer, zeros unless ``velocity``
+    is given (held as it is).
 
     ``decay_exempt`` marks parameters skipped by weight decay (biases).
     """
 
     __slots__ = ("value", "velocity", "decay_exempt")
 
-    def __init__(self, data, decay_exempt: bool = False):
+    def __init__(self, data, decay_exempt: bool = False,
+                 velocity: Optional[np.ndarray] = None):
         self.value = data if isinstance(data, Tensor) else Tensor(data)
         self.value.requires_grad = True
-        self.velocity: np.ndarray = np.zeros_like(self.value.data)
+        self.velocity: np.ndarray = (np.zeros_like(self.value.data)
+                                     if velocity is None else velocity)
         self.decay_exempt = bool(decay_exempt)
 
     def __repr__(self) -> str:

@@ -3,6 +3,7 @@ kernels, the scope of the switch, and how callers select them."""
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 from wavems import cli, ops
 from wavems.audio import encode_wav_pcm16
@@ -12,7 +13,7 @@ from wavems.model import build_model
 from wavems.tensor import Tensor, backward
 from wavems.training import train, train_epoch
 
-from conftest import tiny_model_config
+from conftest import desk_model_config, tiny_model_config
 from gradcheck import check_op_gradients, weighted_sum
 from oracles import conv2d_oracle
 from test_training import micro_corpus, micro_train_config
@@ -25,11 +26,29 @@ def rel_err(got, want) -> float:
                  / max(np.abs(want).max(), 1e-30))
 
 
-def chunk_count(rows, fout, depth):
-    """Chunks the GEMM kernels split ``rows`` output rows into: each chunk's
-    (depth, n) column buffer stays within the layer's output size."""
-    step = max(1, fout * rows // depth)
+def chunk_count(rows, fout, depth, per_row=1):
+    """Chunks the GEMM kernels split ``rows`` output rows of ``per_row``
+    positions into, and whether the last is short: each chunk's
+    (depth, n) column buffer holds at most max(output size,
+    ``ops._COLUMN_BUDGET``) elements."""
+    budget = max(fout * rows * per_row, ops._COLUMN_BUDGET)
+    step = min(rows, max(1, budget // (depth * per_row)))
     return -(-rows // step), rows % step != 0
+
+
+@pytest.fixture
+def no_column_budget(monkeypatch):
+    """Cap chunk columns at the output's size alone, so small layers split."""
+    monkeypatch.setattr(ops, "_COLUMN_BUDGET", 0)
+
+
+@pytest.fixture
+def forward_chunks(monkeypatch):
+    """Count the GEMM forward's matmuls: one per chunk of a convolution."""
+    calls = []
+    real = np.matmul
+    monkeypatch.setattr(np, "matmul", lambda *a, **k: calls.append(1) or real(*a, **k))
+    return calls
 
 
 def conv1d_case(rng, dtype, stride, cin=None, fout=None, k=None, length=None):
@@ -98,7 +117,7 @@ class TestGradients:
         with ops.gemm_kernels():
             check_op_gradients(lambda: ops.conv2d(x, w, b), [x, w, b], seed)
 
-    def test_several_chunks(self):
+    def test_several_chunks(self, no_column_budget):
         rng = np.random.default_rng(5)
         # conv1d: 15 outputs, depth 3*4 = 12, fout 2 -> 2 outputs per chunk
         x = Tensor(rng.standard_normal((3, 18)), requires_grad=True)
@@ -138,7 +157,8 @@ class TestAgreement:
         (5, 3, 4, 51, 700, 44),   # 130 outputs, 3 per chunk
         (10, 2, 3, 101, 1510, 71),  # 141 outputs, 2 per chunk
     ])
-    def test_conv1d_ragged_chunks(self, stride, cin, fout, k, length, chunks, dtype):
+    def test_conv1d_ragged_chunks(self, stride, cin, fout, k, length, chunks, dtype,
+                                  no_column_budget):
         lout = (length - k) // stride + 1
         assert chunk_count(lout, fout, cin * k) == (chunks, True)
         op, arrays = conv1d_case(np.random.default_rng(chunks), dtype, stride,
@@ -150,10 +170,57 @@ class TestAgreement:
         (4, 8, 23, 9, 5),   # 5 rows per chunk
         (16, 8, 37, 5, 19),  # 2 rows per chunk
     ])
-    def test_conv2d_ragged_chunks(self, cin, fout, h, w, chunks, dtype):
+    def test_conv2d_ragged_chunks(self, cin, fout, h, w, chunks, dtype, no_column_budget):
         assert chunk_count(h, fout, cin * 9) == (chunks, True)
         op, arrays = conv2d_case(np.random.default_rng(h), dtype, cin=cin, fout=fout, h=h, w=w)
         assert_agrees(op, arrays, h)
+
+    @pytest.mark.parametrize("conv", ["conv1d", "conv2d"])
+    def test_columns_past_the_budget_split(self, conv, forward_chunks):
+        """Columns larger than both the output and the budget split in chunks."""
+        rng = np.random.default_rng(17)
+        if conv == "conv1d":  # 6000 outputs of depth 202: 5190 per chunk
+            assert chunk_count(6000, 3, 2 * 101) == (2, True)
+            op, arrays = conv1d_case(rng, np.float32, 10, cin=2, fout=3, k=101,
+                                     length=59990 + 101)
+        else:  # 40 rows of 60 at depth 576: 30 rows per chunk
+            assert chunk_count(40, 4, 64 * 9, per_row=60) == (2, True)
+            op, arrays = conv2d_case(rng, np.float32, cin=64, fout=4, h=40, w=60)
+        with ops.gemm_kernels():
+            op(*[Tensor(a) for a in arrays])
+        assert len(forward_chunks) == 2
+        assert_agrees(op, arrays, 17)
+
+    def test_desk_layers_are_one_chunk(self, forward_chunks):
+        """Every convolution of the desk model fits the budget in one chunk."""
+        model = build_model(desk_model_config(), seed=0)
+        with ops.gemm_kernels():
+            model.forward(np.zeros(model.config.window_length, dtype=np.float32))
+        assert len(forward_chunks) == 10  # six branch convs, four levels
+
+
+class TestWindows:
+    """The strided window view reads what ``sliding_window_view`` reads."""
+
+    @pytest.mark.parametrize("stride", [1, 5, 10])
+    def test_conv1d(self, stride):
+        a = np.random.default_rng(stride).standard_normal((3, 257)).astype(np.float32)
+        want = np.moveaxis(sliding_window_view(a, 11, axis=1)[:, ::stride], 2, 1)
+        got = ops._windows(a, (11,), stride)
+        assert got.shape == want.shape and np.array_equal(got, want)
+        assert not got.flags.writeable
+
+    def test_conv2d(self):
+        a = np.random.default_rng(2).standard_normal((4, 9, 13))
+        want = np.moveaxis(sliding_window_view(a, (3, 3), axis=(1, 2)), (3, 4), (1, 2))
+        got = ops._windows(a, (3, 3), 1)
+        assert got.shape == want.shape and np.array_equal(got, want)
+
+    def test_writes_land_on_the_source(self):
+        g = np.zeros((2, 6))
+        view = ops._windows(g, (3,), 2, writeable=True)  # (2, 3, 2): starts 0 and 2
+        view[1, 2, 1] += 1.0  # channel 1, tap 2 of the output at 2
+        assert g[1].tolist() == [0, 0, 0, 0, 1, 0]
 
 
 class TestSwitch:

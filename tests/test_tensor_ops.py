@@ -10,7 +10,8 @@ import pytest
 from wavems import ops
 from wavems.errors import ShapeError
 from wavems.optim import sgd_step
-from wavems.tensor import Parameter, Tensor, backward, grad_enabled, no_grad, zero_grads
+from wavems.tensor import (Parameter, Tensor, accumulate_grad, backward, grad_enabled,
+                           make_node, no_grad, zero_grads)
 
 from gradcheck import assert_rel_close, check_op_gradients, fd_gradient
 from oracles import (adaptive_maxpool_oracle, adaptive_pool_bins, conv1d_oracle,
@@ -368,6 +369,39 @@ class TestBackward:
         assert not worker.is_alive()
         assert seen == [default, not default]
         assert read() == default
+
+    def test_sweep_is_per_thread(self):
+        """A whole backward in one thread, run while another thread's backward
+        is inside a closure, leaves the paused sweep intact."""
+        paused, resume = threading.Event(), threading.Event()
+        a, b = t([1.0, 2.0], requires_grad=True), t([3.0], requires_grad=True)
+        errors = []
+
+        def wait_then_scale(g):  # a's closure: pause mid-sweep, then accumulate
+            paused.set()
+            assert resume.wait(10)
+            accumulate_grad(a, 2 * g)
+
+        loss_a = ops.tsum(make_node(2 * a.data, (a,), wait_then_scale))
+
+        def run_a():
+            try:
+                backward(loss_a)
+            except Exception as exc:  # reported below, with its type
+                errors.append(exc)
+
+        worker = threading.Thread(target=run_a)
+        worker.start()
+        assert paused.wait(10)
+        other = threading.Thread(target=backward, args=(ops.tsum(ops.scale(b, 3.0)),))
+        other.start()
+        other.join(10)
+        resume.set()
+        worker.join(10)
+        assert not worker.is_alive() and not other.is_alive()
+        assert errors == []
+        assert np.array_equal(a.grad, [2.0, 2.0])
+        assert np.array_equal(b.grad, [3.0])
 
     def test_mixed_precision_rejected(self):
         a = Tensor(np.zeros(3, dtype=np.float32))

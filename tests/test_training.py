@@ -1,6 +1,7 @@
 """LR schedule, epoch loop, optimizer integration, checkpoint round-trips."""
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -236,6 +237,16 @@ class TestCheckpointFormat:
         first = json.loads(data[16:16 + hlen].decode())["params"][0][0]
         path.write_bytes(data[:16 + hlen + 7])
         with pytest.raises(CheckpointError, match=first.replace(".", r"\.")):
+            load_checkpoint(path)
+
+    def test_truncated_in_last_velocity_names_it(self, tmp_path):
+        ckpt = self._checkpoint()
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(ckpt, path)
+        data = path.read_bytes()
+        last = list(ckpt.parameters)[-1]
+        path.write_bytes(data[:-8 * len(ckpt.rng_state) - 1])  # one byte short
+        with pytest.raises(CheckpointError, match=re.escape(f"'{last} (velocity)'")):
             load_checkpoint(path)
 
     def test_unsupported_version(self, tmp_path):
