@@ -243,13 +243,11 @@ class Model:
         pooled = []
         for i, b in enumerate(cfg.branches, start=1):
             y = ops.conv1d(x, self.param(f"branch{i}.conv.weight").value,
-                           self.param(f"branch{i}.conv.bias").value, stride=b.stride)
-            if cfg.relu_after_branch_conv:
-                y = ops.relu(y)
+                           self.param(f"branch{i}.conv.bias").value, stride=b.stride,
+                           relu=cfg.relu_after_branch_conv)
             y = ops.conv1d(y, self.param(f"branch{i}.phase.weight").value,
                            self.param(f"branch{i}.phase.bias").value,
-                           stride=cfg.phase_stride)
-            y = ops.relu(y)
+                           stride=cfg.phase_stride, relu=True)
             if y.shape != (b.num_filters, prepool[i - 1]):
                 raise ShapeError(f"branch {i} produced {y.shape}, "
                                  f"expected {(b.num_filters, prepool[i - 1])}")
@@ -270,8 +268,7 @@ class Model:
         level_maps: list[Tensor] = []
         for l, window in enumerate(cfg.level_pool_windows, start=1):
             x = ops.conv2d(x, self.param(f"conv{l}.weight").value,
-                           self.param(f"conv{l}.bias").value)
-            x = ops.relu(x)
+                           self.param(f"conv{l}.bias").value, relu=True)
             x = ops.maxpool2d(x, window)
             if x.shape != expected[l - 1]:
                 raise ShapeError(f"level {l} map {x.shape}, expected {expected[l - 1]}")

@@ -31,6 +31,11 @@ layer is one chunk. That is many times faster, but the summation order is
 BLAS's: results agree with the reference kernels to rounding and repeat bit
 for bit only with the same BLAS build and thread count. The choice is per
 thread.
+
+Both convolutions take ``relu=True`` to apply max(0, .) inside the same
+node, with the same results as :func:`relu` on their output. The node keeps
+only its output: the ReLU mask is read off the output, and ``conv2d``'s
+zero-padded input is built again in backward rather than kept.
 """
 
 from __future__ import annotations
@@ -85,11 +90,14 @@ def _check_dtypes(*tensors: Tensor) -> np.dtype:
     return dt
 
 
-def conv1d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1) -> Tensor:
-    """Valid (unpadded) 1-D cross-correlation.
+def conv1d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1,
+           relu: bool = False) -> Tensor:
+    """Valid (unpadded) 1-D cross-correlation, followed by max(0, .) if
+    ``relu`` is set.
 
     x: (C_in, L), weight: (C_out, C_in, k), bias: (C_out,).
-    Output length is floor((L - k) / stride) + 1.
+    Output length is floor((L - k) / stride) + 1. The node reads ``x``'s
+    own data in forward and again in backward, so it keeps no copy of it.
     """
     _check_dtypes(x, weight, bias)
     if not isinstance(stride, (int, np.integer)) or stride <= 0:
@@ -106,20 +114,22 @@ def conv1d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1) -> Tensor:
     if length < k:
         raise ShapeError(f"conv1d input length {length} < filter length {k}")
 
-    return _conv(x, x.data, weight, bias, stride, lambda gx: gx)
+    return _conv(x, weight, bias, stride, 0, relu)
 
 
-def conv2d(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
-    """3x3 cross-correlation, stride 1, zero padding 1 (same-size output).
+def conv2d(x: Tensor, weight: Tensor, bias: Tensor, relu: bool = False) -> Tensor:
+    """3x3 cross-correlation, stride 1, zero padding 1 (same-size output),
+    followed by max(0, .) if ``relu`` is set.
 
     x: (C, H, W), weight: (F, C, 3, 3), bias: (F,). The kernel size is fixed
-    by the architecture; anything else is an argument error.
+    by the architecture; anything else is an argument error. The padded
+    input lives only while forward runs and is built again in backward.
     """
     _check_dtypes(x, weight, bias)
     if x.data.ndim != 3 or weight.data.ndim != 4 or bias.data.ndim != 1:
         raise ShapeError(
             f"conv2d expects (C,H,W), (F,C,3,3), (F,); got {x.shape}, {weight.shape}, {bias.shape}")
-    cin, h, w = x.shape
+    cin = x.shape[0]
     fout, cw, kh, kw = weight.shape
     if (kh, kw) != (3, 3):
         raise ValueError(f"conv2d kernel must be 3x3, got {kh}x{kw}")
@@ -128,14 +138,27 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     if bias.shape != (fout,):
         raise ShapeError(f"conv2d bias shape {bias.shape} != ({fout},)")
 
-    xpad = np.zeros((cin, h + 2, w + 2), dtype=x.data.dtype)
-    xpad[:, 1:-1, 1:-1] = x.data
-    return _conv(x, xpad, weight, bias, 1, lambda gpad: gpad[:, 1:-1, 1:-1])
+    return _conv(x, weight, bias, 1, 1, relu)
 
 
 #: Elements a GEMM chunk's im2col columns may hold when the output is smaller
 #: (4 MiB in float32), so a small layer is one matmul, not many narrow ones.
 _COLUMN_BUDGET = 1 << 20
+
+
+def _padded(a: np.ndarray, pad: int) -> np.ndarray:
+    """``a`` with ``pad`` zeros on both sides of every axis but the first;
+    ``a`` itself when ``pad`` is 0."""
+    if not pad:
+        return a
+    out = np.zeros((a.shape[0],) + tuple(d + 2 * pad for d in a.shape[1:]), dtype=a.dtype)
+    _unpadded(out, pad)[...] = a
+    return out
+
+
+def _unpadded(a: np.ndarray, pad: int) -> np.ndarray:
+    """The view of a :func:`_padded` array that holds the original."""
+    return a[(slice(None),) + (slice(pad, -pad),) * (a.ndim - 1)] if pad else a
 
 
 def _windows(a: np.ndarray, taps: tuple[int, ...], stride: int,
@@ -166,15 +189,18 @@ def _terms(channels: int, taps: tuple[int, ...]):
             yield (slice(None), c) + tap, (c,) + tap
 
 
-def _conv(x: Tensor, src: np.ndarray, weight: Tensor, bias: Tensor,
-          stride: int, crop) -> Tensor:
-    """One convolution node, in the kernel family selected when it is built.
+def _conv(x: Tensor, weight: Tensor, bias: Tensor, stride: int, pad: int,
+          relu: bool) -> Tensor:
+    """One convolution node, in the kernel family selected when it is built,
+    with an optional ReLU fused in.
 
-    ``src`` is ``x``'s data, padded as the convolution needs, and is read
-    through one (C, *taps, P, *S) view (:func:`_windows`) per call: the taps
-    under every output position, with P the first output axis and
-    ``stride`` its step. Backward writes the gradient of ``src`` through the
-    same view of a zero array; ``crop`` maps it to the shape of ``x``.
+    The source is ``x``'s data with ``pad`` zeros around each spatial axis
+    (:func:`_padded`; ``x``'s own array when ``pad`` is 0), read through one
+    (C, *taps, P, *S) view (:func:`_windows`) per call: the taps under every
+    output position, with P the first output axis and ``stride`` its step.
+    The node keeps no source: backward builds it again from ``x`` and
+    writes the source's gradient through the same view of a zero array,
+    whose unpadded part is ``x``'s gradient.
 
     The reference family starts each output from its bias and adds one
     (channel, tap) term at a time, in the order of :func:`_terms`; each term
@@ -187,11 +213,17 @@ def _conv(x: Tensor, src: np.ndarray, weight: Tensor, bias: Tensor,
     column buffer holds at most max(output size, ``_COLUMN_BUDGET``)
     elements, and at least one row of P. The chunk rule fixes each matmul's
     operands, so it also fixes the result bits.
+
+    With ``relu`` set, both families clamp the biased output at 0 in place,
+    and backward passes the output gradient only where the output is above
+    0: the same mask as on the pre-activation, so the subgradient at exactly
+    0 is 0 and the results are those of :func:`relu` after the convolution,
+    bit for bit. The node then holds the post-activation output alone.
     """
     wd = weight.data
     fout, taps = wd.shape[0], wd.shape[2:]
-    win = _windows(src, taps, stride)
-    out = np.empty((fout,) + win.shape[1 + len(taps):], dtype=src.dtype)
+    win = _windows(_padded(x.data, pad), taps, stride)
+    out = np.empty((fout,) + win.shape[1 + len(taps):], dtype=win.dtype)
     col = (fout,) + (1,) * (out.ndim - 1)  # a per-filter value against the output
 
     if _kernels.gemm:
@@ -203,14 +235,14 @@ def _conv(x: Tensor, src: np.ndarray, weight: Tensor, bias: Tensor,
         chunks = [slice(lo, min(lo + step, rows)) for lo in range(0, rows, step)]
         lead = (slice(None),) * (1 + len(taps))  # the (C, *taps) axes of a window view
 
-        def columns(p: slice) -> np.ndarray:
+        def columns(win: np.ndarray, p: slice) -> np.ndarray:
             return win[lead + (p,)].reshape(w2.shape[1], -1)
 
         for p in chunks:  # straight into the output, no product temporary
-            np.matmul(w2, columns(p), out=flat[:, p.start * per_row:p.stop * per_row])
+            np.matmul(w2, columns(win, p), out=flat[:, p.start * per_row:p.stop * per_row])
         out += bias.data.reshape(col)
 
-        def grads(g: np.ndarray, gw, gwin) -> None:
+        def grads(g: np.ndarray, win: np.ndarray, gw, gwin) -> None:
             gw2 = None if gw is None else gw.reshape(fout, -1)
             if gwin is not None:
                 tap_index = [(slice(None),) + tap
@@ -218,7 +250,7 @@ def _conv(x: Tensor, src: np.ndarray, weight: Tensor, bias: Tensor,
             for p in chunks:
                 gc = g[:, p].reshape(fout, -1)
                 if gw2 is not None:
-                    gw2 += gc @ columns(p).T
+                    gw2 += gc @ columns(win, p).T
                 if gwin is not None:
                     target = gwin[lead + (p,)]
                     gcols = (w2.T @ gc).reshape(target.shape)
@@ -230,7 +262,7 @@ def _conv(x: Tensor, src: np.ndarray, weight: Tensor, bias: Tensor,
         for wi, xi in _terms(win.shape[0], taps):
             out += wd[wi].reshape(col) * win[xi]
 
-        def grads(g: np.ndarray, gw, gwin) -> None:
+        def grads(g: np.ndarray, win: np.ndarray, gw, gwin) -> None:
             gflat = g.reshape(fout, -1)
             for wi, xi in _terms(win.shape[0], taps):
                 if gwin is not None:
@@ -238,12 +270,19 @@ def _conv(x: Tensor, src: np.ndarray, weight: Tensor, bias: Tensor,
                 if gw is not None:
                     gw[wi] = gflat @ win[xi].reshape(-1)
 
+    if relu:
+        np.maximum(out, 0, out=out)
+
     def _bw(g: np.ndarray) -> None:
+        if relu:
+            g = g * (out > 0)  # exactly where the pre-activation is > 0
+        src = _padded(x.data, pad)
         gw = np.zeros(wd.shape, dtype=wd.dtype) if weight.requires_grad else None
         gsrc = np.zeros_like(src) if x.requires_grad else None
-        grads(g, gw, None if gsrc is None else _windows(gsrc, taps, stride, writeable=True))
+        grads(g, _windows(src, taps, stride), gw,
+              None if gsrc is None else _windows(gsrc, taps, stride, writeable=True))
         if gsrc is not None:
-            accumulate_grad(x, crop(gsrc))
+            accumulate_grad(x, _unpadded(gsrc, pad))
         if gw is not None:
             accumulate_grad(weight, gw)
         if bias.requires_grad:
@@ -355,7 +394,8 @@ def _pool_bins(x: Tensor, starts: np.ndarray, sizes: np.ndarray) -> Tensor:
 
 
 def relu(x: Tensor) -> Tensor:
-    """Elementwise max(0, x); subgradient 0 at exactly 0."""
+    """Elementwise max(0, x); subgradient 0 at exactly 0. A ReLU straight
+    after a convolution is fused into it instead (``relu=True``)."""
     out = np.maximum(x.data, 0)
 
     def _bw(g: np.ndarray) -> None:
@@ -406,12 +446,11 @@ def concat(tensors: list[Tensor], axis: int) -> Tensor:
     out = np.concatenate([t.data for t in tensors], axis=axis)
     extents = [t.shape[axis] for t in tensors]
     offsets = np.cumsum([0] + extents)
+    lead = (slice(None),) * (axis % ndim)  # the axes before ``axis``
 
     def _bw(g: np.ndarray) -> None:
-        gm = np.moveaxis(g, axis, 0)
         for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
-            accumulate_grad(t, np.ascontiguousarray(
-                np.moveaxis(gm[lo:hi], 0, axis)))
+            accumulate_grad(t, np.ascontiguousarray(g[lead + (slice(lo, hi),)]))
 
     return make_node(out, tensors, _bw)
 

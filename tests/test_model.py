@@ -1,5 +1,7 @@
 """Architecture construction, shape contracts, variants, and end-to-end gradients."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,7 @@ from wavems.model import (BranchSpec, ModelConfig, build_model, full_scale_confi
                           param_count, single_branch_variant)
 from wavems.tensor import Tensor, backward
 
-from conftest import tiny_model_config
+from conftest import desk_model_config, tiny_model_config
 from gradcheck import assert_rel_close
 
 
@@ -263,3 +265,39 @@ class TestEndToEndGradients:
             fm = ops.softmax_cross_entropy(model.forward(wave), 1).item()
             flat[i] = orig
             assert_rel_close(wave.grad.ravel()[i], (fp - fm) / (2 * h), tol=1e-4)
+
+
+class TestGraphMemory:
+    @pytest.mark.parametrize("gemm", [False, True], ids=["reference", "gemm"])
+    def test_window_graph_holds_one_array_per_conv_layer(self, gemm):
+        """A recorded desk window holds one output per conv layer, with the
+        ReLU fused in, plus the pooled maps and the head. A quarter on top
+        covers the Python objects; a ReLU output kept beside every conv
+        output would nearly double the total."""
+        cfg = desk_model_config()
+        model = build_model(cfg, seed=0)
+        wave = np.random.default_rng(0).standard_normal(cfg.window_length).astype(np.float32)
+        with ops.gemm_kernels(gemm):
+            model.forward(wave)  # first-call allocations stay out of the count
+            tracemalloc.start()
+            try:
+                logits = model.forward(wave)
+                held = tracemalloc.get_traced_memory()[0]
+            finally:
+                tracemalloc.stop()
+        assert logits.requires_grad
+
+        conv = sum(b.num_filters * ((cfg.window_length - b.filter_len) // b.stride + 1 + prepool)
+                   for b, prepool in zip(cfg.branches, cfg.branch_prepool_lengths()))
+        maps = cfg.level_map_shapes()
+        h, w = cfg.frontend_rows, cfg.frontend_time_bins
+        for c, pooled_h, pooled_w in maps:  # a level's conv output is its input's size
+            conv += c * h * w
+            h, w = pooled_h, pooled_w
+        th, tw = cfg.level_pool_target
+        pooled = (2 * cfg.frontend_rows * cfg.frontend_time_bins  # branch pools, stacked
+                  + sum(c * h * w for c, h, w in maps)
+                  + sum(maps[i][0] * th * (maps[i][2] + tw) for i in cfg.selected_levels())
+                  + cfg.fc_input_dim() + 2 * cfg.fc_hidden + cfg.num_classes)
+        bound = 1.25 * (conv + pooled) * np.dtype(np.float32).itemsize
+        assert held < bound, f"window graph holds {held} bytes, bound {bound:.0f}"

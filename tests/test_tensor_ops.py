@@ -3,6 +3,7 @@ error contracts, and the optimizer update rule."""
 
 import math
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from wavems.optim import sgd_step
 from wavems.tensor import (Parameter, Tensor, accumulate_grad, backward, grad_enabled,
                            make_node, no_grad, zero_grads)
 
-from gradcheck import assert_rel_close, check_op_gradients, fd_gradient
+from gradcheck import assert_rel_close, check_op_gradients, fd_gradient, weighted_sum
 from oracles import (adaptive_maxpool_oracle, adaptive_pool_bins, conv1d_oracle,
                      conv2d_oracle, maxpool2d_oracle)
 
@@ -105,6 +106,140 @@ class TestConv2d:
         w = t(rng.standard_normal((fout, cin, 3, 3)), requires_grad=True)
         b = t(rng.standard_normal(fout), requires_grad=True)
         check_op_gradients(lambda: ops.conv2d(x, w, b), [x, w, b], seed=seed)
+
+
+# ---------------------------------------------------------------------------
+# conv + ReLU fused into one node
+# ---------------------------------------------------------------------------
+
+def fused_case(conv, rng, dtype, stride=1, zero_input=False):
+    """Arrays (x, weight, bias) and the op of one convolution. With
+    ``zero_input`` the input is all zeros, filter 0's weights positive and
+    bias +0.0, filter 1's negative and bias -0.0, so every pre-activation
+    is +0.0 or -0.0."""
+    if conv == "conv1d":
+        k = int(rng.integers(1, 2 * stride + 4))
+        shapes = ((3, 2 * k + 8 * stride + int(rng.integers(0, 2 * stride))), (2, 3, k))
+        op = lambda x, w, b, **kw: ops.conv1d(x, w, b, stride=stride, **kw)
+    else:
+        shapes = ((3, int(rng.integers(4, 9)), int(rng.integers(1, 8))), (2, 3, 3, 3))
+        op = ops.conv2d
+    x = rng.standard_normal(shapes[0]).astype(dtype)
+    w = rng.standard_normal(shapes[1]).astype(dtype)
+    b = rng.standard_normal(2).astype(dtype)
+    if zero_input:
+        x[...] = 0.0
+        w[0], w[1] = np.abs(w[0]), -np.abs(w[1])
+        b[:] = [0.0, -0.0]
+    else:  # zeros in the first half: filter 1's first outputs are exactly 0
+        x[:, :x.shape[1] // 2] = 0.0
+        b[1] = 0.0
+    return op, [x, w, b]
+
+
+def fused_and_separate(op, arrays, gemm):
+    """Output and the x, weight and bias gradients of sum(r * relu(conv)),
+    once from the fused node and once from ``ops.relu`` on its own node."""
+    results = []
+    for fused in (True, False):
+        inputs = [Tensor(a.copy(), requires_grad=True) for a in arrays]
+        with ops.gemm_kernels(gemm):
+            out = op(*inputs, relu=True) if fused else ops.relu(op(*inputs))
+            r = np.random.default_rng(out.size).standard_normal(out.shape).astype(out.dtype)
+            backward(weighted_sum(out, r))
+        results.append([out.data] + [t.grad for t in inputs])
+    return results
+
+
+def assert_bytes_equal(got, want):
+    for name, a, b in zip(("out", "x", "weight", "bias"), got, want):
+        assert a.dtype == b.dtype and a.shape == b.shape, name
+        assert a.tobytes() == b.tobytes(), f"{name} differs"
+
+
+CONVS = [("conv1d", 1), ("conv1d", 5), ("conv1d", 10), ("conv2d", 1)]
+
+
+class TestFusedRelu:
+    """``relu=True`` gives the bytes of ``ops.relu`` on the convolution."""
+
+    @pytest.mark.parametrize("gemm", [False, True], ids=["reference", "gemm"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("conv,stride", CONVS)
+    @pytest.mark.parametrize("seed", range(3))
+    def test_byte_identical_to_separate_relu(self, seed, conv, stride, dtype, gemm):
+        rng = np.random.default_rng(7000 + 10 * seed + stride)
+        op, arrays = fused_case(conv, rng, dtype, stride)
+        fused, separate = fused_and_separate(op, arrays, gemm)
+        assert_bytes_equal(fused, separate)
+        assert (fused[0] == 0).any() and (fused[0] > 0).any()
+
+    @pytest.mark.parametrize("gemm", [False, True], ids=["reference", "gemm"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("conv,stride", CONVS)
+    def test_signed_zero_pre_activation_passes_no_gradient(self, conv, stride, dtype, gemm):
+        op, arrays = fused_case(conv, np.random.default_rng(stride), dtype, stride,
+                                zero_input=True)
+        with ops.gemm_kernels(gemm):
+            pre = op(*[Tensor(a) for a in arrays]).data
+        assert (pre == 0).all()
+        if not gemm:  # the reference sum keeps the sign of its zero terms
+            assert not np.signbit(pre[0]).any() and np.signbit(pre[1]).all()
+        fused, separate = fused_and_separate(op, arrays, gemm)
+        assert_bytes_equal(fused, separate)
+        for grad in fused[1:]:
+            assert not grad.any()
+
+    @pytest.mark.parametrize("gemm", [False, True], ids=["reference", "gemm"])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_conv1d_gradients(self, seed, gemm):
+        rng = np.random.default_rng(7100 + seed)
+        stride = (1, 5, 10, 2)[seed]
+        cin, fout, k = int(rng.integers(1, 4)), int(rng.integers(1, 4)), int(rng.integers(1, 7))
+        length = k + int(rng.integers(0, 3 * stride + 4))
+        x = t(rng.standard_normal((cin, length)), requires_grad=True)
+        w = t(rng.standard_normal((fout, cin, k)), requires_grad=True)
+        b = t(rng.standard_normal(fout), requires_grad=True)
+        with ops.gemm_kernels(gemm):
+            check_op_gradients(lambda: ops.conv1d(x, w, b, stride=stride, relu=True),
+                               [x, w, b], seed=seed)
+
+    @pytest.mark.parametrize("gemm", [False, True], ids=["reference", "gemm"])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_conv2d_gradients(self, seed, gemm):
+        rng = np.random.default_rng(7200 + seed)
+        cin, fout = int(rng.integers(1, 3)), int(rng.integers(1, 3))
+        h, w_ = int(rng.integers(2, 7)), int(rng.integers(2, 7))
+        x = t(rng.standard_normal((cin, h, w_)), requires_grad=True)
+        w = t(rng.standard_normal((fout, cin, 3, 3)), requires_grad=True)
+        b = t(rng.standard_normal(fout), requires_grad=True)
+        with ops.gemm_kernels(gemm):
+            check_op_gradients(lambda: ops.conv2d(x, w, b, relu=True), [x, w, b], seed=seed)
+
+    @pytest.mark.parametrize("gemm", [False, True], ids=["reference", "gemm"])
+    @pytest.mark.parametrize("relu", [False, True])
+    @pytest.mark.parametrize("conv", ["conv1d", "conv2d"])
+    def test_node_keeps_only_its_output(self, conv, relu, gemm):
+        """No padded or activated copy outlives forward: the node holds its
+        output, which is far smaller than its input here."""
+        rng = np.random.default_rng(3)
+        if conv == "conv1d":
+            x, w = rng.standard_normal((16, 4000)), rng.standard_normal((1, 16, 10))
+            op = lambda *a: ops.conv1d(*a, stride=10, relu=relu)
+        else:
+            x, w = rng.standard_normal((16, 40, 40)), rng.standard_normal((1, 16, 3, 3))
+            op = lambda *a: ops.conv2d(*a, relu=relu)
+        inputs = [Tensor(x, requires_grad=True), Tensor(w, requires_grad=True),
+                  Tensor(np.zeros(1), requires_grad=True)]
+        with ops.gemm_kernels(gemm):
+            op(*inputs)  # first-call allocations stay out of the count
+            tracemalloc.start()
+            try:
+                out = op(*inputs)
+                held = tracemalloc.get_traced_memory()[0]
+            finally:
+                tracemalloc.stop()
+        assert held < out.data.nbytes + x.nbytes // 8, (held, out.data.nbytes)
 
 
 # ---------------------------------------------------------------------------
