@@ -80,6 +80,8 @@ def decode_wav(data: bytes) -> AudioClip:
         raise DecodeError(f"unsupported channel count {channels}")
     if bits not in (16, 24):
         raise DecodeError(f"unsupported bit depth {bits}")
+    if sample_rate < 1:
+        raise DecodeError(f"sample rate {sample_rate} Hz is not positive")
 
     bytes_per_sample = bits // 8
     frame_size = bytes_per_sample * channels

@@ -63,6 +63,9 @@ class Checkpoint:
 
 
 def save_checkpoint(checkpoint: Checkpoint, path: str | Path) -> None:
+    """Write ``checkpoint`` to ``path``: whole, to a temporary file beside
+    it, then moved over it, so a failed or killed write leaves the previous
+    file as it was."""
     table = checkpoint.param_table()
     header = {
         "model_config": checkpoint.model_config.to_dict(),
@@ -85,9 +88,20 @@ def save_checkpoint(checkpoint: Checkpoint, path: str | Path) -> None:
     chunks.append(struct.pack(f"<{len(checkpoint.rng_state)}Q", *checkpoint.rng_state))
 
     out = Path(path)
+    tmp = out.with_name(f"{out.name}.{os.urandom(4).hex()}.tmp")
     try:
         out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_bytes(b"".join(chunks))
+        # 0o666 less the umask, the bits of any new file (mkstemp's are 0o600)
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        try:
+            with open(fd, "wb") as f:
+                f.writelines(chunks)
+                f.flush()
+                os.fsync(f.fileno())
+            os.replace(tmp, out)
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
     except OSError as exc:
         raise CheckpointError(f"cannot write checkpoint to {out}: {exc}") from exc
 

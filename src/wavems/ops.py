@@ -46,7 +46,7 @@ import threading
 import numpy as np
 
 from .errors import ShapeError
-from .tensor import Tensor, accumulate_grad, make_node
+from .tensor import Tensor, make_node
 
 
 class _KernelChoice(threading.local):
@@ -273,7 +273,7 @@ def _conv(x: Tensor, weight: Tensor, bias: Tensor, stride: int, pad: int,
     if relu:
         np.maximum(out, 0, out=out)
 
-    def _bw(g: np.ndarray) -> None:
+    def _bw(g: np.ndarray):
         if relu:
             g = g * (out > 0)  # exactly where the pre-activation is > 0
         src = _padded(x.data, pad)
@@ -281,12 +281,8 @@ def _conv(x: Tensor, weight: Tensor, bias: Tensor, stride: int, pad: int,
         gsrc = np.zeros_like(src) if x.requires_grad else None
         grads(g, _windows(src, taps, stride), gw,
               None if gsrc is None else _windows(gsrc, taps, stride, writeable=True))
-        if gsrc is not None:
-            accumulate_grad(x, _unpadded(gsrc, pad))
-        if gw is not None:
-            accumulate_grad(weight, gw)
-        if bias.requires_grad:
-            accumulate_grad(bias, g.reshape(fout, -1).sum(axis=1))
+        return (None if gsrc is None else _unpadded(gsrc, pad), gw,
+                g.reshape(fout, -1).sum(axis=1))
 
     return make_node(out, (x, weight, bias), _bw)
 
@@ -352,14 +348,14 @@ def _pool(x: Tensor, taps: list[tuple]) -> Tensor:
     for tap in taps[1:]:
         np.maximum(out, x.data[tap], out=out)
 
-    def _bw(g: np.ndarray) -> None:
+    def _bw(g: np.ndarray):
         gx = np.zeros_like(x.data)
         free = np.ones(out.shape, dtype=bool)  # bins whose maximum is not yet found
         for tap in taps:
             hit = free & (x.data[tap] == out)
             free ^= hit
             gx[tap] = np.where(hit, g, gx[tap])
-        accumulate_grad(x, gx)
+        return (gx,)
 
     return make_node(out, (x,), _bw)
 
@@ -388,7 +384,7 @@ def _pool_bins(x: Tensor, starts: np.ndarray, sizes: np.ndarray) -> Tensor:
         np.not_equal(bin_at[1:], bin_at[:-1], out=first[1:])
         gx = np.zeros(x.shape, dtype=x.data.dtype)
         gx.reshape(-1)[hits[first]] = g.reshape(-1)[bin_at[first]]
-        accumulate_grad(x, gx)
+        return (gx,)
 
     return make_node(out, (x,), _bw)
 
@@ -398,8 +394,8 @@ def relu(x: Tensor) -> Tensor:
     after a convolution is fused into it instead (``relu=True``)."""
     out = np.maximum(x.data, 0)
 
-    def _bw(g: np.ndarray) -> None:
-        accumulate_grad(x, g * (x.data > 0))
+    def _bw(g: np.ndarray):
+        return (g * (x.data > 0),)
 
     return make_node(out, (x,), _bw)
 
@@ -417,13 +413,9 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
 
     out = weight.data @ x.data + bias.data
 
-    def _bw(g: np.ndarray) -> None:
-        if x.requires_grad:
-            accumulate_grad(x, g @ weight.data)
-        if weight.requires_grad:
-            accumulate_grad(weight, np.outer(g, x.data))
-        if bias.requires_grad:
-            accumulate_grad(bias, g)
+    def _bw(g: np.ndarray):
+        return (g @ weight.data if x.requires_grad else None,
+                np.outer(g, x.data) if weight.requires_grad else None, g)
 
     return make_node(out, (x, weight, bias), _bw)
 
@@ -448,9 +440,9 @@ def concat(tensors: list[Tensor], axis: int) -> Tensor:
     offsets = np.cumsum([0] + extents)
     lead = (slice(None),) * (axis % ndim)  # the axes before ``axis``
 
-    def _bw(g: np.ndarray) -> None:
-        for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
-            accumulate_grad(t, np.ascontiguousarray(g[lead + (slice(lo, hi),)]))
+    def _bw(g: np.ndarray):
+        return [np.ascontiguousarray(g[lead + (slice(lo, hi),)])
+                for lo, hi in zip(offsets[:-1], offsets[1:])]
 
     return make_node(out, tensors, _bw)
 
@@ -458,8 +450,8 @@ def concat(tensors: list[Tensor], axis: int) -> Tensor:
 def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
     out = x.data.reshape(shape)
 
-    def _bw(g: np.ndarray) -> None:
-        accumulate_grad(x, g.reshape(x.shape))
+    def _bw(g: np.ndarray):
+        return (g.reshape(x.shape),)
 
     return make_node(out, (x,), _bw)
 
@@ -471,9 +463,8 @@ def add(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"add shape mismatch: {a.shape} vs {b.shape}")
     out = a.data + b.data
 
-    def _bw(g: np.ndarray) -> None:
-        accumulate_grad(a, g)
-        accumulate_grad(b, g)
+    def _bw(g: np.ndarray):
+        return g, g
 
     return make_node(out, (a, b), _bw)
 
@@ -482,8 +473,8 @@ def scale(x: Tensor, factor: float) -> Tensor:
     """Multiply by a python scalar constant."""
     out = x.data * factor
 
-    def _bw(g: np.ndarray) -> None:
-        accumulate_grad(x, g * factor)
+    def _bw(g: np.ndarray):
+        return (g * factor,)
 
     return make_node(out, (x,), _bw)
 
@@ -492,8 +483,8 @@ def tsum(x: Tensor) -> Tensor:
     """Sum of all elements as a scalar tensor."""
     out = x.data.sum()
 
-    def _bw(g: np.ndarray) -> None:
-        accumulate_grad(x, np.full_like(x.data, g))
+    def _bw(g: np.ndarray):
+        return (np.full_like(x.data, g),)
 
     return make_node(out, (x,), _bw)
 
@@ -516,10 +507,10 @@ def softmax_cross_entropy(logits: Tensor, label: int) -> Tensor:
     p = ez / denom
     loss = np.log(denom) - z[label]
 
-    def _bw(g: np.ndarray) -> None:
+    def _bw(g: np.ndarray):
         gl = p.copy()
         gl[label] -= 1
-        accumulate_grad(logits, gl * g)
+        return (gl * g,)
 
     return make_node(np.asarray(loss, dtype=logits.data.dtype), (logits,), _bw)
 

@@ -2,25 +2,27 @@
 
 Values live in numpy arrays (row-major, C order). Operations in
 :mod:`wavems.ops` record their inputs and a backward closure on the output
-tensor; calling :func:`backward` on a scalar result fills ``grad`` on every
-reachable leaf (a tensor no op produced, such as a parameter or an input)
-that requires gradients. Op outputs keep ``grad`` at ``None``: their
-adjoints live only during the sweep. Gradients accumulate additively, both
-across multiple uses of a tensor and across repeated backward calls; reset
-them explicitly with :func:`zero_grads`.
+tensor through :func:`make_node`, the graph extension API: the closure maps
+the output's adjoint to one gradient per input and changes nothing itself.
+Calling :func:`backward` on a scalar result sums those gradients and fills
+``grad`` on every reachable leaf (a tensor no op produced, such as a
+parameter or an input) that requires gradients. Op outputs keep ``grad`` at
+``None``: their adjoints live only during the sweep. Gradients accumulate
+additively, both across multiple uses of a tensor and across repeated
+backward calls; reset them explicitly with :func:`zero_grads`.
 
 A computation graph uses one precision throughout (float32 or float64;
 mixed graphs are rejected by the ops) and is confined to a single logical
 thread from forward through backward. Tensors themselves are plain values
 and safe to hand between threads. Whether graphs are recorded
-(:class:`no_grad`) is set per thread, and each thread's :func:`backward`
-keeps its adjoints to itself.
+(:class:`no_grad`) is set per thread, and each :func:`backward` call keeps
+its adjoints in a local table.
 """
 
 from __future__ import annotations
 
 import threading
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -30,6 +32,8 @@ from .errors import ShapeError
 DTYPES = {"single": np.float32, "double": np.float64}
 
 _FLOAT_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
+
+BackwardFn = Callable[[np.ndarray], Sequence[Optional[np.ndarray]]]
 
 
 class _GradMode(threading.local):
@@ -58,7 +62,7 @@ class Tensor:
         self.grad: Optional[np.ndarray] = None
         self.requires_grad = bool(requires_grad)
         self._parents: tuple[Tensor, ...] = ()
-        self._backward: Optional[Callable[[np.ndarray], None]] = None
+        self._backward: Optional[BackwardFn] = None
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -99,8 +103,10 @@ def grad_enabled() -> bool:
 
 
 def make_node(out_data: np.ndarray, parents: Iterable[Tensor],
-              backward_fn: Callable[[np.ndarray], None]) -> Tensor:
-    """Wrap an op result, recording the graph edge when gradients are live."""
+              backward_fn: BackwardFn) -> Tensor:
+    """Wrap an op result, recording the graph edge when gradients are live.
+    ``backward_fn(g)`` maps d(loss)/d(out) to one gradient per parent, in
+    parent order and of that parent's shape, or ``None`` for one it skips."""
     out = Tensor(out_data)
     parents = tuple(parents)
     if _grad_mode.enabled and any(p.requires_grad for p in parents):
@@ -110,36 +116,14 @@ def make_node(out_data: np.ndarray, parents: Iterable[Tensor],
     return out
 
 
-class _Sweep(threading.local):
-    adjoints: Optional[dict[int, np.ndarray]] = None  # the running backward's, per thread
-
-
-_sweep = _Sweep()
-
-
-def accumulate_grad(t: Tensor, g: np.ndarray) -> None:
-    """Add a gradient contribution to ``t``'s adjoint in the calling
-    thread's running sweep.
-
-    Only backward closures call this, and they run only inside
-    :func:`backward`. Never mutates an existing adjoint in place.
-    """
-    if t.requires_grad:
-        adjoints = _sweep.adjoints
-        key = id(t)
-        cur = adjoints.get(key)
-        adjoints[key] = g if cur is None else cur + g
-
-
 def backward(loss: Tensor) -> None:
     """Reverse-mode sweep from a scalar loss.
 
     Adds d(loss)/d(t) to ``grad`` on every leaf ``t`` that requires
     gradients and is reachable through the recorded graph, on top of any
-    gradient already there. Op outputs get no ``grad``: each adjoint is
-    dropped as soon as its node's closure has consumed it. Each thread runs
-    its own sweep, so threads may run ``backward`` on separate graphs at
-    once.
+    gradient already there. What the closures return is summed, never in
+    place, into an adjoint table local to this call; each adjoint is dropped
+    once its node's closure has consumed it, so op outputs get no ``grad``.
     """
     if loss.shape != ():
         raise ShapeError(f"backward requires a scalar loss, got shape {loss.shape}")
@@ -162,21 +146,21 @@ def backward(loss: Tensor) -> None:
             if id(parent) not in visited:
                 stack.append((parent, False))
 
-    sweep: dict[int, np.ndarray] = {}
-    _sweep.adjoints = sweep
-    try:
-        accumulate_grad(loss, np.ones((), dtype=loss.data.dtype))
-        # every consumer of a node comes before it, so its adjoint is complete
-        for node in reversed(topo):
-            adjoint = sweep.pop(id(node), None)
-            if adjoint is None:
-                continue
-            if node._backward is not None:
-                node._backward(adjoint)
-            else:
-                node.grad = adjoint if node.grad is None else node.grad + adjoint
-    finally:
-        _sweep.adjoints = None
+    adjoints: dict[int, np.ndarray] = {}
+    if loss.requires_grad:
+        adjoints[id(loss)] = np.ones((), dtype=loss.data.dtype)
+    # every consumer of a node comes before it, so its adjoint is complete
+    for node in reversed(topo):
+        adjoint = adjoints.pop(id(node), None)
+        if adjoint is None:
+            continue
+        if node._backward is None:
+            node.grad = adjoint if node.grad is None else node.grad + adjoint
+            continue
+        for parent, g in zip(node._parents, node._backward(adjoint), strict=True):
+            if g is not None and parent.requires_grad:
+                cur = adjoints.get(id(parent))
+                adjoints[id(parent)] = g if cur is None else cur + g
 
 
 class Parameter:

@@ -71,6 +71,10 @@ class TestDecodeWav:
         with pytest.raises(DecodeError, match="zero frames"):
             decode_wav(make_wav(b"", channels=1, bits=16))
 
+    def test_zero_sample_rate(self):
+        with pytest.raises(DecodeError, match="sample rate 0"):
+            decode_wav(make_wav(pcm16(1, 2), channels=1, bits=16, rate=0))
+
     def test_not_riff(self):
         with pytest.raises(DecodeError, match="RIFF"):
             decode_wav(b"OggS" + b"\x00" * 40)

@@ -362,6 +362,31 @@ class TestRobustnessExitCodes:
         assert rc == 2
         assert "invalid config" in TestBadInputExitCodes._assert_error_line(capsys)
 
+    def test_zero_sample_rate_wav_exits_1(self, corpus_dir, config_file, tmp_path, capsys):
+        wav = sorted(corpus_dir.glob("*.wav"))[0]
+        data = bytearray(wav.read_bytes())
+        rate_at = data.index(b"fmt ") + 12  # chunk id, size, format tag, channels
+        data[rate_at:rate_at + 4] = bytes(4)
+        wav.write_bytes(bytes(data))
+        rc = main(["train", "--config", str(config_file),
+                   "--manifest", str(corpus_dir / "manifest.csv"),
+                   "--fold", "1", "--out", str(tmp_path / "x.ckpt")])
+        assert rc == 1
+        err = TestBadInputExitCodes._assert_error_line(capsys)
+        assert "sample rate 0" in err and len(err.splitlines()) == 1
+
+    def test_unallocatable_layer_exits_1(self, corpus_dir, tmp_path, capsys):
+        # fc1's float64 draw needs 796 PiB, past even a 57-bit address space,
+        # so the allocation fails at once and commits no memory
+        huge = tmp_path / "huge.json"
+        huge.write_text(json.dumps({"model": {**MICRO_MODEL, "fc_hidden": 10**15},
+                                    "train": MICRO_TRAIN}))
+        rc = main(["train", "--config", str(huge),
+                   "--manifest", str(corpus_dir / "manifest.csv"),
+                   "--fold", "1", "--out", str(tmp_path / "x.ckpt")])
+        assert rc == 1
+        assert len(TestBadInputExitCodes._assert_error_line(capsys).splitlines()) == 1
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_loss_exits_1(self, corpus_dir, config_file, tmp_path, capsys,
                                      monkeypatch):

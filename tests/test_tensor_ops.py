@@ -11,8 +11,8 @@ import pytest
 from wavems import ops
 from wavems.errors import ShapeError
 from wavems.optim import sgd_step
-from wavems.tensor import (Parameter, Tensor, accumulate_grad, backward, grad_enabled,
-                           make_node, no_grad, zero_grads)
+from wavems.tensor import (Parameter, Tensor, backward, grad_enabled, make_node, no_grad,
+                           zero_grads)
 
 from gradcheck import assert_rel_close, check_op_gradients, fd_gradient, weighted_sum
 from oracles import (adaptive_maxpool_oracle, adaptive_pool_bins, conv1d_oracle,
@@ -458,6 +458,42 @@ class TestBackward:
         x = Tensor(rng.standard_normal(4), requires_grad=True)
         backward(ops.tsum(ops.add(x, x)))
         assert np.allclose(x.grad, 2.0)
+        r = rng.standard_normal(4)
+        x.grad = None
+        backward(weighted_sum(ops.add(x, x), r))  # one closure returns x's gradient twice
+        assert np.array_equal(x.grad, 2 * r)
+
+    def test_closure_gradients_land_on_leaves(self):
+        a, b = t([1.0, 2.0], requires_grad=True), t([3.0], requires_grad=True)
+        backward(make_node(np.array(0.0), (a, b),
+                           lambda g: (g * np.array([4.0, 5.0]), g * np.array([6.0]))))
+        assert a.grad.tolist() == [4.0, 5.0] and b.grad.tolist() == [6.0]
+
+    @pytest.mark.parametrize("count", [1, 3])
+    def test_wrong_gradient_count_raises(self, count):
+        a, b = t([1.0], requires_grad=True), t([2.0], requires_grad=True)
+        node = make_node(np.array(0.0), (a, b), lambda g: (g * np.ones(1),) * count)
+        with pytest.raises(ValueError):
+            backward(node)
+
+    def test_gradient_for_parent_without_grad_is_dropped(self):
+        a, const = t([1.0], requires_grad=True), t([2.0])
+        backward(make_node(np.array(0.0), (a, const), lambda g: (g * np.ones(1), g * np.ones(1))))
+        assert a.grad.tolist() == [1.0] and const.grad is None
+
+    def test_adjoints_are_never_added_in_place(self):
+        """``add`` hands one array to both parents; summing into it in place
+        would change z's adjoint when x's gets its second term."""
+        x, z = t([1.0], requires_grad=True), t([1.0], requires_grad=True)
+        backward(ops.tsum(ops.add(ops.add(x, z), x)))
+        assert x.grad.tolist() == [2.0] and z.grad.tolist() == [1.0]
+
+    def test_loss_without_graph_is_a_no_op(self, rng):
+        x = Tensor(rng.standard_normal(4), requires_grad=True)
+        with no_grad():
+            loss = ops.tsum(x)
+        backward(loss)
+        assert loss.grad is None and x.grad is None
 
     def test_repeated_backward_accumulates(self, rng):
         x = Tensor(rng.standard_normal(4), requires_grad=True)
@@ -512,10 +548,10 @@ class TestBackward:
         a, b = t([1.0, 2.0], requires_grad=True), t([3.0], requires_grad=True)
         errors = []
 
-        def wait_then_scale(g):  # a's closure: pause mid-sweep, then accumulate
+        def wait_then_scale(g):  # a's closure: pause mid-sweep, then return
             paused.set()
             assert resume.wait(10)
-            accumulate_grad(a, 2 * g)
+            return (2 * g,)
 
         loss_a = ops.tsum(make_node(2 * a.data, (a,), wait_then_scale))
 

@@ -288,6 +288,52 @@ class TestCheckpointFormat:
         with pytest.raises(CheckpointError, match="not_a_dir"):
             save_checkpoint(ckpt, blocker / "m.ckpt")
 
+    @pytest.mark.parametrize("fail_at", ["write", "fsync"])
+    def test_failed_write_keeps_previous_checkpoint(self, tmp_path, monkeypatch, fail_at):
+        import errno
+        import resource
+        import signal
+
+        import wavems.checkpoint as checkpoint_mod
+
+        ckpt = self._checkpoint()
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(ckpt, path)
+        before = path.read_bytes()
+        newer = dataclasses.replace(ckpt, epoch=ckpt.epoch + 1)
+
+        if fail_at == "write":
+            # a file size limit of half a checkpoint: the write stops midway
+            # with EFBIG, as on a full disk
+            soft, hard = resource.getrlimit(resource.RLIMIT_FSIZE)
+            handler = signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
+            resource.setrlimit(resource.RLIMIT_FSIZE, (len(before) // 2, hard))
+            try:
+                with pytest.raises(CheckpointError, match="m.ckpt"):
+                    save_checkpoint(newer, path)
+            finally:
+                resource.setrlimit(resource.RLIMIT_FSIZE, (soft, hard))
+                signal.signal(signal.SIGXFSZ, handler)
+        else:
+            def failing_fsync(fd):
+                raise OSError(errno.EIO, "Input/output error")
+
+            monkeypatch.setattr(checkpoint_mod.os, "fsync", failing_fsync)
+            with pytest.raises(CheckpointError, match="m.ckpt"):
+                save_checkpoint(newer, path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["m.ckpt"]
+
+    def test_written_file_has_new_file_permissions(self, tmp_path):
+        import stat
+
+        ckpt = self._checkpoint()
+        plain = tmp_path / "plain"
+        plain.write_bytes(b"")
+        save_checkpoint(ckpt, tmp_path / "m.ckpt")
+        assert (stat.S_IMODE((tmp_path / "m.ckpt").stat().st_mode)
+                == stat.S_IMODE(plain.stat().st_mode))
+
     def test_resume_config_mismatch_rejected(self):
         manifest, clips = micro_corpus()
         ckpt = self._checkpoint()
