@@ -239,7 +239,6 @@ class Model:
         """Input window -> one-channel (frequency x time) feature image."""
         cfg = self.config
         x = self._as_input(wave)
-        prepool = cfg.branch_prepool_lengths()
         pooled = []
         for i, b in enumerate(cfg.branches, start=1):
             y = ops.conv1d(x, self.param(f"branch{i}.conv.weight").value,
@@ -247,11 +246,11 @@ class Model:
                            relu=cfg.relu_after_branch_conv)
             y = ops.conv1d(y, self.param(f"branch{i}.phase.weight").value,
                            self.param(f"branch{i}.phase.bias").value,
-                           stride=cfg.phase_stride, relu=True)
-            if y.shape != (b.num_filters, prepool[i - 1]):
+                           stride=cfg.phase_stride, relu=True, pool=cfg.frontend_time_bins)
+            if y.shape != (b.num_filters, cfg.frontend_time_bins):
                 raise ShapeError(f"branch {i} produced {y.shape}, "
-                                 f"expected {(b.num_filters, prepool[i - 1])}")
-            pooled.append(ops.adaptive_maxpool(y, cfg.frontend_time_bins, axis=1))
+                                 f"expected {(b.num_filters, cfg.frontend_time_bins)}")
+            pooled.append(y)
         stacked = ops.concat(pooled, axis=0)
         out = ops.reshape(stacked, (1, cfg.frontend_rows, cfg.frontend_time_bins))
         if out.shape != cfg.frontend_shape():
@@ -268,8 +267,7 @@ class Model:
         level_maps: list[Tensor] = []
         for l, window in enumerate(cfg.level_pool_windows, start=1):
             x = ops.conv2d(x, self.param(f"conv{l}.weight").value,
-                           self.param(f"conv{l}.bias").value, relu=True)
-            x = ops.maxpool2d(x, window)
+                           self.param(f"conv{l}.bias").value, relu=True, pool=window)
             if x.shape != expected[l - 1]:
                 raise ShapeError(f"level {l} map {x.shape}, expected {expected[l - 1]}")
             level_maps.append(x)

@@ -5,16 +5,21 @@ Only the operators the architecture needs.
 Both max pools output each bin's maximum and route each bin's gradient to
 its first maximum (window raster order for :func:`maxpool2d`, lowest index
 for :func:`adaptive_maxpool`). A bin holding NaN outputs NaN and passes no
-gradient. The input's shape picks one of two kernels, neither of which
-keeps a copy of the input:
+gradient. When a pool records a graph node, its forward also finds each
+bin's first hit and keeps that tap's number, in the smallest unsigned dtype
+that holds the tap count (uint8 for 2x2 windows and for bins of up to 255
+elements); a NaN bin keeps the tap count as a no-hit sentinel. Backward is
+one scatter of the output gradient to those winners (:meth:`_Pool.scatter`)
+and never reads the input, so no pool keeps it. Under
+:class:`~wavems.tensor.no_grad` no index is made. The input's shape picks
+one of two forward kernels:
 
 - an :func:`adaptive_maxpool` over the last axis is a bin reduction
-  (:func:`_pool_bins`): one ``np.maximum.reduceat`` forward, and a backward
-  that scatters each bin's gradient to its first element equal to the
-  bin's output;
+  (:class:`_BinPool`): one ``np.maximum.reduceat``, and one more over
+  weights, highest at a bin's first element, for the index;
 - ``maxpool2d`` and an ``adaptive_maxpool`` over any other axis take a
   running maximum over output-shaped strided slices or gathers of the
-  input (:func:`_pool`). There, ``reduceat`` would walk the input with a
+  input (:class:`_Pool`). There, ``reduceat`` would walk the input with a
   stride and was measured slower.
 
 Convolutions view their input, once per call, as a tap-leading window
@@ -33,20 +38,27 @@ for bit only with the same BLAS build and thread count. The choice is per
 thread.
 
 Both convolutions take ``relu=True`` to apply max(0, .) inside the same
-node, with the same results as :func:`relu` on their output. The node keeps
-only its output: the ReLU mask is read off the output, and ``conv2d``'s
-zero-padded input is built again in backward rather than kept.
+node, with the same results as :func:`relu` on their output, and ``pool=``
+to max-pool the (activated) output inside the node as well: a bin count
+for ``conv1d`` (:func:`adaptive_maxpool` over the length) and a window for
+``conv2d`` (:func:`maxpool2d`), with the same results as the separate pool
+bit for bit. The node keeps only its output, plus a fused pool's first-hit
+index: the ReLU mask is read off the output (the pooled maximum is above 0
+exactly where its winner is), a fused pool's gradient is scattered back to
+a conv-shaped array in backward, and ``conv2d``'s zero-padded input is built
+again in backward rather than kept.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import threading
 
 import numpy as np
 
 from .errors import ShapeError
-from .tensor import Tensor, make_node
+from .tensor import Tensor, make_node, recording
 
 
 class _KernelChoice(threading.local):
@@ -91,13 +103,17 @@ def _check_dtypes(*tensors: Tensor) -> np.dtype:
 
 
 def conv1d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1,
-           relu: bool = False) -> Tensor:
+           relu: bool = False, pool: int | None = None) -> Tensor:
     """Valid (unpadded) 1-D cross-correlation, followed by max(0, .) if
-    ``relu`` is set.
+    ``relu`` is set and by ``adaptive_maxpool(., pool, axis=1)`` if ``pool``
+    is given.
 
     x: (C_in, L), weight: (C_out, C_in, k), bias: (C_out,).
-    Output length is floor((L - k) / stride) + 1. The node reads ``x``'s
-    own data in forward and again in backward, so it keeps no copy of it.
+    Output length is floor((L - k) / stride) + 1, or ``pool`` when pooled; a
+    bad ``pool`` raises what :func:`adaptive_maxpool` would, before any
+    convolution work. The node reads ``x``'s own data in forward and again
+    in backward, so it keeps no copy of it; a pooled node keeps the pooled
+    output and its first-hit index, not the unpooled map.
     """
     _check_dtypes(x, weight, bias)
     if not isinstance(stride, (int, np.integer)) or stride <= 0:
@@ -114,16 +130,23 @@ def conv1d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1,
     if length < k:
         raise ShapeError(f"conv1d input length {length} < filter length {k}")
 
-    return _conv(x, weight, bias, stride, 0, relu)
+    if pool is not None:
+        pool = _adaptive_pool((fout, (length - k) // stride + 1), pool, axis=1)
+    return _conv(x, weight, bias, stride, 0, relu, pool)
 
 
-def conv2d(x: Tensor, weight: Tensor, bias: Tensor, relu: bool = False) -> Tensor:
+def conv2d(x: Tensor, weight: Tensor, bias: Tensor, relu: bool = False,
+           pool: tuple[int, int] | None = None) -> Tensor:
     """3x3 cross-correlation, stride 1, zero padding 1 (same-size output),
-    followed by max(0, .) if ``relu`` is set.
+    followed by max(0, .) if ``relu`` is set and by ``maxpool2d(., pool)``
+    if ``pool`` is given.
 
     x: (C, H, W), weight: (F, C, 3, 3), bias: (F,). The kernel size is fixed
-    by the architecture; anything else is an argument error. The padded
-    input lives only while forward runs and is built again in backward.
+    by the architecture; anything else is an argument error, and so is a bad
+    ``pool``, raised as :func:`maxpool2d` would, before any convolution
+    work. The padded input lives only while forward runs and is built again
+    in backward; a pooled node keeps the pooled output and its first-hit
+    index, not the unpooled map.
     """
     _check_dtypes(x, weight, bias)
     if x.data.ndim != 3 or weight.data.ndim != 4 or bias.data.ndim != 1:
@@ -138,7 +161,9 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, relu: bool = False) -> Tenso
     if bias.shape != (fout,):
         raise ShapeError(f"conv2d bias shape {bias.shape} != ({fout},)")
 
-    return _conv(x, weight, bias, 1, 1, relu)
+    if pool is not None:
+        pool = _window_pool((fout,) + x.shape[1:], pool)
+    return _conv(x, weight, bias, 1, 1, relu, pool)
 
 
 #: Elements a GEMM chunk's im2col columns may hold when the output is smaller
@@ -190,9 +215,9 @@ def _terms(channels: int, taps: tuple[int, ...]):
 
 
 def _conv(x: Tensor, weight: Tensor, bias: Tensor, stride: int, pad: int,
-          relu: bool) -> Tensor:
+          relu: bool, pool: _Pool | None) -> Tensor:
     """One convolution node, in the kernel family selected when it is built,
-    with an optional ReLU fused in.
+    with an optional ReLU and an optional max pool fused in.
 
     The source is ``x``'s data with ``pad`` zeros around each spatial axis
     (:func:`_padded`; ``x``'s own array when ``pad`` is 0), read through one
@@ -219,6 +244,17 @@ def _conv(x: Tensor, weight: Tensor, bias: Tensor, stride: int, pad: int,
     0: the same mask as on the pre-activation, so the subgradient at exactly
     0 is 0 and the results are those of :func:`relu` after the convolution,
     bit for bit. The node then holds the post-activation output alone.
+
+    With ``pool`` set, forward pools that output (:meth:`_Pool.forward`)
+    and drops it; the node holds the pooled output and, when it records,
+    each bin's first-hit index. Backward multiplies the pooled gradient by
+    ``pooled > 0``, which is the ReLU mask at every winner, scatters the
+    product to the winners of a zero conv-shaped array
+    (:meth:`_Pool.scatter`) and runs the convolution's gradient products on
+    that. This is the array the separate pool and ReLU give, bit for bit:
+    at a winner both multiply the same gradient by the same mask (a masked
+    negative gradient gives -0.0 and a NaN stays NaN, where a selection
+    would give 0), and everywhere else both leave +0.0.
     """
     wd = weight.data
     fout, taps = wd.shape[0], wd.shape[2:]
@@ -272,10 +308,15 @@ def _conv(x: Tensor, weight: Tensor, bias: Tensor, stride: int, pad: int,
 
     if relu:
         np.maximum(out, 0, out=out)
+    index = None
+    if pool is not None:  # the unpooled map is dropped here
+        out, index = pool.forward(out, recording((x, weight, bias)))
 
     def _bw(g: np.ndarray):
         if relu:
             g = g * (out > 0)  # exactly where the pre-activation is > 0
+        if pool is not None:
+            g = pool.scatter(g, index)
         src = _padded(x.data, pad)
         gw = np.zeros(wd.shape, dtype=wd.dtype) if weight.requires_grad else None
         gsrc = np.zeros_like(src) if x.requires_grad else None
@@ -292,18 +333,7 @@ def maxpool2d(x: Tensor, window: tuple[int, int]) -> Tensor:
 
     Gradient flows to the first maximum in window raster order on ties.
     """
-    h, w = window
-    if h <= 0 or w <= 0:
-        raise ValueError(f"pool window must be positive, got {window}")
-    if x.data.ndim != 3:
-        raise ShapeError(f"maxpool2d expects (C,H,W), got {x.shape}")
-    _, hin, win = x.shape
-    if h > hin or w > win:
-        raise ShapeError(f"pool window {window} exceeds input {hin}x{win}")
-    rows, cols = hin // h * h, win // w * w
-
-    return _pool(x, [(slice(None), slice(i, rows, h), slice(j, cols, w))
-                     for i in range(h) for j in range(w)])
+    return _pool_node(x, _window_pool(x.shape, window))
 
 
 def adaptive_maxpool(x: Tensor, target: int, axis: int) -> Tensor:
@@ -313,78 +343,146 @@ def adaptive_maxpool(x: Tensor, target: int, axis: int) -> Tensor:
     every index lands in exactly one bin and no bin is empty. Gradient flows
     to the first maximum of a bin on ties.
     """
+    return _pool_node(x, _adaptive_pool(x.shape, target, axis))
+
+
+def _window_pool(shape: tuple[int, ...], window: tuple[int, int]) -> _Pool:
+    """The bins of ``maxpool2d(., window)`` over a ``shape`` input, after
+    its argument checks."""
+    h, w = window
+    if h <= 0 or w <= 0:
+        raise ValueError(f"pool window must be positive, got {window}")
+    if len(shape) != 3:
+        raise ShapeError(f"maxpool2d expects (C,H,W), got {shape}")
+    channels, hin, win = shape
+    if h > hin or w > win:
+        raise ShapeError(f"pool window {window} exceeds input {hin}x{win}")
+    rows, cols = hin // h * h, win // w * w
+    taps = [(i, j) for i in range(h) for j in range(w)]  # raster order
+    return _Pool(shape, [np.arange(channels), np.arange(0, rows, h), np.arange(0, cols, w)],
+                 np.array([i * win + j for i, j in taps]),
+                 [(slice(None), slice(i, rows, h), slice(j, cols, w)) for i, j in taps])
+
+
+def _adaptive_pool(shape: tuple[int, ...], target: int, axis: int) -> _Pool:
+    """The bins of ``adaptive_maxpool(., target, axis)`` over a ``shape``
+    input, after its argument checks."""
     if target <= 0:
         raise ValueError(f"target must be positive, got {target}")
-    length = x.shape[axis]
+    length = shape[axis]
     if length < target:
         raise ShapeError(f"axis extent {length} < pool target {target}")
+    axis %= len(shape)
 
     bounds = np.arange(target + 1) * length // target
     starts, ends = bounds[:-1], bounds[1:]
-    if axis % x.data.ndim == x.data.ndim - 1:
-        return _pool_bins(x, starts, ends - starts)
+    firsts = [np.arange(d) for d in shape]
+    firsts[axis] = starts
+    taps = np.arange(-(-length // target))  # the longest bin's
+    offsets = taps * math.prod(shape[axis + 1:])
+    if axis == len(shape) - 1:
+        return _BinPool(shape, firsts, offsets, ends - starts)
     # row j holds the j-th index of every bin; short bins repeat their last
-    rows = np.minimum(starts + np.arange((ends - starts).max())[:, None], ends - 1)
-    lead = (slice(None),) * (axis % x.data.ndim)
-    return _pool(x, [lead + (row,) for row in rows])
+    rows = np.minimum(starts + taps[:, None], ends - 1)
+    lead = (slice(None),) * axis
+    return _Pool(shape, firsts, offsets, [lead + (row,) for row in rows])
 
 
-def _pool(x: Tensor, taps: list[tuple]) -> Tensor:
-    """One max-pool node over taps: the maximum over each bin, gradient to
-    its first maximum. Serves ``maxpool2d`` and an ``adaptive_maxpool``
-    over any axis but the last.
+class _Pool:
+    """The bins of one max pool over inputs of shape ``shape``, read through
+    ``taps``: serves ``maxpool2d`` and an ``adaptive_maxpool`` over any
+    axis but the last.
 
-    ``taps`` is in tie-break order. Each tap indexes ``x`` into an
+    ``taps`` is in tie-break order. Each tap indexes an input into an
     output-shaped array whose element i is one element of bin i, so tap j
     reads the j-th element of every bin. A bin may repeat an element in
-    later taps, which changes neither its maximum nor its first maximum.
-
-    Forward takes a running maximum over the taps. Backward gives each
-    output's gradient to the first tap that equals the output; no input
-    copy is kept. A bin holding NaN outputs NaN, matches no tap and passes
-    no gradient (training stops on the non-finite loss first).
+    later taps, which changes neither its maximum nor its first hit.
+    ``firsts[a]`` holds each bin's first coordinate along input axis ``a``,
+    and ``offsets[j]`` the flat distance from a bin's first element to its
+    j-th; a first hit is never a repeat, so the two place every winner.
     """
-    out = x.data[taps[0]].copy()
-    for tap in taps[1:]:
-        np.maximum(out, x.data[tap], out=out)
 
-    def _bw(g: np.ndarray):
-        gx = np.zeros_like(x.data)
-        free = np.ones(out.shape, dtype=bool)  # bins whose maximum is not yet found
-        for tap in taps:
-            hit = free & (x.data[tap] == out)
-            free ^= hit
-            gx[tap] = np.where(hit, g, gx[tap])
-        return (gx,)
+    def __init__(self, shape: tuple[int, ...], firsts: list[np.ndarray],
+                 offsets: np.ndarray, taps: list[tuple] | None):
+        self.shape, self.firsts, self.offsets, self.taps = shape, firsts, offsets, taps
+        # tap numbers 0 .. n-1 and the no-hit sentinel n
+        self.index_dtype = np.min_scalar_type(len(offsets))
 
-    return make_node(out, (x,), _bw)
+    def forward(self, a: np.ndarray, record: bool) -> tuple[np.ndarray, np.ndarray | None]:
+        """Each bin's maximum over ``a``; with ``record`` set, also each
+        bin's first-hit tap number, or the tap count where no tap equals the
+        maximum (a bin holding NaN). Forward takes a running maximum over
+        the taps; the index counts each bin's leading misses, the taps
+        before its first hit."""
+        out = a[self.taps[0]].copy()
+        for tap in self.taps[1:]:
+            np.maximum(out, a[tap], out=out)
+        if not record:
+            return out, None
+        missed = a[self.taps[0]] != out  # bins whose first hit is still ahead
+        index = missed.astype(self.index_dtype)
+        miss = np.empty_like(missed)
+        for tap in self.taps[1:]:
+            np.not_equal(a[tap], out, out=miss)
+            missed &= miss
+            index += missed
+        return out, index
+
+    def scatter(self, g: np.ndarray, index: np.ndarray) -> np.ndarray:
+        """The input gradient of output gradient ``g``: each bin's gradient
+        at its first hit (``index``), zero everywhere else; a bin with no
+        hit passes nothing. Bins are disjoint, so no two winners share an
+        element."""
+        gx = np.zeros(self.shape, dtype=g.dtype)
+        at, step = 0, 1  # flat position of each bin's first element, last axis first
+        for axis in range(len(self.shape) - 1, -1, -1):
+            trailing = (1,) * (len(self.shape) - 1 - axis)
+            at = at + (self.firsts[axis] * step).reshape(-1, *trailing)
+            step *= self.shape[axis]
+        at += self.offsets.take(index, mode="clip")  # the sentinel's entry is dropped
+        hit = index < len(self.offsets)
+        if not hit.all():
+            at, g = at[hit], g[hit]
+        gx.reshape(-1)[at] = g
+        return gx
 
 
-def _pool_bins(x: Tensor, starts: np.ndarray, sizes: np.ndarray) -> Tensor:
-    """One max-pool node over contiguous bins of the last axis, which start
-    at the ascending indices ``starts`` and hold ``sizes`` elements each,
-    together the whole axis; the same outputs and gradients as
-    :func:`_pool` with the same bins.
+class _BinPool(_Pool):
+    """The bins of an ``adaptive_maxpool`` over the last axis: contiguous,
+    starting at ``firsts[-1]``, ascending, with ``sizes`` elements each,
+    together the whole axis; the same outputs and index as :class:`_Pool`
+    with the same bins.
 
     Forward is one ``np.maximum.reduceat``, which walks each row once, in
-    index order. Backward finds every element equal to its bin's output, in
-    ascending flat order, and gives each bin's gradient to the first of
-    them; no input copy is kept. A bin holding NaN outputs NaN, matches no
-    element and passes no gradient, and it writes nothing into other bins.
+    index order. For the index, every element equal to its bin's output
+    weighs the tap count less its tap number and every other element 0; a
+    second ``np.maximum.reduceat`` finds each bin's heaviest, which is its
+    first hit. A bin holding NaN weighs 0 throughout, which gives the
+    sentinel.
     """
-    out = np.maximum.reduceat(x.data, starts, axis=-1)
 
-    def _bw(g: np.ndarray) -> None:
-        length, bins = x.shape[-1], len(starts)
-        hits = np.flatnonzero(x.data == np.repeat(out, sizes, axis=-1))
-        row, index = np.divmod(hits, length)
-        # flat output position of each hit's bin; hits of one bin are adjacent
-        bin_at = row * bins + np.repeat(np.arange(bins), sizes)[index]
-        first = np.ones(bin_at.shape, dtype=bool)
-        np.not_equal(bin_at[1:], bin_at[:-1], out=first[1:])
-        gx = np.zeros(x.shape, dtype=x.data.dtype)
-        gx.reshape(-1)[hits[first]] = g.reshape(-1)[bin_at[first]]
-        return (gx,)
+    def __init__(self, shape: tuple[int, ...], firsts: list[np.ndarray],
+                 offsets: np.ndarray, sizes: np.ndarray):
+        super().__init__(shape, firsts, offsets, None)
+        self.sizes = sizes
+
+    def forward(self, a: np.ndarray, record: bool) -> tuple[np.ndarray, np.ndarray | None]:
+        starts, n = self.firsts[-1], len(self.offsets)
+        out = np.maximum.reduceat(a, starts, axis=-1)
+        if not record:
+            return out, None
+        weights = np.repeat(starts + n, self.sizes) - np.arange(a.shape[-1])
+        hits = (a == np.repeat(out, self.sizes, axis=-1)) * weights.astype(self.index_dtype)
+        return out, n - np.maximum.reduceat(hits, starts, axis=-1)
+
+
+def _pool_node(x: Tensor, pool: _Pool) -> Tensor:
+    """One max-pool node over ``x``: it keeps the output and, when it
+    records, the first-hit index, never ``x``."""
+    out, index = pool.forward(x.data, recording((x,)))
+
+    def _bw(g: np.ndarray):
+        return (pool.scatter(g, index),)
 
     return make_node(out, (x,), _bw)
 

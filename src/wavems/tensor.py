@@ -102,14 +102,21 @@ def grad_enabled() -> bool:
     return _grad_mode.enabled
 
 
+def recording(parents: Iterable[Tensor]) -> bool:
+    """Whether an op on ``parents`` records a graph node in the calling
+    thread: recording is on and some parent requires gradients."""
+    return _grad_mode.enabled and any(p.requires_grad for p in parents)
+
+
 def make_node(out_data: np.ndarray, parents: Iterable[Tensor],
               backward_fn: BackwardFn) -> Tensor:
-    """Wrap an op result, recording the graph edge when gradients are live.
-    ``backward_fn(g)`` maps d(loss)/d(out) to one gradient per parent, in
-    parent order and of that parent's shape, or ``None`` for one it skips."""
+    """Wrap an op result, recording the graph edge when gradients are live
+    (:func:`recording`). ``backward_fn(g)`` maps d(loss)/d(out) to one
+    gradient per parent, in parent order and of that parent's shape, or
+    ``None`` for one it skips."""
     out = Tensor(out_data)
     parents = tuple(parents)
-    if _grad_mode.enabled and any(p.requires_grad for p in parents):
+    if recording(parents):
         out.requires_grad = True
         out._parents = parents
         out._backward = backward_fn

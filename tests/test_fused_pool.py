@@ -1,0 +1,278 @@
+"""Convolutions with a fused ReLU and max pool (``pool=``), and the first-hit
+index every recording pool node keeps.
+
+A fused node must give the bytes of ``maxpool2d`` / ``adaptive_maxpool`` on
+``conv(..., relu=True)``: the output and every input, weight and bias
+gradient, in both kernel families and both precisions.
+"""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from wavems import ops
+from wavems.errors import ShapeError
+from wavems.tensor import Tensor, backward, no_grad
+
+from gradcheck import check_op_gradients, weighted_sum
+
+# (conv, x shape, weight shape, stride, pool): bins of 68 and 69 taps, bins
+# of 3 and 4, a 2x2 window over even maps, and windows that drop edge rows
+# and columns
+CASES = {
+    "conv1d-ragged-bins": ("conv1d", (2, 4400), (3, 2, 3), 1, 64),
+    "conv1d-stride5": ("conv1d", (2, 300), (3, 2, 5), 5, 17),
+    "conv1d-stride10": ("conv1d", (1, 520), (2, 1, 11), 10, 15),
+    "conv2d-2x2": ("conv2d", (2, 8, 12), (3, 2, 3, 3), None, (2, 2)),
+    "conv2d-2x2-dropped-edges": ("conv2d", (2, 7, 9), (3, 2, 3, 3), None, (2, 2)),
+    "conv2d-3x2-dropped-edges": ("conv2d", (1, 11, 7), (2, 1, 3, 3), None, (3, 2)),
+}
+INPUTS = ["random", "integer", "signed-zero", "nan"]
+
+
+def make_case(case, kind, dtype, seed):
+    """(conv op, pool argument, [x, weight, bias]) of one case. Integer
+    inputs and weights make ties dense; signed-zero inputs are all zero with
+    +0.0 and -0.0 biases, so every pre-activation is a signed zero; NaN
+    inputs hold NaN in three elements."""
+    conv, xs, ws, stride, pool = CASES[case]
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal(xs)
+    w = rng.standard_normal(ws)
+    b = rng.standard_normal(ws[0])
+    if kind == "integer":
+        x, w, b = (rng.integers(-2, 3, size=a.shape).astype(float) for a in (x, w, b))
+    elif kind == "signed-zero":
+        x[...] = 0.0
+        b[:] = np.where(np.arange(ws[0]) % 2, -0.0, 0.0)
+    elif kind == "nan":
+        x.reshape(-1)[rng.choice(x.size, 3, replace=False)] = np.nan
+    op = (lambda *a, **kw: ops.conv1d(*a, stride=stride, **kw)) if conv == "conv1d" else ops.conv2d
+    return op, pool, [a.astype(dtype) for a in (x, w, b)]
+
+
+def pool_of(pool, y):
+    if isinstance(pool, tuple):
+        return ops.maxpool2d(y, pool)
+    return ops.adaptive_maxpool(y, pool, axis=1)
+
+
+def fused_and_separate(op, pool, arrays, gemm, relu=True):
+    """Output and x, weight and bias gradients of sum(r * pool(relu(conv))),
+    once from the fused node and once from the pool on the ReLU'd conv (no
+    ReLU with ``relu=False``). The output gradient r holds -0.0 at every
+    third bin."""
+    results = []
+    for fused in (True, False):
+        inputs = [Tensor(a.copy(), requires_grad=True) for a in arrays]
+        with ops.gemm_kernels(gemm):
+            if fused:
+                out = op(*inputs, relu=relu, pool=pool)
+            else:
+                out = pool_of(pool, op(*inputs, relu=relu))
+            r = np.random.default_rng(out.size).standard_normal(out.shape).astype(out.dtype)
+            r.reshape(-1)[::3] = -0.0
+            backward(weighted_sum(out, r))
+        results.append([out.data] + [t.grad for t in inputs])
+    return results
+
+
+class TestFusedPool:
+    @pytest.mark.parametrize("gemm", [False, True], ids=["reference", "gemm"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("kind", INPUTS)
+    @pytest.mark.parametrize("case", CASES)
+    def test_byte_identical_to_separate_pool(self, case, kind, dtype, gemm):
+        op, pool, arrays = make_case(case, kind, dtype, seed=len(case) + len(kind))
+        fused, separate = fused_and_separate(op, pool, arrays, gemm)
+        for name, got, want in zip(("out", "x", "weight", "bias"), fused, separate):
+            assert got.dtype == want.dtype and got.shape == want.shape, name
+            assert got.tobytes() == want.tobytes(), f"{name} differs"
+
+        out, gx = fused[0], fused[1]
+        if kind == "nan":  # some bins are NaN, and they pass no gradient to x
+            assert np.isnan(out).any() and not np.isnan(out).all()
+        elif kind == "signed-zero":
+            assert (out == 0).all() and not gx.any()
+        else:
+            assert (out > 0).any() and gx.any()
+
+    @pytest.mark.parametrize("gemm", [False, True], ids=["reference", "gemm"])
+    @pytest.mark.parametrize("kind", ["random", "integer"])
+    @pytest.mark.parametrize("case", CASES)
+    def test_pool_without_relu(self, case, kind, gemm):
+        """Negative maxima, which a ReLU would clamp, pass their gradient."""
+        op, pool, arrays = make_case(case, kind, np.float32, seed=len(case))
+        arrays[2] -= 10  # bias
+        fused, separate = fused_and_separate(op, pool, arrays, gemm, relu=False)
+        for got, want in zip(fused, separate):
+            assert got.tobytes() == want.tobytes()
+        assert (fused[0] < 0).any() and fused[1].any()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_integer_inputs_tie(self, dtype):
+        """The integer cases hold bins with several maxima, where only the
+        first may receive the gradient."""
+        op, pool, arrays = make_case("conv2d-2x2-dropped-edges", "integer", dtype, seed=0)
+        y = op(*[Tensor(a) for a in arrays], relu=True).data
+        bins = y[:, :6, :8].reshape(3, 3, 2, 4, 2)
+        assert ((bins == bins.max(axis=(2, 4), keepdims=True)).sum(axis=(2, 4)) > 1).any()
+
+    @pytest.mark.parametrize("gemm", [False, True], ids=["reference", "gemm"])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_conv1d_gradients(self, seed, gemm):
+        rng = np.random.default_rng(7300 + seed)
+        stride = (1, 2, 5)[seed]
+        x = Tensor(rng.standard_normal((2, 12 * stride + 3)), requires_grad=True)
+        w = Tensor(rng.standard_normal((2, 2, 3)), requires_grad=True)
+        b = Tensor(rng.standard_normal(2), requires_grad=True)
+        with ops.gemm_kernels(gemm):
+            check_op_gradients(lambda: ops.conv1d(x, w, b, stride=stride, relu=True, pool=5),
+                               [x, w, b], seed=seed)
+
+    @pytest.mark.parametrize("gemm", [False, True], ids=["reference", "gemm"])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_conv2d_gradients(self, seed, gemm):
+        rng = np.random.default_rng(7400 + seed)
+        x = Tensor(rng.standard_normal((2, 5 + seed, 6)), requires_grad=True)
+        w = Tensor(rng.standard_normal((2, 2, 3, 3)), requires_grad=True)
+        b = Tensor(rng.standard_normal(2), requires_grad=True)
+        with ops.gemm_kernels(gemm):
+            check_op_gradients(lambda: ops.conv2d(x, w, b, relu=True, pool=(2, 2)),
+                               [x, w, b], seed=seed)
+
+    @pytest.mark.parametrize("gemm", [False, True], ids=["reference", "gemm"])
+    @pytest.mark.parametrize("conv", ["conv1d", "conv2d"])
+    def test_node_keeps_pooled_output_and_index(self, conv, gemm):
+        """The unpooled map does not outlive forward: the node holds the
+        pooled output, one index byte per bin and its Python objects, far
+        less than the map."""
+        rng = np.random.default_rng(4)
+        if conv == "conv1d":  # 4 x 3998 outputs pooled to 4 x 200
+            x, w = rng.standard_normal((1, 4000)), rng.standard_normal((4, 1, 3))
+            op = lambda *a: ops.conv1d(*a, relu=True, pool=200)
+            unpooled = 4 * 3998 * 8
+        else:  # 4 x 40 x 40 outputs pooled to 4 x 10 x 10
+            x, w = rng.standard_normal((1, 40, 40)), rng.standard_normal((4, 1, 3, 3))
+            op = lambda *a: ops.conv2d(*a, relu=True, pool=(4, 4))
+            unpooled = 4 * 40 * 40 * 8
+        inputs = [Tensor(x, requires_grad=True), Tensor(w, requires_grad=True),
+                  Tensor(np.zeros(4), requires_grad=True)]
+        with ops.gemm_kernels(gemm):
+            op(*inputs)  # first-call allocations stay out of the count
+            tracemalloc.start()
+            try:
+                out = op(*inputs)
+                held = tracemalloc.get_traced_memory()[0]
+            finally:
+                tracemalloc.stop()
+        kept = out.data.nbytes + out.data.size  # float64 output and uint8 index
+        assert kept <= held < kept + unpooled // 8, (held, kept)
+
+
+class TestPoolIndex:
+    def test_uint8_for_2x2_windows(self):
+        a = np.random.default_rng(0).standard_normal((2, 6, 8))
+        _, index = ops._window_pool(a.shape, (2, 2)).forward(a, record=True)
+        assert index.dtype == np.uint8 and index.shape == (2, 3, 4)
+
+    def test_uint8_for_150_tap_bins(self):
+        """The full-scale front end: 66138 samples in 441 bins of 149 and 150."""
+        a = np.random.default_rng(1).standard_normal((2, 66138)).astype(np.float32)
+        pool = ops._adaptive_pool(a.shape, 441, axis=1)
+        _, index = pool.forward(a, record=True)
+        assert len(pool.offsets) == 150
+        assert index.dtype == np.uint8 and index.max() == 149
+
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_uint16_for_bins_wider_than_255_taps(self, axis):
+        a = np.zeros((256, 3)) if axis == 0 else np.zeros((3, 512))
+        a[-1] = 1.0  # along axis 0, the last tap of every bin wins
+        pool = ops._adaptive_pool(a.shape, a.shape[axis] // 256, axis=axis)
+        _, index = pool.forward(a, record=True)
+        assert len(pool.offsets) == 256 and index.dtype == np.uint16
+        if axis == 0:
+            assert (index == 255).all()
+
+    def test_nan_bin_keeps_the_sentinel(self):
+        a = np.array([[[1.0, np.nan, 2.0, 3.0]]])
+        pool = ops._window_pool(a.shape, (1, 2))
+        out, index = pool.forward(a, record=True)
+        assert index.tolist() == [[[2, 1]]]
+        assert pool.scatter(np.array([[[5.0, 6.0]]]), index).tolist() == [[[0.0, 0.0, 0.0, 6.0]]]
+
+    @pytest.mark.parametrize("record", [False, True])
+    @pytest.mark.parametrize("kind", ["window", "bins"])
+    def test_forward_allocates_index_only_when_recording(self, kind, record):
+        """Without recording, a pool's forward peaks at its output and
+        numpy's strided-loop buffer, less than half an index more."""
+        a = np.random.default_rng(3).standard_normal((1, 800, 800)).astype(np.float32)
+        pool = (ops._window_pool(a.shape, (2, 2)) if kind == "window"
+                else ops._adaptive_pool(a.shape, 100, axis=2))
+        pool.forward(a, record)
+        tracemalloc.start()
+        try:
+            out, index = pool.forward(a, record)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (index is not None) == record
+        if record:
+            assert index.dtype == np.uint8 and peak >= out.nbytes + index.nbytes
+        else:
+            assert peak < out.nbytes + out.size // 2, (peak, out.nbytes)
+
+    @pytest.mark.parametrize("op", ["maxpool2d", "adaptive_maxpool", "conv1d", "conv2d"])
+    def test_no_grad_computes_no_index(self, op, monkeypatch):
+        calls = []
+        for cls in (ops._Pool, ops._BinPool):
+            def spy(self, a, record, forward=vars(cls)["forward"]):
+                out, index = forward(self, a, record)
+                calls.append((record, index))
+                return out, index
+            monkeypatch.setattr(cls, "forward", spy)
+        rng = np.random.default_rng(5)
+        x = Tensor(rng.standard_normal((2, 6, 8) if op.endswith("2d") else (2, 30)),
+                   requires_grad=True)
+        w, b = (Tensor(rng.standard_normal(s), requires_grad=True)
+                for s in ((2, 2, 3, 3) if op == "conv2d" else (2, 2, 3), (2,)))
+        call = {"maxpool2d": lambda: ops.maxpool2d(x, (2, 2)),
+                "adaptive_maxpool": lambda: ops.adaptive_maxpool(x, 4, axis=1),
+                "conv1d": lambda: ops.conv1d(x, w, b, relu=True, pool=4),
+                "conv2d": lambda: ops.conv2d(x, w, b, relu=True, pool=(2, 2))}[op]
+        with no_grad():
+            assert not call().requires_grad
+        assert calls == [(False, None)]
+        assert call().requires_grad
+        assert calls[1][0] and calls[1][1].dtype == np.uint8
+
+
+class TestPoolArguments:
+    """A bad ``pool=`` raises what the standalone pool raises, before any
+    convolution work."""
+
+    @pytest.fixture
+    def no_conv(self, monkeypatch):
+        def fail(*args):
+            raise AssertionError("convolution ran")
+        monkeypatch.setattr(ops, "_conv", fail)
+
+    @pytest.mark.parametrize("pool,error", [(0, ValueError), (-3, ValueError), (99, ShapeError)])
+    def test_conv1d(self, pool, error, no_conv):
+        x, w, b = Tensor(np.ones((1, 100))), Tensor(np.ones((2, 1, 3))), Tensor(np.ones(2))
+        with pytest.raises(error) as standalone:
+            ops.adaptive_maxpool(Tensor(np.ones((2, 98))), pool, axis=1)
+        with pytest.raises(error) as fused:
+            ops.conv1d(x, w, b, relu=True, pool=pool)
+        assert str(fused.value) == str(standalone.value)
+
+    @pytest.mark.parametrize("pool,error", [((0, 2), ValueError), ((2, -1), ValueError),
+                                            ((7, 2), ShapeError), ((2, 9), ShapeError)])
+    def test_conv2d(self, pool, error, no_conv):
+        x, w, b = Tensor(np.ones((1, 6, 8))), Tensor(np.ones((2, 1, 3, 3))), Tensor(np.ones(2))
+        with pytest.raises(error) as standalone:
+            ops.maxpool2d(Tensor(np.ones((2, 6, 8))), pool)
+        with pytest.raises(error) as fused:
+            ops.conv2d(x, w, b, relu=True, pool=pool)
+        assert str(fused.value) == str(standalone.value)

@@ -301,3 +301,53 @@ class TestGraphMemory:
                   + cfg.fc_input_dim() + 2 * cfg.fc_hidden + cfg.num_classes)
         bound = 1.25 * (conv + pooled) * np.dtype(np.float32).itemsize
         assert held < bound, f"window graph holds {held} bytes, bound {bound:.0f}"
+
+
+def recorded_window_bytes(cfg, gemm, warm_up=True):
+    """Bytes that one recorded forward of a window holds under tracemalloc."""
+    model = build_model(cfg, seed=0)
+    wave = np.random.default_rng(0).standard_normal(cfg.window_length).astype(np.float32)
+    with ops.gemm_kernels(gemm):
+        if warm_up:
+            model.forward(wave)  # first-call allocations stay out of the count
+        tracemalloc.start()
+        try:
+            logits = model.forward(wave)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+    assert logits.requires_grad
+    return held
+
+
+class TestPooledGraphMemory:
+    """Every phase and level conv pools inside its node, which keeps the
+    pooled map and a first-hit index but not the conv output."""
+
+    @pytest.mark.parametrize("gemm", [False, True], ids=["reference", "gemm"])
+    def test_desk_window_holds_pooled_maps_and_indices(self, gemm):
+        """A desk window holds each branch's first conv output, the pooled
+        phase maps and their stack, the pooled level maps, the head and one
+        uint8 index entry per pooled bin. A quarter on top covers the
+        Python objects, as in :class:`TestGraphMemory`; it holds 1.17x. A
+        phase or level conv output kept beside its pooled map would more
+        than double the total."""
+        cfg = desk_model_config()
+        held = recorded_window_bytes(cfg, gemm)
+
+        branch = sum(b.num_filters * ((cfg.window_length - b.filter_len) // b.stride + 1)
+                     for b in cfg.branches)
+        frontend = cfg.frontend_rows * cfg.frontend_time_bins
+        maps = cfg.level_map_shapes()
+        th, tw = cfg.level_pool_target
+        head = sum(maps[i][0] * th * (maps[i][2] + tw) for i in cfg.selected_levels())
+        levels = sum(c * h * w for c, h, w in maps)
+        values = (branch + 2 * frontend + levels + head
+                  + cfg.fc_input_dim() + 2 * cfg.fc_hidden + cfg.num_classes)
+        bins = frontend + levels + head
+        bound = 1.25 * (values * np.dtype(np.float32).itemsize + bins)
+        assert held < bound, f"window graph holds {held} bytes, bound {bound:.0f}"
+
+    def test_full_scale_window_under_20_mib(self):
+        held = recorded_window_bytes(full_scale_config(5), gemm=True, warm_up=False)
+        assert held <= 20 * 2 ** 20, f"window graph holds {held / 2 ** 20:.2f} MiB"
