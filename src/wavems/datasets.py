@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -155,7 +156,11 @@ def synth_dataset(num_classes: int, clips_per_class: int, clip_seconds: float,
             f"class {num_classes - 1} band edge {top_edge:.0f} Hz reaches Nyquist "
             f"({sample_rate / 2:.0f} Hz); raise sample_rate or lower num_classes")
 
-    n_samples = int(round(clip_seconds * sample_rate))
+    span = clip_seconds * sample_rate
+    if not math.isfinite(span) or round(span) < 1:
+        raise ValueError(f"clip_seconds must be finite and give at least one sample "
+                         f"at {sample_rate} Hz, got {clip_seconds}")
+    n_samples = int(round(span))
     entries: list[ManifestEntry] = []
     clips: dict[str, AudioClip] = {}
     for label in range(num_classes):

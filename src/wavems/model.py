@@ -247,40 +247,27 @@ class Model:
             y = ops.conv1d(y, self.param(f"branch{i}.phase.weight").value,
                            self.param(f"branch{i}.phase.bias").value,
                            stride=cfg.phase_stride, relu=True, pool=cfg.frontend_time_bins)
-            if y.shape != (b.num_filters, cfg.frontend_time_bins):
-                raise ShapeError(f"branch {i} produced {y.shape}, "
-                                 f"expected {(b.num_filters, cfg.frontend_time_bins)}")
             pooled.append(y)
-        stacked = ops.concat(pooled, axis=0)
-        out = ops.reshape(stacked, (1, cfg.frontend_rows, cfg.frontend_time_bins))
-        if out.shape != cfg.frontend_shape():
-            raise ShapeError(f"frontend produced {out.shape}, expected {cfg.frontend_shape()}")
-        return out
+        return ops.reshape(ops.concat(pooled, axis=0), cfg.frontend_shape())
 
     def forward_backend(self, featmap: Tensor) -> tuple[Tensor, list[Tensor]]:
         """Feature image -> (logits, all level maps)."""
         cfg = self.config
         if featmap.shape != cfg.frontend_shape():
             raise ShapeError(f"featmap shape {featmap.shape} != {cfg.frontend_shape()}")
-        expected = cfg.level_map_shapes()
         x = featmap
         level_maps: list[Tensor] = []
         for l, window in enumerate(cfg.level_pool_windows, start=1):
             x = ops.conv2d(x, self.param(f"conv{l}.weight").value,
                            self.param(f"conv{l}.bias").value, relu=True, pool=window)
-            if x.shape != expected[l - 1]:
-                raise ShapeError(f"level {l} map {x.shape}, expected {expected[l - 1]}")
             level_maps.append(x)
 
+        # flattening the channel stack lays out each level's flattened map in turn
         th, tw = cfg.level_pool_target
-        flat = []
-        for idx in cfg.selected_levels():
-            m = ops.adaptive_maxpool(level_maps[idx], th, axis=1)
-            m = ops.adaptive_maxpool(m, tw, axis=2)
-            flat.append(ops.reshape(m, (cfg.conv_channels[idx] * th * tw,)))
-        features = ops.concat(flat, axis=0)
-        if features.shape != (cfg.fc_input_dim(),):
-            raise ShapeError(f"fc input {features.shape}, expected ({cfg.fc_input_dim()},)")
+        pooled = [ops.adaptive_maxpool(ops.adaptive_maxpool(level_maps[idx], th, axis=1),
+                                       tw, axis=2)
+                  for idx in cfg.selected_levels()]
+        features = ops.reshape(ops.concat(pooled, axis=0), (cfg.fc_input_dim(),))
 
         h = ops.relu(ops.linear(features, self.param("fc1.weight").value,
                                 self.param("fc1.bias").value))

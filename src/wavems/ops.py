@@ -25,15 +25,20 @@ one of two forward kernels:
 Convolutions view their input, once per call, as a tap-leading window
 array (C, *taps, P, *S): element [c, *t, p, *s] is the input element under
 tap t of output position (p, *s), read through the input's own strides with
-no copy. They have two kernel families. The reference kernels, the default,
-accumulate taps in a fixed (channel, tap) order, so their results are
-bit-identical to a sequential nested-loop evaluation at the same precision,
-on any BLAS and at any thread count. Inside :class:`gemm_kernels` both
-convolutions instead copy that view into im2col columns and run one matrix
-multiply per chunk of output positions; a chunk's columns hold at most the
-larger of the output's size and a fixed budget of elements, so a small
-layer is one chunk. That is many times faster, but the summation order is
-BLAS's: results agree with the reference kernels to rounding and repeat bit
+no copy. They have two kernel families. The reference kernels, the
+default, run the forward one (channel, tap) term at a time in a fixed
+order, so their outputs are bit-identical to a sequential nested-loop
+evaluation at the same precision. Inside :class:`gemm_kernels` the forward
+instead copies that view into im2col columns and runs one matrix multiply
+per chunk of output positions; a chunk's columns hold at most the larger
+of the output's size and a fixed budget of elements, so a small layer is
+one chunk. Both families share one backward over the same chunks: the
+weight-gradient and column-gradient products, then one scatter per tap.
+The GEMM family multiplies with ``np.matmul`` (BLAS); the reference family
+with numpy's einsum loops (:func:`_ordered_matmul`). So no reference
+convolution, forward or backward, calls BLAS, and its bits depend on
+neither the BLAS build nor its thread count. The GEMM family is many times
+faster and agrees with the reference family to rounding, but repeats bit
 for bit only with the same BLAS build and thread count. The choice is per
 thread.
 
@@ -214,6 +219,12 @@ def _terms(channels: int, taps: tuple[int, ...]):
             yield (slice(None), c) + tap, (c,) + tap
 
 
+def _ordered_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a @ b`` by numpy's own single-threaded einsum loops, which call no
+    BLAS, so the bits do not depend on the BLAS build or its thread count."""
+    return np.einsum("ij,jk->ik", a, b)
+
+
 def _conv(x: Tensor, weight: Tensor, bias: Tensor, stride: int, pad: int,
           relu: bool, pool: _Pool | None) -> Tensor:
     """One convolution node, in the kernel family selected when it is built,
@@ -227,17 +238,23 @@ def _conv(x: Tensor, weight: Tensor, bias: Tensor, stride: int, pad: int,
     writes the source's gradient through the same view of a zero array,
     whose unpadded part is ``x``'s gradient.
 
-    The reference family starts each output from its bias and adds one
-    (channel, tap) term at a time, in the order of :func:`_terms`; each term
-    reads the same elements as a nested-loop evaluation, so results are
-    bit-reproducible on any BLAS. The GEMM family (inside
-    :class:`gemm_kernels`) multiplies the (F, C*taps) weights by im2col
-    columns one chunk of P at a time and adds the bias last; backward
-    rebuilds the columns rather than keeping them, and builds its per-tap
-    index list only when ``x`` needs a gradient. A chunk's (C*taps, n)
-    column buffer holds at most max(output size, ``_COLUMN_BUDGET``)
-    elements, and at least one row of P. The chunk rule fixes each matmul's
-    operands, so it also fixes the result bits.
+    Forward differs by family. The reference family starts each output
+    from its bias and adds one (channel, tap) term at a time, in the order
+    of :func:`_terms`; each term reads the same elements as a nested-loop
+    evaluation, so the output is bit-exact against one. The GEMM family
+    (inside :class:`gemm_kernels`) multiplies the (F, C*taps) weights by
+    im2col columns one chunk of P at a time and adds the bias last. A
+    chunk's (C*taps, n) column buffer holds at most max(output size,
+    ``_COLUMN_BUDGET``) elements, and at least one row of P.
+
+    Backward is one algorithm for both families, over the same chunks: it
+    rebuilds each chunk's columns rather than keeping them, multiplies the
+    output gradient by them for the weight gradient and by the weights for
+    the column gradient, and adds the latter to the source's gradient one
+    tap at a time; the per-tap index list is built only when ``x`` needs a
+    gradient. The family picks only the product: ``np.matmul`` for GEMM,
+    :func:`_ordered_matmul` (no BLAS) for the reference. The chunk rule
+    fixes each product's operands, so it also fixes the result bits.
 
     With ``relu`` set, both families clamp the biased output at 0 in place,
     and backward passes the output gradient only where the output is above
@@ -261,50 +278,27 @@ def _conv(x: Tensor, weight: Tensor, bias: Tensor, stride: int, pad: int,
     win = _windows(_padded(x.data, pad), taps, stride)
     out = np.empty((fout,) + win.shape[1 + len(taps):], dtype=win.dtype)
     col = (fout,) + (1,) * (out.ndim - 1)  # a per-filter value against the output
+    w2 = wd.reshape(fout, -1)
+    flat = out.reshape(fout, -1)
+    rows, per_row = out.shape[1], flat.shape[1] // out.shape[1]
+    # rows of P per chunk, so that depth * step * per_row <= max(|out|, budget)
+    step = max(1, max(out.size, _COLUMN_BUDGET) // (w2.shape[1] * per_row))
+    chunks = [slice(lo, min(lo + step, rows)) for lo in range(0, rows, step)]
+    lead = (slice(None),) * (1 + len(taps))  # the (C, *taps) axes of a window view
+
+    def columns(win: np.ndarray, p: slice) -> np.ndarray:
+        return win[lead + (p,)].reshape(w2.shape[1], -1)
 
     if _kernels.gemm:
-        w2 = wd.reshape(fout, -1)
-        flat = out.reshape(fout, -1)
-        rows, per_row = out.shape[1], flat.shape[1] // out.shape[1]
-        # rows of P per chunk, so that depth * step * per_row <= max(|out|, budget)
-        step = max(1, max(out.size, _COLUMN_BUDGET) // (w2.shape[1] * per_row))
-        chunks = [slice(lo, min(lo + step, rows)) for lo in range(0, rows, step)]
-        lead = (slice(None),) * (1 + len(taps))  # the (C, *taps) axes of a window view
-
-        def columns(win: np.ndarray, p: slice) -> np.ndarray:
-            return win[lead + (p,)].reshape(w2.shape[1], -1)
-
+        matmul = np.matmul
         for p in chunks:  # straight into the output, no product temporary
             np.matmul(w2, columns(win, p), out=flat[:, p.start * per_row:p.stop * per_row])
         out += bias.data.reshape(col)
-
-        def grads(g: np.ndarray, win: np.ndarray, gw, gwin) -> None:
-            gw2 = None if gw is None else gw.reshape(fout, -1)
-            if gwin is not None:
-                tap_index = [(slice(None),) + tap
-                             for tap in itertools.product(*map(range, taps))]
-            for p in chunks:
-                gc = g[:, p].reshape(fout, -1)
-                if gw2 is not None:
-                    gw2 += gc @ columns(win, p).T
-                if gwin is not None:
-                    target = gwin[lead + (p,)]
-                    gcols = (w2.T @ gc).reshape(target.shape)
-                    # one add per tap: within a tap no two positions share an element
-                    for tap in tap_index:
-                        target[tap] += gcols[tap]
     else:
+        matmul = _ordered_matmul
         out[...] = bias.data.reshape(col)
         for wi, xi in _terms(win.shape[0], taps):
             out += wd[wi].reshape(col) * win[xi]
-
-        def grads(g: np.ndarray, win: np.ndarray, gw, gwin) -> None:
-            gflat = g.reshape(fout, -1)
-            for wi, xi in _terms(win.shape[0], taps):
-                if gwin is not None:
-                    gwin[xi] += (wd[wi] @ gflat).reshape(g.shape[1:])
-                if gw is not None:
-                    gw[wi] = gflat @ win[xi].reshape(-1)
 
     if relu:
         np.maximum(out, 0, out=out)
@@ -318,11 +312,24 @@ def _conv(x: Tensor, weight: Tensor, bias: Tensor, stride: int, pad: int,
         if pool is not None:
             g = pool.scatter(g, index)
         src = _padded(x.data, pad)
-        gw = np.zeros(wd.shape, dtype=wd.dtype) if weight.requires_grad else None
+        win = _windows(src, taps, stride)
+        gw = np.zeros_like(w2) if weight.requires_grad else None
         gsrc = np.zeros_like(src) if x.requires_grad else None
-        grads(g, _windows(src, taps, stride), gw,
-              None if gsrc is None else _windows(gsrc, taps, stride, writeable=True))
-        return (None if gsrc is None else _unpadded(gsrc, pad), gw,
+        if gsrc is not None:
+            gwin = _windows(gsrc, taps, stride, writeable=True)
+            tap_index = [(slice(None),) + tap for tap in itertools.product(*map(range, taps))]
+        for p in chunks:
+            gc = g[:, p].reshape(fout, -1)
+            if gw is not None:
+                gw += matmul(gc, columns(win, p).T)
+            if gsrc is not None:
+                target = gwin[lead + (p,)]
+                gcols = matmul(w2.T, gc).reshape(target.shape)
+                # one add per tap: within a tap no two positions share an element
+                for tap in tap_index:
+                    target[tap] += gcols[tap]
+        return (None if gsrc is None else _unpadded(gsrc, pad),
+                None if gw is None else gw.reshape(wd.shape),
                 g.reshape(fout, -1).sum(axis=1))
 
     return make_node(out, (x, weight, bias), _bw)

@@ -111,3 +111,41 @@ def adaptive_maxpool_grad_oracle(x, target, axis, g):
                     best = p
             gx[idx + (best,)] = gm[idx + (i,)]
     return np.moveaxis(gx, -1, axis)
+
+
+def conv1d_grad_oracle(x, w, stride, g):
+    """Gradients (x, weight, bias) of conv1d for output gradient ``g``: each
+    output's gradient, times the weight under a tap, goes to the input
+    element under that tap, and times that input element, to the weight."""
+    cin, _ = x.shape
+    fout, _, k = w.shape
+    gx, gw, gb = np.zeros_like(x), np.zeros_like(w), np.zeros(fout, dtype=g.dtype)
+    for f in range(fout):
+        for t in range(g.shape[1]):
+            gb[f] = gb[f] + g[f, t]
+            for c in range(cin):
+                for j in range(k):
+                    gx[c, t * stride + j] = gx[c, t * stride + j] + g[f, t] * w[f, c, j]
+                    gw[f, c, j] = gw[f, c, j] + g[f, t] * x[c, t * stride + j]
+    return gx, gw, gb
+
+
+def conv2d_grad_oracle(x, w, g):
+    """Gradients (x, weight, bias) of the zero-padded 3x3 conv2d for output
+    gradient ``g``; taps that fall on the padding pass nothing to ``x``."""
+    cin, h, wd = x.shape
+    fout = w.shape[0]
+    xpad = np.zeros((cin, h + 2, wd + 2), dtype=x.dtype)
+    xpad[:, 1:-1, 1:-1] = x
+    gxpad, gw, gb = np.zeros_like(xpad), np.zeros_like(w), np.zeros(fout, dtype=g.dtype)
+    for f in range(fout):
+        for r in range(h):
+            for s in range(wd):
+                gb[f] = gb[f] + g[f, r, s]
+                for c in range(cin):
+                    for i in range(3):
+                        for j in range(3):
+                            gxpad[c, r + i, s + j] = gxpad[c, r + i, s + j] \
+                                + g[f, r, s] * w[f, c, i, j]
+                            gw[f, c, i, j] = gw[f, c, i, j] + g[f, r, s] * xpad[c, r + i, s + j]
+    return gxpad[:, 1:-1, 1:-1], gw, gb

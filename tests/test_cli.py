@@ -307,6 +307,14 @@ class TestBadInputExitCodes:
         assert main(["inspect", "--ckpt", str(path)]) == 1
         assert "RNG words" in self._assert_error_line(capsys)
 
+    @pytest.mark.parametrize("seconds", ["inf", "nan", "1e-9"])
+    def test_synth_unusable_seconds_exit_2(self, tmp_path, capsys, seconds):
+        rc = main(["synth", "--out", str(tmp_path / "data"), "--classes", "2",
+                   "--clips-per-class", "1", "--seconds", seconds, "--rate", "4410"])
+        assert rc == 2
+        err = self._assert_error_line(capsys)
+        assert "at least one sample" in err and len(err.splitlines()) == 1
+
     def test_eval_class_count_mismatch_exits_2(self, tmp_path, capsys):
         ckpt = self._checkpoint(tmp_path, num_classes=3)
         data = tmp_path / "data"

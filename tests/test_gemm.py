@@ -15,7 +15,7 @@ from wavems.training import train, train_epoch
 
 from conftest import desk_model_config, tiny_model_config
 from gradcheck import check_op_gradients, weighted_sum
-from oracles import conv2d_oracle
+from oracles import conv1d_grad_oracle, conv2d_grad_oracle, conv2d_oracle
 from test_training import micro_corpus, micro_train_config
 
 
@@ -197,6 +197,46 @@ class TestAgreement:
         with ops.gemm_kernels():
             model.forward(np.zeros(model.config.window_length, dtype=np.float32))
         assert len(forward_chunks) == 10  # six branch convs, four levels
+
+
+class TestGradientOracles:
+    """Both families' gradients against nested-loop oracles, in float64:
+    the two families share one backward, so their agreement alone would
+    not catch a fault in it."""
+
+    @staticmethod
+    def assert_matches_oracle(op, arrays, oracle, gemm, seed):
+        with ops.gemm_kernels(gemm):
+            shape = op(*[Tensor(a) for a in arrays]).shape
+        g = np.random.default_rng(seed).standard_normal(shape)
+        _, *got = run_op(op, arrays, g, gemm)
+        for name, have, want in zip(("x", "weight", "bias"), got, oracle(g)):
+            assert have.shape == want.shape
+            assert rel_err(have, want) <= 1e-12, f"{name}: {rel_err(have, want):.3g}"
+
+    @pytest.mark.parametrize("split", [False, True], ids=["budget", "no_budget"])
+    @pytest.mark.parametrize("gemm", [False, True], ids=["reference", "gemm"])
+    @pytest.mark.parametrize("stride", [1, 5, 10])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_conv1d(self, seed, stride, gemm, split, monkeypatch):
+        if split:
+            monkeypatch.setattr(ops, "_COLUMN_BUDGET", 0)
+        op, arrays = conv1d_case(np.random.default_rng(700 + 10 * seed + stride),
+                                 np.float64, stride)
+        x, w, _ = arrays
+        self.assert_matches_oracle(op, arrays, lambda g: conv1d_grad_oracle(x, w, stride, g),
+                                   gemm, seed)
+
+    @pytest.mark.parametrize("split", [False, True], ids=["budget", "no_budget"])
+    @pytest.mark.parametrize("gemm", [False, True], ids=["reference", "gemm"])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_conv2d(self, seed, gemm, split, monkeypatch):
+        if split:
+            monkeypatch.setattr(ops, "_COLUMN_BUDGET", 0)
+        op, arrays = conv2d_case(np.random.default_rng(800 + seed), np.float64)
+        x, w, _ = arrays
+        self.assert_matches_oracle(op, arrays, lambda g: conv2d_grad_oracle(x, w, g),
+                                   gemm, seed)
 
 
 class TestWindows:
