@@ -285,9 +285,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fold", type=int, required=True)
     p.add_argument("--out", required=True, help="checkpoint path")
     p.add_argument("--deterministic", action="store_true",
-                   help="use the tap-ordered reference convolution kernels, "
-                        "which make no BLAS call (the default GEMM kernels "
-                        "repeat only at a fixed BLAS thread count); "
+                   help="use the reference kernels (tap-ordered convolutions, "
+                        "linear layers), which make no BLAS call (the default "
+                        "GEMM kernels repeat only at a fixed BLAS thread count); "
                         "eval follows the checkpoint's setting")
     p.add_argument("--checkpoint-every", type=_positive_int, default=None)
     p.add_argument("--threads", type=_positive_int, default=1,

@@ -34,13 +34,14 @@ per chunk of output positions; a chunk's columns hold at most the larger
 of the output's size and a fixed budget of elements, so a small layer is
 one chunk. Both families share one backward over the same chunks: the
 weight-gradient and column-gradient products, then one scatter per tap.
-The GEMM family multiplies with ``np.matmul`` (BLAS); the reference family
-with numpy's einsum loops (:func:`_ordered_matmul`). So no reference
-convolution, forward or backward, calls BLAS, and its bits depend on
-neither the BLAS build nor its thread count. The GEMM family is many times
-faster and agrees with the reference family to rounding, but repeats bit
-for bit only with the same BLAS build and thread count. The choice is per
-thread.
+The family picks the product, for convolutions and for :func:`linear`
+alike: the GEMM family multiplies with BLAS (``np.matmul``, ``@``), the
+reference family with numpy's einsum loops (:func:`_ordered_matmul`). So
+no reference kernel, forward or backward, calls BLAS, and its bits depend
+on neither the BLAS build, nor the CPU kernel BLAS picks, nor its thread
+count. The GEMM family is many times faster and agrees with the reference
+family to rounding, but repeats bit for bit only with the same BLAS build
+and thread count. The choice is per thread.
 
 Both convolutions take ``relu=True`` to apply max(0, .) inside the same
 node, with the same results as :func:`relu` on their output, and ``pool=``
@@ -74,10 +75,10 @@ _kernels = _KernelChoice()
 
 
 class gemm_kernels:
-    """Context manager that routes :func:`conv1d` and :func:`conv2d` to
-    their GEMM kernels in the calling thread; ``gemm_kernels(False)``
-    selects the reference kernels instead. The previous choice returns on
-    exit.
+    """Context manager that routes :func:`conv1d`, :func:`conv2d` and
+    :func:`linear` to their GEMM kernels in the calling thread;
+    ``gemm_kernels(False)`` selects the reference kernels instead. The
+    previous choice returns on exit.
     """
 
     def __init__(self, enabled: bool = True):
@@ -94,7 +95,8 @@ class gemm_kernels:
 
 
 def gemm_enabled() -> bool:
-    """Whether convolutions in the calling thread use the GEMM kernels."""
+    """Whether convolutions and :func:`linear` in the calling thread use the
+    GEMM kernels."""
     return _kernels.gemm
 
 
@@ -506,7 +508,13 @@ def relu(x: Tensor) -> Tensor:
 
 
 def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
-    """Affine map: weight (O, D) @ x (D,) + bias (O,)."""
+    """Affine map: weight (O, D) @ x (D,) + bias (O,).
+
+    The kernel family selected when the node is built picks the products
+    of forward and of the input gradient: BLAS matrix-vector products for
+    GEMM, :func:`_ordered_matmul` (no BLAS) for the reference family. The
+    weight gradient is ``np.outer`` in both.
+    """
     _check_dtypes(x, weight, bias)
     if x.data.ndim != 1 or weight.data.ndim != 2 or bias.data.ndim != 1:
         raise ShapeError(
@@ -516,11 +524,14 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
         raise ShapeError(
             f"linear dimension mismatch: x {x.shape}, weight {weight.shape}, bias {bias.shape}")
 
-    out = weight.data @ x.data + bias.data
+    w, gemm = weight.data, _kernels.gemm
+    out = (w @ x.data if gemm else _ordered_matmul(w, x.data[:, None])[:, 0]) + bias.data
 
     def _bw(g: np.ndarray):
-        return (g @ weight.data if x.requires_grad else None,
-                np.outer(g, x.data) if weight.requires_grad else None, g)
+        gx = None
+        if x.requires_grad:
+            gx = g @ w if gemm else _ordered_matmul(g[None], w)[0]
+        return gx, np.outer(g, x.data) if weight.requires_grad else None, g
 
     return make_node(out, (x, weight, bias), _bw)
 
@@ -594,28 +605,33 @@ def tsum(x: Tensor) -> Tensor:
     return make_node(out, (x,), _bw)
 
 
-def softmax_cross_entropy(logits: Tensor, label: int) -> Tensor:
-    """Cross-entropy of softmax(logits) against a class index.
+def softmax_cross_entropy(logits: Tensor, labels) -> Tensor:
+    """Mean cross-entropy of softmax over (K,) logits with one int label,
+    or over (B, K) logits with a sequence of B, each label in [0, K).
 
-    Computed with max-subtraction so large logits cannot overflow.
-    Gradient is softmax(logits) - onehot(label).
+    Rows are max-subtracted, so large logits cannot overflow. Their losses
+    are summed in row order, then times 1/B: the bits of per-row nodes
+    chained by :func:`add` and :func:`scale`. Gradient: (softmax - onehot) / B.
     """
-    if logits.data.ndim != 1:
-        raise ShapeError(f"logits must be 1-D, got {logits.shape}")
-    k = logits.shape[0]
-    if not 0 <= label < k:
-        raise ValueError(f"label {label} out of range for {k} classes")
+    if logits.data.ndim not in (1, 2) or not logits.size:
+        raise ShapeError(f"logits must be non-empty (K,) or (B, K), got {logits.shape}")
+    k, rows = logits.shape[-1], np.asarray(labels)
+    if rows.dtype.kind not in "iu" or rows.shape != logits.shape[:-1] \
+            or not np.all((0 <= rows) & (rows < k)):
+        raise ValueError(f"labels {labels!r}: need ints in [0, {k}), one per row of {logits.shape}")
 
-    z = logits.data - logits.data.max()
+    z = logits.data.reshape(-1, k)
+    z = z - z.max(axis=1, keepdims=True)
     ez = np.exp(z)
-    denom = ez.sum()
+    denom = ez.sum(axis=1, keepdims=True)
     p = ez / denom
-    loss = np.log(denom) - z[label]
+    picked, share = (np.arange(len(z)), rows.reshape(-1)), 1.0 / len(z)
+    loss = np.cumsum(np.log(denom[:, 0]) - z[picked])[-1] * share  # sequential, not pairwise
 
     def _bw(g: np.ndarray):
         gl = p.copy()
-        gl[label] -= 1
-        return (gl * g,)
+        gl[picked] -= 1
+        return ((gl * (g * share)).reshape(logits.shape),)
 
     return make_node(np.asarray(loss, dtype=logits.data.dtype), (logits,), _bw)
 

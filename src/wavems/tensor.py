@@ -135,8 +135,8 @@ def backward(loss: Tensor) -> None:
     if loss.shape != ():
         raise ShapeError(f"backward requires a scalar loss, got shape {loss.shape}")
 
-    # Iterative post-order topological sort; graphs can be deep when a batch
-    # loss is chained from many per-sample terms.
+    # Iterative post-order topological sort, so a deep graph (a long
+    # ``ops.add`` chain, say) does not meet Python's recursion limit.
     topo: list[Tensor] = []
     visited: set[int] = set()
     stack: list[tuple[Tensor, bool]] = [(loss, False)]

@@ -36,7 +36,7 @@ class TrainConfig(Config):
     lr_stages: tuple[tuple[int, float], ...] = (
         (60, 1e-2), (60, 1e-3), (20, 1e-4), (20, 1e-5))
     seed: int = 0
-    deterministic: bool = False  # reference conv kernels, not GEMM (wavems.ops)
+    deterministic: bool = False  # reference kernels, not GEMM (wavems.ops)
 
     def validate(self) -> None:
         if self.epochs < 0:
@@ -77,8 +77,8 @@ def train_epoch(model: Model, entries: list[ManifestEntry],
                 config: TrainConfig) -> dict:
     """One pass: fresh random crop per entry, seeded shuffle, SGD per batch.
 
-    Convolutions run on the GEMM kernels unless ``config.deterministic``
-    asks for the reference kernels (see :mod:`wavems.ops`).
+    Convolutions and ``linear`` run on the GEMM kernels unless
+    ``config.deterministic`` asks for the reference kernels (:mod:`wavems.ops`).
 
     Returns {"epoch", "lr", "loss", "train_acc", "n_examples"}; loss is the
     mean per-crop cross-entropy over the epoch. A NaN or infinite batch loss
@@ -100,18 +100,13 @@ def train_epoch(model: Model, entries: list[ManifestEntry],
         for batch_lo in range(0, len(order), config.batch_size):
             batch = order[batch_lo:batch_lo + config.batch_size]
             zero_grads(params)
-            losses = []
-            for idx in batch:
-                entry = entries[int(idx)]
-                crop = random_crop(clips[entry.path], window, crop_rng, entry.label)
-                logits = model.forward(crop.samples)
-                if int(np.argmax(logits.data)) == entry.label:
-                    correct += 1
-                losses.append(ops.softmax_cross_entropy(logits, entry.label))
-            loss = losses[0]
-            for extra in losses[1:]:
-                loss = ops.add(loss, extra)
-            loss = ops.scale(loss, 1.0 / len(batch))
+            chosen = [entries[int(idx)] for idx in batch]
+            logits = ops.reshape(ops.concat(
+                [model.forward(random_crop(clips[e.path], window, crop_rng, e.label).samples)
+                 for e in chosen], axis=0), (len(batch), -1))
+            labels = [e.label for e in chosen]
+            correct += int((logits.data.argmax(axis=1) == labels).sum())
+            loss = ops.softmax_cross_entropy(logits, labels)
             if not np.isfinite(loss.data):
                 raise NonFiniteLossError(
                     f"non-finite loss {loss.item()} at epoch {epoch}, batch "
@@ -122,7 +117,7 @@ def train_epoch(model: Model, entries: list[ManifestEntry],
                      weight_decay=config.weight_decay)
             total_loss += loss.item() * len(batch)
             # free this step's graph before the next batch's forward
-            del loss, losses, logits
+            del loss, logits
 
     n = len(entries)
     return {"epoch": epoch, "lr": lr, "loss": total_loss / n,

@@ -2,6 +2,7 @@
 error contracts, and the optimizer update rule."""
 
 import math
+import re
 import threading
 import tracemalloc
 
@@ -433,6 +434,77 @@ class TestSoftmaxCrossEntropy:
         logits = t(rng.standard_normal(7) * 10, requires_grad=True)
         backward(ops.softmax_cross_entropy(logits, int(rng.integers(0, 7))))
         assert abs(logits.grad.sum()) < 1e-6
+
+
+class TestBatchedCrossEntropy:
+    """(B, K) logits with one label per row: the batch mean in one node."""
+
+    @staticmethod
+    def chained(rows: np.ndarray, labels: list[int]):
+        """Loss and logits gradient of per-row nodes, an ``add`` chain and a
+        ``scale`` by 1/B, the recipe the batch node replaces."""
+        leaves = [Tensor(row, requires_grad=True) for row in rows]
+        losses = [ops.softmax_cross_entropy(x, y) for x, y in zip(leaves, labels)]
+        total = losses[0]
+        for extra in losses[1:]:
+            total = ops.add(total, extra)
+        loss = ops.scale(total, 1.0 / len(losses))
+        backward(loss)
+        return loss.data, np.stack([x.grad for x in leaves])
+
+    @pytest.mark.parametrize("classes", [5, 50])
+    @pytest.mark.parametrize("batch", [1, 2, 32, 64])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_bits_match_the_per_row_chain(self, dtype, batch, classes):
+        rng = np.random.default_rng(9200 + batch + classes)
+        rows = (rng.standard_normal((batch, classes)) * 8).astype(dtype)
+        labels = [int(y) for y in rng.integers(0, classes, batch)]
+        want_loss, want_grad = self.chained(rows, labels)
+        logits = Tensor(rows.copy(), requires_grad=True)
+        loss = ops.softmax_cross_entropy(logits, labels)
+        backward(loss)
+        assert loss.shape == () and loss.dtype == dtype
+        assert loss.data.tobytes() == want_loss.tobytes()
+        assert logits.grad.dtype == dtype and logits.grad.tobytes() == want_grad.tobytes()
+
+    def test_vector_is_a_batch_of_one(self):
+        rng = np.random.default_rng(9300)
+        row = rng.standard_normal(7).astype(np.float32)
+        one, batch = Tensor(row, requires_grad=True), Tensor(row[None], requires_grad=True)
+        a, b = ops.softmax_cross_entropy(one, 3), ops.softmax_cross_entropy(batch, [3])
+        backward(a)
+        backward(b)
+        assert a.data.tobytes() == b.data.tobytes()
+        assert one.grad.tobytes() == batch.grad[0].tobytes()
+
+    def test_large_logits_stable(self):
+        loss = ops.softmax_cross_entropy(t([[1000.0, 0.0], [0.0, -1000.0]]), [0, 0])
+        assert loss.item() == pytest.approx(0.0, abs=1e-12)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_gradient_matches_finite_differences(self, seed):
+        rng = np.random.default_rng(9400 + seed)
+        logits = t(rng.standard_normal((4, 6)), requires_grad=True)
+        labels = rng.integers(0, 6, 4)
+        check_op_gradients(lambda: ops.softmax_cross_entropy(logits, labels), [logits],
+                           seed=seed, tol=1e-6)
+
+    @pytest.mark.parametrize("shape,labels", [
+        ((3,), True), ((2, 3), [True, False]), ((2, 3), np.array([1, 0], dtype=bool)),
+        ((3,), 1.0), ((2, 3), [1.0, 2.0]), ((3,), "1"), ((3,), None),
+        ((3,), [1]), ((2, 3), 1), ((2, 3), [1]), ((2, 3), [0, 1, 2]),
+        ((3,), 3), ((3,), -1), ((2, 3), [0, 3]), ((2, 3), [-1, 0])],
+        ids=["bool", "bool_rows", "bool_array", "float", "float_rows", "str", "none",
+             "list_for_vector", "int_for_rows", "too_few", "too_many",
+             "too_high", "negative", "row_too_high", "row_negative"])
+    def test_bad_labels(self, shape, labels):
+        with pytest.raises(ValueError, match=re.escape(f"labels {labels!r}")):
+            ops.softmax_cross_entropy(t(np.zeros(shape)), labels)
+
+    @pytest.mark.parametrize("shape", [(), (2, 3, 4), (0, 3), (3, 0), (0,)])
+    def test_bad_logits_shape(self, shape):
+        with pytest.raises(ShapeError):
+            ops.softmax_cross_entropy(t(np.zeros(shape)), 0)
 
 
 # ---------------------------------------------------------------------------

@@ -32,6 +32,19 @@ def micro_train_config(epochs=2, **overrides):
     return TrainConfig(**defaults)
 
 
+def graph_nodes(root) -> int:
+    """Op outputs reachable from ``root``, itself included."""
+    seen, stack, count = {id(root)}, [root], 0
+    while stack:
+        node = stack.pop()
+        count += bool(node._parents)
+        for parent in node._parents:
+            if id(parent) not in seen:
+                seen.add(id(parent))
+                stack.append(parent)
+    return count
+
+
 class TestLrSchedule:
     CFG = TrainConfig()
 
@@ -84,6 +97,25 @@ class TestTrainEpoch:
         model = build_model(tiny_model_config(), seed=0)
         train_epoch(model, entries, clips, 0, micro_train_config(1))
         assert len(calls) == 3
+
+    def test_one_loss_node_per_batch(self, monkeypatch):
+        """A batch's graph is its windows' graphs plus a concat, a reshape and
+        one cross-entropy node: no per-window loss, ``add`` or ``scale``."""
+        manifest, clips = micro_corpus()
+        entries = manifest.entries[:20]  # batch 8 -> 8, 8, 4
+        model = build_model(tiny_model_config(), seed=0)
+        window = graph_nodes(model.forward(np.zeros(model.config.window_length, np.float32)))
+        for name in ("add", "scale"):
+            monkeypatch.setattr(ops, name, lambda *a, name=name: pytest.fail(f"ops.{name} called"))
+        sizes, losses = [], []
+        real_backward, real_loss = training_mod.backward, ops.softmax_cross_entropy
+        monkeypatch.setattr(training_mod, "backward",
+                            lambda loss: sizes.append(graph_nodes(loss)) or real_backward(loss))
+        monkeypatch.setattr(ops, "softmax_cross_entropy",
+                            lambda *a: losses.append(a[0].shape) or real_loss(*a))
+        train_epoch(model, entries, clips, 0, micro_train_config(1))
+        assert losses == [(8, 3), (8, 3), (4, 3)]
+        assert sizes == [8 * window + 3, 8 * window + 3, 4 * window + 3]
 
     def test_deterministic_metrics(self):
         manifest, clips = micro_corpus()
