@@ -8,6 +8,13 @@ table order (parameters, then velocities) | u64 RNG state words.
 The RNG state is the pair (seed, completed epochs): all per-epoch random
 streams are derived from those two values, so they are sufficient to resume
 training bit-exactly.
+
+``wavems eval``, ``analyze`` and ``inspect`` load weights only
+(``load_checkpoint(path, velocities=False)``): the velocities are
+size-checked like the rest of the file, then skipped. A model restored from
+such a checkpoint holds its parameter arrays without a copy, and its
+velocities are read-only zeros, so it cannot be trained: ``sgd_step`` on it
+raises.
 """
 
 from __future__ import annotations
@@ -36,7 +43,7 @@ class Checkpoint:
     train_config: "TrainConfig"  # noqa: F821 - imported lazily to avoid a cycle
     epoch: int
     parameters: dict[str, np.ndarray]
-    velocities: dict[str, np.ndarray]
+    velocities: dict[str, np.ndarray] | None  # None: loaded weights-only
     rng_state: tuple[int, ...]
     metrics_history: list[dict] = field(default_factory=list)
 
@@ -51,11 +58,17 @@ class Checkpoint:
                    tuple(int(w) for w in rng_state), list(metrics_history))
 
     def restore_model(self) -> Model:
-        """Materialize a single-precision model from copies of the stored state."""
-        params = {name: make_parameter(
-            name, self.parameters[name].astype(np.float32, copy=True),
-            self.velocities[name].astype(np.float32, copy=True))
-            for name, _ in self.param_table()}
+        """Materialize a single-precision model from copies of the stored
+        state. A weights-only checkpoint's model holds the stored parameter
+        arrays themselves, and read-only zero velocities that allocate
+        nothing, so ``sgd_step`` on it raises instead of training."""
+        weights_only = self.velocities is None
+        params = {}
+        for name, shape in self.param_table():
+            data = self.parameters[name].astype(np.float32, copy=not weights_only)
+            velocity = (np.broadcast_to(np.float32(0), shape) if weights_only
+                        else self.velocities[name].astype(np.float32, copy=True))
+            params[name] = make_parameter(name, data, velocity)
         return Model(self.model_config, params, precision="single")
 
     def param_table(self) -> list[tuple[str, tuple[int, ...]]]:
@@ -66,6 +79,8 @@ def save_checkpoint(checkpoint: Checkpoint, path: str | Path) -> None:
     """Write ``checkpoint`` to ``path``: whole, to a temporary file beside
     it, then moved over it, so a failed or killed write leaves the previous
     file as it was."""
+    if checkpoint.velocities is None:
+        raise CheckpointError("a checkpoint loaded weights-only has no velocities to save")
     table = checkpoint.param_table()
     header = {
         "model_config": checkpoint.model_config.to_dict(),
@@ -78,13 +93,13 @@ def save_checkpoint(checkpoint: Checkpoint, path: str | Path) -> None:
     blob = json.dumps(header).encode("utf-8")
 
     chunks = [MAGIC, struct.pack("<I", VERSION), struct.pack("<Q", len(blob)), blob]
-    for name, shape in table:
-        arr = checkpoint.parameters[name]
-        if arr.shape != shape:
-            raise CheckpointError(f"parameter {name!r} has shape {arr.shape}, config says {shape}")
-        chunks.append(np.ascontiguousarray(arr, dtype="<f4").tobytes())
-    for name, _ in table:
-        chunks.append(np.ascontiguousarray(checkpoint.velocities[name], dtype="<f4").tobytes())
+    for kind, arrays in (("parameter", checkpoint.parameters),
+                         ("velocity", checkpoint.velocities)):
+        for name, shape in table:
+            arr = arrays[name]
+            if arr.shape != shape:
+                raise CheckpointError(f"{kind} {name!r} has shape {arr.shape}, config says {shape}")
+            chunks.append(np.ascontiguousarray(arr, dtype="<f4").tobytes())
     chunks.append(struct.pack(f"<{len(checkpoint.rng_state)}Q", *checkpoint.rng_state))
 
     out = Path(path)
@@ -106,15 +121,18 @@ def save_checkpoint(checkpoint: Checkpoint, path: str | Path) -> None:
         raise CheckpointError(f"cannot write checkpoint to {out}: {exc}") from exc
 
 
-def load_checkpoint(path: str | Path) -> Checkpoint:
+def load_checkpoint(path: str | Path, velocities: bool = True) -> Checkpoint:
+    """Read the checkpoint at ``path``. With ``velocities=False`` the file is
+    checked as a whole, but the velocities are skipped, not read: the result's
+    ``velocities`` is None (a weights-only checkpoint)."""
     try:
         with open(path, "rb") as f:
-            return _read_checkpoint(f, os.fstat(f.fileno()).st_size, path)
+            return _read_checkpoint(f, os.fstat(f.fileno()).st_size, path, velocities)
     except OSError as exc:
         raise CheckpointError(f"cannot read checkpoint {path}: {exc}") from exc
 
 
-def _read_checkpoint(f: BinaryIO, size: int, path) -> Checkpoint:
+def _read_checkpoint(f: BinaryIO, size: int, path, velocities: bool) -> Checkpoint:
     """Parse an open checkpoint file of ``size`` bytes. Every size the header
     declares is checked against ``size`` before any array is allocated; the
     arrays are then read straight into place."""
@@ -162,11 +180,13 @@ def _read_checkpoint(f: BinaryIO, size: int, path) -> Checkpoint:
                               f"declares {n_words} RNG words ({8 * n_words} bytes)")
 
     parameters = {name: _read_into(f, np.empty(shape, dtype="<f4")) for name, shape in expected}
-    velocities = {name: _read_into(f, np.empty(shape, dtype="<f4")) for name, shape in expected}
+    vels = ({name: _read_into(f, np.empty(shape, dtype="<f4")) for name, shape in expected}
+            if velocities else None)
+    f.seek(pos)  # to the RNG words, past the velocities whether read or skipped
     rng_state = struct.unpack(f"<{n_words}Q", _read_into(f, bytearray(8 * n_words)))
 
     return Checkpoint(model_config, train_config, epoch, parameters,
-                      velocities, tuple(rng_state), history)
+                      vels, tuple(rng_state), history)
 
 
 def _read_into(f: BinaryIO, buf):

@@ -168,7 +168,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    ckpt = load_checkpoint(args.ckpt)
+    ckpt = load_checkpoint(args.ckpt, velocities=False)
     manifest = _load_manifest_file(args.manifest)
     _check_fold(manifest, args.fold)
     _check_classes(manifest, ckpt.model_config.num_classes)
@@ -178,7 +178,7 @@ def cmd_eval(args) -> int:
     # kernels follow the checkpoint's training setting
     gemm = not ckpt.train_config.deterministic
     model = ckpt.restore_model()
-    del ckpt  # the model holds its own copy of the weights
+    del ckpt  # the model holds the checkpoint's weight arrays; nothing else is needed
     with ops.gemm_kernels(gemm):
         report = evaluation.evaluate(model, manifest, args.fold,
                                      clip_loader=loader, hop=cfg.eval.hop)
@@ -221,7 +221,7 @@ def cmd_ablate(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    ckpt = load_checkpoint(args.ckpt)
+    ckpt = load_checkpoint(args.ckpt, velocities=False)
     longest = max(b.filter_len for b in ckpt.model_config.branches)
     if args.nfft < longest:
         raise UsageError(f"--nfft {args.nfft} is below the longest branch filter ({longest})")
@@ -233,7 +233,7 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_inspect(args) -> int:
-    ckpt = load_checkpoint(args.ckpt)
+    ckpt = load_checkpoint(args.ckpt, velocities=False)
     cfg = ckpt.model_config
     print(f"epoch           : {ckpt.epoch}")
     print(f"parameters      : {param_count(cfg)}")

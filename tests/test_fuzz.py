@@ -1,10 +1,11 @@
 """Property tests: hostile bytes end in the documented error type, never another.
 
 ``decode_wav`` may raise only DecodeError and ``load_checkpoint`` only
-CheckpointError, whatever the input. Besides raw bytes, the strategies
-build inputs that pass the first checks (a RIFF/WAVE header, the checkpoint
-magic and version, or a whole valid checkpoint with one header field
-replaced), so the deeper parsing code is reached too.
+CheckpointError, whatever the input; its full and weights-only loads accept
+and refuse the same files, with the same message. Besides raw bytes, the
+strategies build inputs that pass the first checks (a RIFF/WAVE header, the
+checkpoint magic and version, or a whole valid checkpoint with one header
+field replaced), so the deeper parsing code is reached too.
 """
 
 import json
@@ -77,10 +78,14 @@ def valid_checkpoint(tmp_path_factory):
 def _load_bytes(directory, data: bytes) -> None:
     path = directory / "case.ckpt"
     path.write_bytes(data)
-    try:
-        load_checkpoint(path)
-    except CheckpointError:
-        pass
+    outcomes = []
+    for velocities in (True, False):
+        try:
+            load_checkpoint(path, velocities=velocities)
+            outcomes.append("accepted")
+        except CheckpointError as exc:
+            outcomes.append(str(exc))
+    assert outcomes[0] == outcomes[1]
 
 
 @given(st.binary(max_size=256))
@@ -94,6 +99,15 @@ def test_load_checkpoint_raw_bytes(valid_checkpoint, data):
 def test_load_checkpoint_after_valid_magic(valid_checkpoint, data, hlen):
     prefix = MAGIC + struct.pack("<I", VERSION) + struct.pack("<Q", hlen)
     _load_bytes(valid_checkpoint[1], prefix + data)
+
+
+@given(st.data())
+@FUZZ
+def test_load_checkpoint_cut_and_extended(valid_checkpoint, data):
+    """A valid file cut at any byte, then followed by drawn bytes."""
+    blob, directory = valid_checkpoint
+    cut = data.draw(st.integers(0, len(blob)))
+    _load_bytes(directory, blob[:cut] + data.draw(st.binary(max_size=16)))
 
 
 def _paths(node, prefix=()):
@@ -130,5 +144,6 @@ def test_hostile_header_json_is_checkpoint_error(valid_checkpoint, edit):
     text = edit(blob[16:16 + hlen])
     path = directory / "hostile.ckpt"
     path.write_bytes(blob[:8] + struct.pack("<Q", len(text)) + text + blob[16 + hlen:])
-    with pytest.raises(CheckpointError):
-        load_checkpoint(path)
+    for velocities in (True, False):
+        with pytest.raises(CheckpointError):
+            load_checkpoint(path, velocities=velocities)
