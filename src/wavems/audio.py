@@ -172,6 +172,8 @@ def segment_for_voting(clip: AudioClip, window_length: int,
     at (len - window_length) so the clip tail is always represented. Default
     hop is half the window, which guarantees every sample is covered.
     At least one window is always returned (short clips are padded).
+    Windows are read-only views of the clip's samples (of a padded copy when
+    the clip is shorter than a window), so voting copies no audio.
     """
     if hop is None:
         hop = window_length // 2
@@ -185,7 +187,10 @@ def segment_for_voting(clip: AudioClip, window_length: int,
     tail = n - window_length
     if tail > starts[-1]:
         starts.append(tail)
-    return [Window(samples[s:s + window_length].copy(), label) for s in starts]
+    windows = [Window(samples[s:s + window_length], label) for s in starts]
+    for w in windows:
+        w.samples.flags.writeable = False
+    return windows
 
 
 def load_clip_file(path: str | Path, target_rate: Optional[int] = None,

@@ -17,7 +17,7 @@ from pathlib import Path
 from . import analysis, evaluation, ops
 from .checkpoint import load_checkpoint
 from .datasets import (SYNTH_MAX_CLASSES, DatasetManifest, ManifestEntry,
-                       load_manifest, write_synth_dataset)
+                       fold_split, load_manifest, write_synth_dataset)
 from .audio import make_clip_loader
 from .config import Config
 from .errors import ConfigError
@@ -117,10 +117,10 @@ def _clip_loader(cfg: RunConfig, model_rate: int):
                             cfg.data.peak_normalize)
 
 
-def _preload_clips(manifest: DatasetManifest, cfg: RunConfig) -> dict:
-    """Decode every manifest clip once, honoring the data-section toggles."""
+def _preload_clips(entries: list[ManifestEntry], cfg: RunConfig) -> dict:
+    """Decode each entry's clip once, honoring the data-section toggles."""
     load = _clip_loader(cfg, cfg.model.sample_rate)
-    return {e.path: load(e.path) for e in manifest.entries}
+    return {e.path: load(e.path) for e in entries}
 
 
 def _log(msg: str) -> None:
@@ -159,10 +159,12 @@ def cmd_train(args) -> int:
         print(f"{metrics['epoch']},{metrics['lr']:g},{metrics['loss']:.6f},"
               f"{metrics['train_acc']:.6f}", flush=True)
 
-    ckpt = train(cfg.model, cfg.train, manifest, args.fold,
-                 clips=_preload_clips(manifest, cfg),
-                 out_path=args.out, checkpoint_every=args.checkpoint_every,
-                 on_epoch=stream)
+    train_entries, _ = fold_split(manifest, args.fold)  # train never reads the test fold
+    with ops.workers(args.threads):
+        ckpt = train(cfg.model, cfg.train, manifest, args.fold,
+                     clips=_preload_clips(train_entries, cfg),
+                     out_path=args.out, checkpoint_every=args.checkpoint_every,
+                     on_epoch=stream)
     _log(f"trained {ckpt.epoch} epochs; checkpoint written to {args.out}")
     return 0
 
@@ -179,7 +181,7 @@ def cmd_eval(args) -> int:
     gemm = not ckpt.train_config.deterministic
     model = ckpt.restore_model()
     del ckpt  # the model holds the checkpoint's weight arrays; nothing else is needed
-    with ops.gemm_kernels(gemm):
+    with ops.gemm_kernels(gemm), ops.workers(args.threads):
         report = evaluation.evaluate(model, manifest, args.fold,
                                      clip_loader=loader, hop=cfg.eval.hop)
 
@@ -200,15 +202,11 @@ def cmd_ablate(args) -> int:
     repeats = args.repeats if args.repeats is not None else cfg.eval.repeats
 
     # decode once; every variant x fold training run shares the same clips
-    clips = _preload_clips(manifest, cfg)
-    if args.mode == "temporal":
-        result = evaluation.ablate_temporal(manifest, cfg.model, cfg.train,
-                                            repeats, clips=clips)
-        stem = "ablation_temporal"
-    else:
-        result = evaluation.ablate_levels(manifest, cfg.model, cfg.train,
-                                          repeats, clips=clips)
-        stem = "ablation_levels"
+    clips = _preload_clips(manifest.entries, cfg)
+    ablate = evaluation.ablate_temporal if args.mode == "temporal" else evaluation.ablate_levels
+    with ops.workers(args.threads):
+        result = ablate(manifest, cfg.model, cfg.train, repeats, clips=clips)
+    stem = f"ablation_{args.mode}"
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -262,6 +260,11 @@ def _positive_int(text: str) -> int:
     return int(text)
 
 
+THREADS_HELP = ("worker threads that share each convolution forward, capped at the "
+                "CPUs this process may use; backward stays serial, and outputs "
+                "match --threads 1 byte for byte")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="wavems",
@@ -291,7 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "eval follows the checkpoint's setting")
     p.add_argument("--checkpoint-every", type=_positive_int, default=None)
     p.add_argument("--threads", type=_positive_int, default=1,
-                   help="upper bound on worker threads (execution is serial)")
+                   help=THREADS_HELP)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="probability-voting evaluation of a checkpoint")
@@ -301,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--report", required=True, help="report output directory")
     p.add_argument("--config", help="JSON run config")
     p.add_argument("--threads", type=_positive_int, default=1,
-                   help="upper bound on worker threads (execution is serial)")
+                   help=THREADS_HELP)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("ablate", help="run the temporal or level ablation")
@@ -311,7 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--repeats", type=_positive_int, default=None)
     p.add_argument("--threads", type=_positive_int, default=1,
-                   help="upper bound on worker threads (execution is serial)")
+                   help=THREADS_HELP)
     p.set_defaults(func=cmd_ablate)
 
     p = sub.add_parser("analyze", help="export learned-filter frequency responses")

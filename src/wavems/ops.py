@@ -43,6 +43,22 @@ count. The GEMM family is many times faster and agrees with the reference
 family to rounding, but repeats bit for bit only with the same BLAS build
 and thread count. The choice is per thread.
 
+Inside :class:`workers`, also set per thread, a convolution's forward is
+split along P and shared by the calling thread and a pool of worker
+threads; backward stays serial, over the same chunks at any worker count.
+The GEMM family cuts each chunk into up to one piece per worker, each one
+matmul into its own slice of the output, and runs the chunks one after
+another, so the pieces in flight never hold more columns than one chunk.
+The reference family gives each worker a slice of P and runs the whole
+term loop over it. The GEMM bias, ReLU and the pool are applied in the
+calling thread once every piece has returned, and no pool thread builds a
+graph node or reads per-thread state. Each reference output element adds
+the same terms in the same order at any worker count, so its bits cannot
+change. A GEMM piece is a smaller matrix product than its chunk, and BLAS
+promises no bits across such a split; the pieces are kept large
+(:data:`_PIECE_MACS`), and the bits matched one worker in every shape tried
+with OpenBLAS 0.3.31 (``tests/test_workers.py``).
+
 Both convolutions take ``relu=True`` to apply max(0, .) inside the same
 node, with the same results as :func:`relu` on their output, and ``pool=``
 to max-pool the (activated) output inside the node as well: a bin count
@@ -59,7 +75,10 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
 import threading
+from concurrent.futures import ThreadPoolExecutor
+from queue import Empty, SimpleQueue
 
 import numpy as np
 
@@ -69,6 +88,8 @@ from .tensor import Tensor, make_node, recording
 
 class _KernelChoice(threading.local):
     gemm = False  # every thread starts on the reference kernels
+    pool = None  # ... and runs its convolution forwards itself
+    workers = 1
 
 
 _kernels = _KernelChoice()
@@ -98,6 +119,72 @@ def gemm_enabled() -> bool:
     """Whether convolutions and :func:`linear` in the calling thread use the
     GEMM kernels."""
     return _kernels.gemm
+
+
+def usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+class workers:
+    """Context manager that splits the forward of every convolution built
+    in the calling thread over ``count`` workers: ``n``, capped at
+    :func:`usable_cpus`. The calling thread is one of them and a pool of
+    ``count - 1`` threads holds the others; at a count of 1 no thread
+    starts. On exit the pool's threads end and the previous pool returns.
+    """
+
+    def __init__(self, n: int = 1):
+        self.count = max(1, min(n, usable_cpus()))
+
+    def __enter__(self):
+        self._prev = _kernels.pool, _kernels.workers
+        pool = ThreadPoolExecutor(self.count - 1, "wavems-worker") if self.count > 1 else None
+        _kernels.pool, _kernels.workers = pool, self.count
+        return self
+
+    def __exit__(self, *exc):
+        pool = _kernels.pool
+        _kernels.pool, _kernels.workers = self._prev
+        if pool is not None:
+            pool.shutdown()  # waits for the threads to end
+        return False
+
+
+def _run(pool: ThreadPoolExecutor | None, fn, pieces: list[slice]) -> None:
+    """``fn(p)`` for every piece; returns when all have returned.
+
+    With a pool and more than one piece, the calling thread and one pool
+    thread per further piece take pieces in turn from a shared queue,
+    so no piece waits for a thread to wake: the caller runs whatever the
+    pool has not taken, and a pool task that has not started when the
+    queue is empty is cancelled, not waited for.
+    """
+    if pool is None or len(pieces) == 1:
+        for p in pieces:
+            fn(p)
+        return
+    queue = SimpleQueue()
+    for p in pieces:
+        queue.put(p)
+
+    def drain() -> None:
+        while True:
+            try:
+                p = queue.get_nowait()
+            except Empty:
+                return
+            fn(p)
+
+    helpers = [pool.submit(drain) for _ in pieces[1:]]  # pieces never outnumber workers
+    try:
+        drain()
+    finally:
+        for h in helpers:
+            if not h.cancel():
+                h.result()  # waits for its pieces; re-raises their exception
 
 
 def _check_dtypes(*tensors: Tensor) -> np.dtype:
@@ -177,6 +264,23 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, relu: bool = False,
 #: (4 MiB in float32), so a small layer is one matmul, not many narrow ones.
 _COLUMN_BUDGET = 1 << 20
 
+#: Fewest multiply-adds a worker's piece of a convolution forward may hold.
+#: Smaller pieces cost more to hand over than they save, and BLAS may round
+#: them differently from the product over their whole chunk: with OpenBLAS
+#: 0.3.31, pieces one column wide, and some of up to 1.6 million
+#: multiply-adds, did.
+_PIECE_MACS = 1 << 22
+
+
+def _pieces(p: slice, workers: int, macs: int) -> list[slice]:
+    """The rows of ``p`` cut into near-equal runs, in order: at most
+    ``workers`` of them, and at most one per row and per ``_PIECE_MACS``
+    multiply-adds at ``macs`` per row. ``[p]`` itself when that leaves one,
+    as at one worker."""
+    rows = p.stop - p.start
+    k = max(1, min(workers, rows, rows * macs // _PIECE_MACS))
+    return [slice(p.start + rows * i // k, p.start + rows * (i + 1) // k) for i in range(k)]
+
 
 def _padded(a: np.ndarray, pad: int) -> np.ndarray:
     """``a`` with ``pad`` zeros on both sides of every axis but the first;
@@ -247,7 +351,10 @@ def _conv(x: Tensor, weight: Tensor, bias: Tensor, stride: int, pad: int,
     (inside :class:`gemm_kernels`) multiplies the (F, C*taps) weights by
     im2col columns one chunk of P at a time and adds the bias last. A
     chunk's (C*taps, n) column buffer holds at most max(output size,
-    ``_COLUMN_BUDGET``) elements, and at least one row of P.
+    ``_COLUMN_BUDGET``) elements, and at least one row of P. Inside
+    :class:`workers` both families split P over the pool (:func:`_pieces`):
+    the GEMM family each chunk in turn, the reference family the whole
+    output.
 
     Backward is one algorithm for both families, over the same chunks: it
     rebuilds each chunk's columns rather than keeping them, multiplies the
@@ -291,16 +398,27 @@ def _conv(x: Tensor, weight: Tensor, bias: Tensor, stride: int, pad: int,
     def columns(win: np.ndarray, p: slice) -> np.ndarray:
         return win[lead + (p,)].reshape(w2.shape[1], -1)
 
+    threads, n = _kernels.pool, _kernels.workers
+    macs = fout * w2.shape[1] * per_row  # multiply-adds per row of P
     if _kernels.gemm:
         matmul = np.matmul
-        for p in chunks:  # straight into the output, no product temporary
+
+        def product(p: slice) -> None:  # straight into the output, no product temporary
             np.matmul(w2, columns(win, p), out=flat[:, p.start * per_row:p.stop * per_row])
+
+        for chunk in chunks:  # one at a time: its pieces hold its columns between them
+            _run(threads, product, _pieces(chunk, n, macs))
         out += bias.data.reshape(col)
     else:
         matmul = _ordered_matmul
-        out[...] = bias.data.reshape(col)
-        for wi, xi in _terms(win.shape[0], taps):
-            out += wd[wi].reshape(col) * win[xi]
+
+        def accumulate(p: slice) -> None:
+            part = out[:, p]
+            part[...] = bias.data.reshape(col)
+            for wi, xi in _terms(win.shape[0], taps):
+                part += wd[wi].reshape(col) * win[xi][p]
+
+        _run(threads, accumulate, _pieces(slice(0, rows), n, macs))
 
     if relu:
         np.maximum(out, 0, out=out)

@@ -203,6 +203,22 @@ class TestSegmentForVoting:
         with pytest.raises(ValueError):
             segment_for_voting(AudioClip(np.zeros(512), 8000), 256, hop=0)
 
+    def test_windows_are_read_only_views_of_the_clip(self, rng):
+        clip = AudioClip(rng.standard_normal(1000), 8000)
+        wins = segment_for_voting(clip, 256)
+        assert len(wins) == 6
+        for w in wins:
+            assert np.shares_memory(w.samples, clip.samples)
+            with pytest.raises(ValueError, match="read-only"):
+                w.samples[0] = 1.0
+        assert clip.samples.flags.writeable  # the clip itself stays writeable
+
+    def test_short_clip_window_is_a_read_only_padded_copy(self):
+        clip = AudioClip(np.ones(100), 8000)
+        (win,) = segment_for_voting(clip, 256)
+        assert not np.shares_memory(win.samples, clip.samples)
+        assert not win.samples.flags.writeable
+
     @given(st.integers(1, 400), st.integers(2, 80))
     @settings(deadline=None, max_examples=150)
     def test_default_hop_covers_every_sample(self, clip_len, window):

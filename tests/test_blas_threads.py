@@ -1,6 +1,7 @@
 """The reference kernels give the same bits at any BLAS thread count and on
-any BLAS CPU kernel. BLAS reads its thread count and CPU kernel once, when
-it loads, so each setting runs in a fresh interpreter."""
+any BLAS CPU kernel, and training gives the same bits at any worker count.
+BLAS reads its thread count and CPU kernel once, when it loads, so each
+setting runs in a fresh interpreter."""
 
 import os
 import platform
@@ -54,17 +55,43 @@ for a in (out.data, x.grad):
 """
 
 
-def run_hashes(script: str, threads: int = 1, coretype: str | None = None) -> list[str]:
+# Criterion 9's configuration (desk corpus seed 11, TrainConfig seed 3, batch
+# 64, lr 1e-2, 2 epochs, fold 1) inside ops.workers(sys.argv[1]). Prints the
+# sha256 of the checkpoint written with the GEMM kernels, then with the
+# reference kernels.
+TRAIN_SCRIPT = """
+import hashlib, sys, tempfile
+from pathlib import Path
+from conftest import desk_model_config
+from wavems import ops
+from wavems.datasets import synth_dataset
+from wavems.training import TrainConfig, train
+
+manifest, clips = synth_dataset(num_classes=5, clips_per_class=40, clip_seconds=2.0,
+                                sample_rate=4410, seed=11)
+with tempfile.TemporaryDirectory() as tmp, ops.workers(int(sys.argv[1])):
+    for deterministic in (False, True):
+        tc = TrainConfig(epochs=2, batch_size=64, momentum=0.9, weight_decay=5e-4,
+                         lr_stages=((2, 1e-2),), seed=3, deterministic=deterministic)
+        path = Path(tmp) / "run.ckpt"
+        train(desk_model_config(), tc, manifest, 1, clips=clips, out_path=path)
+        print(hashlib.sha256(path.read_bytes()).hexdigest())
+"""
+
+
+def run_hashes(script: str, threads: int = 1, coretype: str | None = None,
+               workers: int = 1) -> list[str]:
     """The lines ``script`` prints in a fresh interpreter at ``threads`` BLAS
-    threads, on the OpenBLAS CPU kernel ``coretype`` (its own pick if None)."""
+    threads, on the OpenBLAS CPU kernel ``coretype`` (its own pick if None);
+    ``workers`` is the script's one argument."""
     paths = [str(Path(wavems.__file__).parents[1]), str(Path(__file__).parent)]
     env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads), OMP_NUM_THREADS=str(threads),
                PYTHONPATH=os.pathsep.join(paths + [os.environ.get("PYTHONPATH", "")]))
     env.pop("OPENBLAS_CORETYPE", None)
     if coretype is not None:
         env["OPENBLAS_CORETYPE"] = coretype
-    run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
-                         text=True, timeout=300)
+    run = subprocess.run([sys.executable, "-c", script, str(workers)], env=env,
+                         capture_output=True, text=True, timeout=300)
     assert run.returncode == 0, run.stderr
     return run.stdout.split()
 
@@ -86,3 +113,11 @@ def test_reference_linear_bits_do_not_depend_on_blas_cpu_kernel():
     assert len(own) == len(prescott) == 2
     for name, a, b in zip(("output", "x grad"), own, prescott):
         assert a == b, f"{name}: {a[:8]} on the default BLAS kernel, {b[:8]} on Prescott"
+
+
+@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="needs at least two CPUs")
+def test_training_bits_do_not_depend_on_workers():
+    one, two = run_hashes(TRAIN_SCRIPT), run_hashes(TRAIN_SCRIPT, workers=2)
+    assert len(one) == len(two) == 2
+    for name, a, b in zip(("GEMM", "reference"), one, two):
+        assert a == b, f"{name}: {a[:8]} at one worker, {b[:8]} at two"

@@ -7,6 +7,7 @@ import pytest
 
 from wavems.checkpoint import load_checkpoint, save_checkpoint
 from wavems.cli import main, parse_run_config, UsageError
+from wavems.datasets import load_manifest
 from wavems.model import ModelConfig
 from wavems.training import TrainConfig
 
@@ -371,7 +372,8 @@ class TestRobustnessExitCodes:
         assert "invalid config" in TestBadInputExitCodes._assert_error_line(capsys)
 
     def test_zero_sample_rate_wav_exits_1(self, corpus_dir, config_file, tmp_path, capsys):
-        wav = sorted(corpus_dir.glob("*.wav"))[0]
+        manifest = load_manifest((corpus_dir / "manifest.csv").read_bytes())
+        wav = corpus_dir / next(e.path for e in manifest.entries if e.fold != 1)  # train reads it
         data = bytearray(wav.read_bytes())
         rate_at = data.index(b"fmt ") + 12  # chunk id, size, format tag, channels
         data[rate_at:rate_at + 4] = bytes(4)

@@ -135,6 +135,29 @@ class TestEvaluate:
         with pytest.raises(ManifestError):
             evaluate(LabelReadingModel(64, 5), manifest, 9, clips=clips)
 
+    def test_window_views_give_the_reports_of_copies(self, monkeypatch):
+        """Voting over read-only window views gives the bytes of voting over
+        writeable copies."""
+        from wavems import evaluation
+        from wavems.model import build_model
+
+        manifest, clips = synth_dataset(3, 4, 0.15, 4410, seed=2, num_folds=2)
+        model = build_model(tiny_model_config(num_classes=3), seed=1)
+
+        def texts():
+            report = evaluate(model, manifest, 1, clips=clips)
+            return [f(report) for f in (evaluation.eval_report_csv, evaluation.confusion_csv,
+                                        evaluation.eval_report_text)]
+
+        views = texts()
+        real = evaluation.segment_for_voting
+
+        def copies(*args, **kwargs):
+            return [type(w)(w.samples.copy(), w.label) for w in real(*args, **kwargs)]
+
+        monkeypatch.setattr(evaluation, "segment_for_voting", copies)
+        assert texts() == views
+
     def test_accuracy_matches_manual_recount(self):
         from wavems.training import train
 
