@@ -160,11 +160,10 @@ def cmd_train(args) -> int:
               f"{metrics['train_acc']:.6f}", flush=True)
 
     train_entries, _ = fold_split(manifest, args.fold)  # train never reads the test fold
-    with ops.workers(args.threads):
-        ckpt = train(cfg.model, cfg.train, manifest, args.fold,
-                     clips=_preload_clips(train_entries, cfg),
-                     out_path=args.out, checkpoint_every=args.checkpoint_every,
-                     on_epoch=stream)
+    ckpt = train(cfg.model, cfg.train, manifest, args.fold,
+                 clips=_preload_clips(train_entries, cfg),
+                 out_path=args.out, checkpoint_every=args.checkpoint_every,
+                 on_epoch=stream)
     _log(f"trained {ckpt.epoch} epochs; checkpoint written to {args.out}")
     return 0
 
@@ -203,10 +202,14 @@ def cmd_ablate(args) -> int:
 
     # decode once; every variant x fold training run shares the same clips
     clips = _preload_clips(manifest.entries, cfg)
-    ablate = evaluation.ablate_temporal if args.mode == "temporal" else evaluation.ablate_levels
-    with ops.workers(args.threads):
-        result = ablate(manifest, cfg.model, cfg.train, repeats, clips=clips)
-    stem = f"ablation_{args.mode}"
+    if args.mode == "temporal":
+        result = evaluation.ablate_temporal(manifest, cfg.model, cfg.train,
+                                            repeats, clips=clips)
+        stem = "ablation_temporal"
+    else:
+        result = evaluation.ablate_levels(manifest, cfg.model, cfg.train,
+                                          repeats, clips=clips)
+        stem = "ablation_levels"
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -260,11 +263,6 @@ def _positive_int(text: str) -> int:
     return int(text)
 
 
-THREADS_HELP = ("worker threads that share each convolution forward, capped at the "
-                "CPUs this process may use; backward stays serial, and outputs "
-                "match --threads 1 byte for byte")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="wavems",
@@ -294,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "eval follows the checkpoint's setting")
     p.add_argument("--checkpoint-every", type=_positive_int, default=None)
     p.add_argument("--threads", type=_positive_int, default=1,
-                   help=THREADS_HELP)
+                   help="upper bound on worker threads (execution is serial)")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="probability-voting evaluation of a checkpoint")
@@ -304,7 +302,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--report", required=True, help="report output directory")
     p.add_argument("--config", help="JSON run config")
     p.add_argument("--threads", type=_positive_int, default=1,
-                   help=THREADS_HELP)
+                   help="worker threads that share each GEMM convolution forward, "
+                        "capped at the CPUs this process may use (reference kernels "
+                        "run serially); outputs matched --threads 1 byte for byte "
+                        "on the BLAS build tested")
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("ablate", help="run the temporal or level ablation")
@@ -314,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--repeats", type=_positive_int, default=None)
     p.add_argument("--threads", type=_positive_int, default=1,
-                   help=THREADS_HELP)
+                   help="upper bound on worker threads (execution is serial)")
     p.set_defaults(func=cmd_ablate)
 
     p = sub.add_parser("analyze", help="export learned-filter frequency responses")

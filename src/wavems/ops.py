@@ -43,21 +43,19 @@ count. The GEMM family is many times faster and agrees with the reference
 family to rounding, but repeats bit for bit only with the same BLAS build
 and thread count. The choice is per thread.
 
-Inside :class:`workers`, also set per thread, a convolution's forward is
-split along P and shared by the calling thread and a pool of worker
-threads; backward stays serial, over the same chunks at any worker count.
-The GEMM family cuts each chunk into up to one piece per worker, each one
-matmul into its own slice of the output, and runs the chunks one after
+Inside :class:`workers`, also set per thread, a GEMM convolution's
+forward is split along P and shared by the calling thread and a pool of
+worker threads. Each chunk is cut into up to one piece per worker, each one
+matmul into its own slice of the output, and the chunks run one after
 another, so the pieces in flight never hold more columns than one chunk.
-The reference family gives each worker a slice of P and runs the whole
-term loop over it. The GEMM bias, ReLU and the pool are applied in the
-calling thread once every piece has returned, and no pool thread builds a
-graph node or reads per-thread state. Each reference output element adds
-the same terms in the same order at any worker count, so its bits cannot
-change. A GEMM piece is a smaller matrix product than its chunk, and BLAS
-promises no bits across such a split; the pieces are kept large
-(:data:`_PIECE_MACS`), and the bits matched one worker in every shape tried
-with OpenBLAS 0.3.31 (``tests/test_workers.py``).
+The bias, ReLU and the pool are applied in the calling thread once every
+piece has returned, and no pool thread builds a graph node or reads
+per-thread state. The reference family's forward, and every backward, stay
+serial, so reference bits are those of one thread by construction. A GEMM
+piece is a smaller matrix product than its chunk, and BLAS promises no bits
+across such a split; the pieces are kept large (:data:`_PIECE_MACS`), and
+the bits matched one worker in every shape tried with OpenBLAS 0.3.31
+(``tests/test_workers.py``).
 
 Both convolutions take ``relu=True`` to apply max(0, .) inside the same
 node, with the same results as :func:`relu` on their output, and ``pool=``
@@ -77,7 +75,7 @@ import itertools
 import math
 import os
 import threading
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, wait
 from queue import Empty, SimpleQueue
 
 import numpy as np
@@ -88,7 +86,7 @@ from .tensor import Tensor, make_node, recording
 
 class _KernelChoice(threading.local):
     gemm = False  # every thread starts on the reference kernels
-    pool = None  # ... and runs its convolution forwards itself
+    pool = None  # ... and runs its GEMM convolution forwards itself
     workers = 1
 
 
@@ -129,8 +127,8 @@ def usable_cpus() -> int:
 
 
 class workers:
-    """Context manager that splits the forward of every convolution built
-    in the calling thread over ``count`` workers: ``n``, capped at
+    """Context manager that splits the forward of every GEMM convolution
+    built in the calling thread over ``count`` workers: ``n``, capped at
     :func:`usable_cpus`. The calling thread is one of them and a pool of
     ``count - 1`` threads holds the others; at a count of 1 no thread
     starts. On exit the pool's threads end and the previous pool returns.
@@ -159,8 +157,10 @@ def _run(pool: ThreadPoolExecutor | None, fn, pieces: list[slice]) -> None:
     With a pool and more than one piece, the calling thread and one pool
     thread per further piece take pieces in turn from a shared queue,
     so no piece waits for a thread to wake: the caller runs whatever the
-    pool has not taken, and a pool task that has not started when the
-    queue is empty is cancelled, not waited for.
+    pool has not taken. Before it returns or raises, a pool task that has
+    not started is cancelled and every other one is waited for, so no pool
+    thread still writes into the output; then the first exception, the
+    caller's before the pool's, is raised.
     """
     if pool is None or len(pieces) == 1:
         for p in pieces:
@@ -183,8 +183,11 @@ def _run(pool: ThreadPoolExecutor | None, fn, pieces: list[slice]) -> None:
         drain()
     finally:
         for h in helpers:
-            if not h.cancel():
-                h.result()  # waits for its pieces; re-raises their exception
+            h.cancel()
+        wait(helpers)
+    for h in helpers:
+        if not h.cancelled() and h.exception() is not None:
+            raise h.exception()
 
 
 def _check_dtypes(*tensors: Tensor) -> np.dtype:
@@ -352,9 +355,8 @@ def _conv(x: Tensor, weight: Tensor, bias: Tensor, stride: int, pad: int,
     im2col columns one chunk of P at a time and adds the bias last. A
     chunk's (C*taps, n) column buffer holds at most max(output size,
     ``_COLUMN_BUDGET``) elements, and at least one row of P. Inside
-    :class:`workers` both families split P over the pool (:func:`_pieces`):
-    the GEMM family each chunk in turn, the reference family the whole
-    output.
+    :class:`workers` the GEMM family splits each chunk in turn over the
+    pool (:func:`_pieces`).
 
     Backward is one algorithm for both families, over the same chunks: it
     rebuilds each chunk's columns rather than keeping them, multiplies the
@@ -398,27 +400,21 @@ def _conv(x: Tensor, weight: Tensor, bias: Tensor, stride: int, pad: int,
     def columns(win: np.ndarray, p: slice) -> np.ndarray:
         return win[lead + (p,)].reshape(w2.shape[1], -1)
 
-    threads, n = _kernels.pool, _kernels.workers
-    macs = fout * w2.shape[1] * per_row  # multiply-adds per row of P
     if _kernels.gemm:
         matmul = np.matmul
 
         def product(p: slice) -> None:  # straight into the output, no product temporary
             np.matmul(w2, columns(win, p), out=flat[:, p.start * per_row:p.stop * per_row])
 
+        macs = fout * w2.shape[1] * per_row  # multiply-adds per row of P
         for chunk in chunks:  # one at a time: its pieces hold its columns between them
-            _run(threads, product, _pieces(chunk, n, macs))
+            _run(_kernels.pool, product, _pieces(chunk, _kernels.workers, macs))
         out += bias.data.reshape(col)
     else:
         matmul = _ordered_matmul
-
-        def accumulate(p: slice) -> None:
-            part = out[:, p]
-            part[...] = bias.data.reshape(col)
-            for wi, xi in _terms(win.shape[0], taps):
-                part += wd[wi].reshape(col) * win[xi][p]
-
-        _run(threads, accumulate, _pieces(slice(0, rows), n, macs))
+        out[...] = bias.data.reshape(col)
+        for wi, xi in _terms(win.shape[0], taps):
+            out += wd[wi].reshape(col) * win[xi]
 
     if relu:
         np.maximum(out, 0, out=out)

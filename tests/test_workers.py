@@ -1,11 +1,12 @@
-"""Workers (``ops.workers``, ``--threads``): each convolution forward shared
-by the calling thread and a pool, with the same bytes as one thread; the
-worker count's cap, the pool's lifetime, and what the CLI commands read and
-write under it."""
+"""Workers (``ops.workers``, ``eval --threads``): each GEMM convolution
+forward shared by the calling thread and a pool, with the same bytes as one
+thread; the worker count's cap, the pool's lifetime, and what the CLI
+commands read and write at any ``--threads``."""
 
 import json
 import sys
 import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -84,24 +85,41 @@ class TestWorkerCount:
 
 
     def test_piece_error_reaches_the_caller(self, cpus, monkeypatch):
+        """A piece that raises in a pool thread reaches the caller only once
+        every other piece has returned, so no thread still writes into the
+        output; the threads then end with the pool."""
         op, arrays = conv2d_case(np.random.default_rng(0), np.float32, 32, 128, 23, 60)
         before = threading.active_count()
+        caller = threading.current_thread()
+        lock = threading.Lock()
+        started, finished = [], []
 
-        def fail(*args, **kwargs):
-            raise MemoryError("no room for a piece")
+        def matmul(*args, **kwargs):
+            """The first piece a pool thread takes fails at once; any other
+            pool piece outlasts the caller's."""
+            me = threading.current_thread()
+            with lock:
+                first = me is not caller and all(t is caller for t in started)
+                started.append(me)
+            if first:
+                raise MemoryError("no room for a piece")
+            time.sleep(0.05 if me is caller else 0.3)
+            finished.append(me)
 
-        with ops.workers(2):
+        with ops.workers(3):
             with ops.gemm_kernels():
-                op(*map(Tensor, arrays))  # the pool thread starts
-            monkeypatch.setattr(np, "matmul", fail)
+                op(*map(Tensor, arrays))  # the pool threads start
+            monkeypatch.setattr(np, "matmul", matmul)
             with ops.gemm_kernels(), pytest.raises(MemoryError, match="no room"):
                 op(*map(Tensor, arrays))
+            assert len(started) == 3 and len(finished) == 2
         assert threading.active_count() == before
 
 
 class TestSplitForward:
     """Both families' forwards give the bytes of one thread at 2 and 3
-    workers; so do the gradients, whose backward stays serial. With no
+    workers (the reference forward runs serially); so do the gradients,
+    whose backward stays serial. With no
     column budget the GEMM kernels cut these layers into several chunks;
     ``calls`` counts their forward matmuls at one, two and three workers:
     a chunk splits into at most one piece per worker, of at least
