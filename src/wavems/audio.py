@@ -21,7 +21,7 @@ from .errors import DecodeError
 @dataclass
 class AudioClip:
     """Decoded mono waveform with its sample rate."""
-    samples: np.ndarray        # float64 in [-1, 1]
+    samples: np.ndarray        # in [-1, 1]: float64 as decoded; the CLI keeps float32
     sample_rate: int
     source_id: str = ""
 

@@ -14,11 +14,13 @@ import sys
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
+import numpy as np
+
 from . import analysis, evaluation, ops
 from .checkpoint import load_checkpoint
 from .datasets import (SYNTH_MAX_CLASSES, DatasetManifest, ManifestEntry,
                        fold_split, load_manifest, write_synth_dataset)
-from .audio import make_clip_loader
+from .audio import AudioClip, make_clip_loader
 from .config import Config
 from .errors import ConfigError
 from .model import ModelConfig, param_count
@@ -112,9 +114,17 @@ def _check_classes(manifest: DatasetManifest, num_classes: int) -> None:
 
 
 def _clip_loader(cfg: RunConfig, model_rate: int):
-    """Clip loader honoring the data-section toggles for a model at ``model_rate``."""
-    return make_clip_loader(model_rate if cfg.data.resample else None,
-                            cfg.data.peak_normalize)
+    """Clip loader honoring the data-section toggles for a model at
+    ``model_rate``. Clips are resampled and normalized in float64, then kept
+    in float32: every model the CLI runs is single precision and casts its
+    input to float32 anyway, so it reads the same values from half the
+    memory, and voting windows stay views of the clip."""
+    load = make_clip_loader(model_rate if cfg.data.resample else None, cfg.data.peak_normalize)
+
+    def load_single(path: str) -> AudioClip:
+        clip = load(path)
+        return replace(clip, samples=clip.samples.astype(np.float32))
+    return load_single
 
 
 def _preload_clips(entries: list[ManifestEntry], cfg: RunConfig) -> dict:

@@ -30,32 +30,36 @@ default, run the forward one (channel, tap) term at a time in a fixed
 order, so their outputs are bit-identical to a sequential nested-loop
 evaluation at the same precision. Inside :class:`gemm_kernels` the forward
 instead copies that view into im2col columns and runs one matrix multiply
-per chunk of output positions; a chunk's columns hold at most the larger
-of the output's size and a fixed budget of elements, so a small layer is
-one chunk. Both families share one backward over the same chunks: the
-weight-gradient and column-gradient products, then one scatter per tap.
-The family picks the product, for convolutions and for :func:`linear`
-alike: the GEMM family multiplies with BLAS (``np.matmul``, ``@``), the
-reference family with numpy's einsum loops (:func:`_ordered_matmul`). So
-no reference kernel, forward or backward, calls BLAS, and its bits depend
-on neither the BLAS build, nor the CPU kernel BLAS picks, nor its thread
-count. The GEMM family is many times faster and agrees with the reference
-family to rounding, but repeats bit for bit only with the same BLAS build
-and thread count. The choice is per thread.
+per piece of output positions; a chunk's columns, and a pooled node's
+product, hold at most the larger of the node's output size and a fixed
+budget of elements, so a small layer is one chunk. Both families share one
+backward: the weight-gradient and column-gradient products over chunks of
+the unpooled map, then one scatter per tap. The family picks the product,
+for convolutions and for :func:`linear` alike: the GEMM family multiplies
+with BLAS (``np.matmul``, ``@``), the reference family with numpy's einsum
+loops (:func:`_ordered_matmul`). So no reference kernel, forward or
+backward, calls BLAS, and its bits depend on neither the BLAS build, nor
+the CPU kernel BLAS picks, nor its thread count. The GEMM family is many
+times faster and agrees with the reference family to rounding, but repeats
+bit for bit only with the same BLAS build and thread count. The choice is
+per thread.
 
 Inside :class:`workers`, also set per thread, a GEMM convolution's
 forward is split along P and shared by the calling thread and a pool of
-worker threads. Each chunk is cut into up to one piece per worker, each one
-matmul into its own slice of the output, and the chunks run one after
-another, so the pieces in flight never hold more columns than one chunk.
-The bias, ReLU and the pool are applied in the calling thread once every
-piece has returned, and no pool thread builds a graph node or reads
-per-thread state. The reference family's forward, and every backward, stay
-serial, so reference bits are those of one thread by construction. A GEMM
-piece is a smaller matrix product than its chunk, and BLAS promises no bits
-across such a split; the pieces are kept large (:data:`_PIECE_MACS`), and
-the bits matched one worker in every shape tried with OpenBLAS 0.3.31
-(``tests/test_workers.py``).
+worker threads. Each chunk is cut into up to one piece per worker, and the
+pieces of all chunks are taken in order from one queue, one piece per
+worker at a time, so the pieces in flight hold about one chunk between
+them (one piece per worker, where a chunk is too small to cut into that
+many). Each piece finishes its own slice: the matmul, the bias, the ReLU
+and, for a fused pool, the pool of its bins into the pooled output, so a
+pooled node's unpooled map exists only a piece at a time. No pool thread
+builds a graph node or reads per-thread state. The reference family's
+forward, and every backward, stay serial, so reference bits are those of
+one thread by construction. A GEMM piece is a smaller matrix product than
+its chunk, and BLAS promises no bits across such a split; the pieces are
+kept large (:data:`_PIECE_MACS`), and the bits matched one worker in every
+shape tried with OpenBLAS 0.3.31 (``tests/test_workers.py``,
+``tests/test_fused_pool.py``).
 
 Both convolutions take ``relu=True`` to apply max(0, .) inside the same
 node, with the same results as :func:`relu` on their output, and ``pool=``
@@ -151,11 +155,11 @@ class workers:
         return False
 
 
-def _run(pool: ThreadPoolExecutor | None, fn, pieces: list[slice]) -> None:
+def _run(pool: ThreadPoolExecutor | None, workers: int, fn, pieces: list[slice]) -> None:
     """``fn(p)`` for every piece; returns when all have returned.
 
-    With a pool and more than one piece, the calling thread and one pool
-    thread per further piece take pieces in turn from a shared queue,
+    With a pool and more than one piece, the calling thread and up to
+    ``workers - 1`` pool threads take pieces in order from a shared queue,
     so no piece waits for a thread to wake: the caller runs whatever the
     pool has not taken. Before it returns or raises, a pool task that has
     not started is cancelled and every other one is waited for, so no pool
@@ -178,7 +182,7 @@ def _run(pool: ThreadPoolExecutor | None, fn, pieces: list[slice]) -> None:
                 return
             fn(p)
 
-    helpers = [pool.submit(drain) for _ in pieces[1:]]  # pieces never outnumber workers
+    helpers = [pool.submit(drain) for _ in range(min(workers, len(pieces)) - 1)]
     try:
         drain()
     finally:
@@ -263,8 +267,9 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, relu: bool = False,
     return _conv(x, weight, bias, 1, 1, relu, pool)
 
 
-#: Elements a GEMM chunk's im2col columns may hold when the output is smaller
-#: (4 MiB in float32), so a small layer is one matmul, not many narrow ones.
+#: Elements a GEMM chunk's im2col columns, and a pooled chunk's unpooled
+#: product, may hold when the node's output is smaller (4 MiB in float32), so
+#: a small layer is one matmul, not many narrow ones.
 _COLUMN_BUDGET = 1 << 20
 
 #: Fewest multiply-adds a worker's piece of a convolution forward may hold.
@@ -275,14 +280,28 @@ _COLUMN_BUDGET = 1 << 20
 _PIECE_MACS = 1 << 22
 
 
-def _pieces(p: slice, workers: int, macs: int) -> list[slice]:
-    """The rows of ``p`` cut into near-equal runs, in order: at most
-    ``workers`` of them, and at most one per row and per ``_PIECE_MACS``
-    multiply-adds at ``macs`` per row. ``[p]`` itself when that leaves one,
+def _chunks(edges: range | np.ndarray, step: int) -> list[slice]:
+    """Units cut into runs, in order, of at most ``step`` rows each but at
+    least one unit; unit i covers rows [edges[i], edges[i + 1])."""
+    n = len(edges) - 1
+    if edges[n] - edges[0] <= step:
+        return [slice(0, n)]
+    edges, chunks, lo = np.asarray(edges), [], 0
+    while lo < n:
+        hi = max(lo + 1, int(np.searchsorted(edges, edges[lo] + step, "right")) - 1)
+        chunks.append(slice(lo, hi))
+        lo = hi
+    return chunks
+
+
+def _pieces(units: slice, workers: int, macs: int) -> list[slice]:
+    """The run ``units`` of ``macs`` multiply-adds cut into near-equal runs,
+    in order: at most ``workers`` of them, and at most one per unit and per
+    ``_PIECE_MACS`` multiply-adds. ``[units]`` itself when that leaves one,
     as at one worker."""
-    rows = p.stop - p.start
-    k = max(1, min(workers, rows, rows * macs // _PIECE_MACS))
-    return [slice(p.start + rows * i // k, p.start + rows * (i + 1) // k) for i in range(k)]
+    n = units.stop - units.start
+    k = max(1, min(workers, n, macs // _PIECE_MACS))
+    return [slice(units.start + n * i // k, units.start + n * (i + 1) // k) for i in range(k)]
 
 
 def _padded(a: np.ndarray, pad: int) -> np.ndarray:
@@ -347,18 +366,31 @@ def _conv(x: Tensor, weight: Tensor, bias: Tensor, stride: int, pad: int,
     writes the source's gradient through the same view of a zero array,
     whose unpadded part is ``x``'s gradient.
 
-    Forward differs by family. The reference family starts each output
-    from its bias and adds one (channel, tap) term at a time, in the order
-    of :func:`_terms`; each term reads the same elements as a nested-loop
-    evaluation, so the output is bit-exact against one. The GEMM family
-    (inside :class:`gemm_kernels`) multiplies the (F, C*taps) weights by
-    im2col columns one chunk of P at a time and adds the bias last. A
-    chunk's (C*taps, n) column buffer holds at most max(output size,
-    ``_COLUMN_BUDGET``) elements, and at least one row of P. Inside
-    :class:`workers` the GEMM family splits each chunk in turn over the
-    pool (:func:`_pieces`).
+    Forward differs by family, and both end in one epilogue per run of
+    units (rows of P, or a pool's rows of bins): ReLU in place, then the
+    fused pool of those units' bins into the preallocated pooled output
+    and, when the node records, its index (:meth:`_Pool.fill`). The
+    reference family starts each output from its bias and adds one
+    (channel, tap) term at a time, in the order of :func:`_terms`; each
+    term reads the same elements as a nested-loop evaluation, so the output
+    is bit-exact against one. It then runs the epilogue once over all
+    units. The GEMM family (inside :class:`gemm_kernels`) multiplies the
+    (F, C*taps) weights by im2col columns one piece of P at a time, into
+    the output (unpooled) or into the piece's own product array (pooled),
+    adds the bias and runs the epilogue on that piece, so a pooled node's
+    unpooled map exists only a piece at a time. Pieces are cut from chunks
+    of whole units: a pooled node's units are its pool's rows of bins
+    (pairs of rows for a 2x2 window, one adaptive bin for ``conv1d``), an
+    unpooled node's are single rows of P. A chunk's (C*taps, n) columns and
+    its (F, n) product each hold at most max(node output size,
+    ``_COLUMN_BUDGET``) elements, the pooled size for a pooled node, and at
+    least one unit. Inside :class:`workers` each chunk is cut into pieces
+    (:func:`_pieces`) and the pieces of all chunks are shared out in order,
+    one per worker at a time (:func:`_run`).
 
-    Backward is one algorithm for both families, over the same chunks: it
+    Backward is one algorithm for both families, over chunks of rows of P
+    sized as the unpooled map's forward chunks would be: whose columns hold
+    at most max(unpooled size, ``_COLUMN_BUDGET``) elements. It
     rebuilds each chunk's columns rather than keeping them, multiplies the
     output gradient by them for the weight gradient and by the weights for
     the column gradient, and adds the latter to the source's gradient one
@@ -373,13 +405,12 @@ def _conv(x: Tensor, weight: Tensor, bias: Tensor, stride: int, pad: int,
     0 is 0 and the results are those of :func:`relu` after the convolution,
     bit for bit. The node then holds the post-activation output alone.
 
-    With ``pool`` set, forward pools that output (:meth:`_Pool.forward`)
-    and drops it; the node holds the pooled output and, when it records,
-    each bin's first-hit index. Backward multiplies the pooled gradient by
-    ``pooled > 0``, which is the ReLU mask at every winner, scatters the
-    product to the winners of a zero conv-shaped array
-    (:meth:`_Pool.scatter`) and runs the convolution's gradient products on
-    that. This is the array the separate pool and ReLU give, bit for bit:
+    With ``pool`` set, the node holds the pooled output and, when it
+    records, each bin's first-hit index, never the unpooled map. Backward
+    multiplies the pooled gradient by ``pooled > 0``, which is the ReLU
+    mask at every winner, scatters the product to the winners of a zero
+    conv-shaped array (:meth:`_Pool.scatter`) and runs the convolution's
+    gradient products on that. This is the array the separate pool and ReLU give, bit for bit:
     at a winner both multiply the same gradient by the same mask (a masked
     negative gradient gives -0.0 and a NaN stays NaN, where a selection
     would give 0), and everywhere else both leave +0.0.
@@ -387,40 +418,61 @@ def _conv(x: Tensor, weight: Tensor, bias: Tensor, stride: int, pad: int,
     wd = weight.data
     fout, taps = wd.shape[0], wd.shape[2:]
     win = _windows(_padded(x.data, pad), taps, stride)
-    out = np.empty((fout,) + win.shape[1 + len(taps):], dtype=win.dtype)
-    col = (fout,) + (1,) * (out.ndim - 1)  # a per-filter value against the output
+    shape = (fout,) + win.shape[1 + len(taps):]  # the unpooled map's
+    col = (fout,) + (1,) * (len(shape) - 1)  # a per-filter value against the map
     w2 = wd.reshape(fout, -1)
-    flat = out.reshape(fout, -1)
-    rows, per_row = out.shape[1], flat.shape[1] // out.shape[1]
-    # rows of P per chunk, so that depth * step * per_row <= max(|out|, budget)
-    step = max(1, max(out.size, _COLUMN_BUDGET) // (w2.shape[1] * per_row))
-    chunks = [slice(lo, min(lo + step, rows)) for lo in range(0, rows, step)]
+    depth, rows, per_row = w2.shape[1], shape[1], math.prod(shape[2:])
     lead = (slice(None),) * (1 + len(taps))  # the (C, *taps) axes of a window view
 
     def columns(win: np.ndarray, p: slice) -> np.ndarray:
-        return win[lead + (p,)].reshape(w2.shape[1], -1)
+        return win[lead + (p,)].reshape(depth, -1)
+
+    if pool is None:
+        out, index, edges = np.empty(shape, win.dtype), None, range(rows + 1)
+    else:
+        pooled, edges = pool.out_shape, pool.edges
+        out = np.empty(pooled, win.dtype)
+        index = np.empty(pooled, pool.index_dtype) if recording((x, weight, bias)) else None
+
+    def finish(y: np.ndarray, units: slice) -> None:
+        """The epilogue of the biased map ``y`` of ``units``: ReLU in
+        place, then the pool of their bins into ``out`` and ``index``."""
+        if relu:
+            np.maximum(y, 0, out=y)
+        if pool is not None:
+            pool.fill(y, units, out, index)
 
     if _kernels.gemm:
         matmul = np.matmul
+        flat = out.reshape(fout, -1)  # where an unpooled node's pieces land
 
-        def product(p: slice) -> None:  # straight into the output, no product temporary
-            np.matmul(w2, columns(win, p), out=flat[:, p.start * per_row:p.stop * per_row])
+        def piece(units: slice) -> None:
+            p = slice(int(edges[units.start]), int(edges[units.stop]))
+            y = (flat[:, p.start * per_row:p.stop * per_row] if pool is None  # into the output
+                 else np.empty((fout, (p.stop - p.start) * per_row), win.dtype))
+            np.matmul(w2, columns(win, p), out=y)
+            y = y.reshape((fout, -1) + shape[2:])  # a view: the last axis splits
+            y += bias.data.reshape(col)
+            finish(y, units)
 
-        macs = fout * w2.shape[1] * per_row  # multiply-adds per row of P
-        for chunk in chunks:  # one at a time: its pieces hold its columns between them
-            _run(_kernels.pool, product, _pieces(chunk, _kernels.workers, macs))
-        out += bias.data.reshape(col)
+        # rows of P per chunk: its columns and its product hold at most
+        # max(|out|, budget) elements each
+        step = max(1, max(out.size, _COLUMN_BUDGET) // (max(depth, fout) * per_row))
+        workers = _kernels.workers
+        pieces = [p for c in _chunks(edges, step) for p in _pieces(
+            c, workers, int(edges[c.stop] - edges[c.start]) * fout * depth * per_row)]
+        _run(_kernels.pool, workers, piece, pieces)
     else:
         matmul = _ordered_matmul
-        out[...] = bias.data.reshape(col)
+        y = out if pool is None else np.empty(shape, win.dtype)
+        y[...] = bias.data.reshape(col)
         for wi, xi in _terms(win.shape[0], taps):
-            out += wd[wi].reshape(col) * win[xi]
+            y += wd[wi].reshape(col) * win[xi]
+        finish(y, slice(0, len(edges) - 1))
 
-    if relu:
-        np.maximum(out, 0, out=out)
-    index = None
-    if pool is not None:  # the unpooled map is dropped here
-        out, index = pool.forward(out, recording((x, weight, bias)))
+    # backward's chunks are rows of P whose columns hold at most
+    # max(|unpooled map|, budget) elements
+    back_step = max(1, max(fout * rows * per_row, _COLUMN_BUDGET) // (depth * per_row))
 
     def _bw(g: np.ndarray):
         if relu:
@@ -434,7 +486,8 @@ def _conv(x: Tensor, weight: Tensor, bias: Tensor, stride: int, pad: int,
         if gsrc is not None:
             gwin = _windows(gsrc, taps, stride, writeable=True)
             tap_index = [(slice(None),) + tap for tap in itertools.product(*map(range, taps))]
-        for p in chunks:
+        for lo in range(0, rows, back_step):
+            p = slice(lo, min(lo + back_step, rows))
             gc = g[:, p].reshape(fout, -1)
             if gw is not None:
                 gw += matmul(gc, columns(win, p).T)
@@ -484,7 +537,8 @@ def _window_pool(shape: tuple[int, ...], window: tuple[int, int]) -> _Pool:
     taps = [(i, j) for i in range(h) for j in range(w)]  # raster order
     return _Pool(shape, [np.arange(channels), np.arange(0, rows, h), np.arange(0, cols, w)],
                  np.array([i * win + j for i, j in taps]),
-                 [(slice(None), slice(i, rows, h), slice(j, cols, w)) for i, j in taps])
+                 [(slice(None), slice(i, rows, h), slice(j, cols, w)) for i, j in taps],
+                 range(0, rows + 1, h))
 
 
 def _adaptive_pool(shape: tuple[int, ...], target: int, axis: int) -> _Pool:
@@ -504,11 +558,11 @@ def _adaptive_pool(shape: tuple[int, ...], target: int, axis: int) -> _Pool:
     taps = np.arange(-(-length // target))  # the longest bin's
     offsets = taps * math.prod(shape[axis + 1:])
     if axis == len(shape) - 1:
-        return _BinPool(shape, firsts, offsets, ends - starts)
+        return _BinPool(shape, firsts, offsets, bounds)
     # row j holds the j-th index of every bin; short bins repeat their last
     rows = np.minimum(starts + taps[:, None], ends - 1)
     lead = (slice(None),) * axis
-    return _Pool(shape, firsts, offsets, [lead + (row,) for row in rows])
+    return _Pool(shape, firsts, offsets, [lead + (row,) for row in rows], None)
 
 
 class _Pool:
@@ -523,33 +577,64 @@ class _Pool:
     ``firsts[a]`` holds each bin's first coordinate along input axis ``a``,
     and ``offsets[j]`` the flat distance from a bin's first element to its
     j-th; a first hit is never a repeat, so the two place every winner.
+
+    A window pool's bins also run along axis 1 in whole rows of bins:
+    ``edges`` holds their bounds there, so bin row i covers input rows
+    [edges[i], edges[i + 1]), and :meth:`fill` pools any run of them from
+    those input rows alone. An adaptive pool over a leading axis has no
+    ``edges`` and pools all its bins at once.
     """
 
+    # every recorded pool node keeps its plan: no per-instance dict
+    __slots__ = ("shape", "firsts", "offsets", "taps", "edges", "index_dtype")
+
     def __init__(self, shape: tuple[int, ...], firsts: list[np.ndarray],
-                 offsets: np.ndarray, taps: list[tuple] | None):
+                 offsets: np.ndarray, taps: list[tuple] | None,
+                 edges: range | np.ndarray | None):
         self.shape, self.firsts, self.offsets, self.taps = shape, firsts, offsets, taps
+        self.edges = edges
         # tap numbers 0 .. n-1 and the no-hit sentinel n
         self.index_dtype = np.min_scalar_type(len(offsets))
+
+    @property
+    def out_shape(self) -> tuple[int, ...]:
+        return tuple(map(len, self.firsts))
 
     def forward(self, a: np.ndarray, record: bool) -> tuple[np.ndarray, np.ndarray | None]:
         """Each bin's maximum over ``a``; with ``record`` set, also each
         bin's first-hit tap number, or the tap count where no tap equals the
-        maximum (a bin holding NaN). Forward takes a running maximum over
-        the taps; the index counts each bin's leading misses, the taps
-        before its first hit."""
-        out = a[self.taps[0]].copy()
+        maximum (a bin holding NaN)."""
+        out = np.empty(self.out_shape, a.dtype)
+        index = np.empty(self.out_shape, self.index_dtype) if record else None
+        self.fill(a, slice(None), out, index)
+        return out, index
+
+    def fill(self, a: np.ndarray, bins: slice, out: np.ndarray, index: np.ndarray | None) -> None:
+        """:meth:`forward` of the bin rows ``bins`` into ``out[:, bins]`` and,
+        unless it is None, ``index[:, bins]``, where ``a`` holds the input
+        rows of those bins, from the first one's first row (the whole input
+        when ``bins`` covers every bin). A running maximum over the taps;
+        the index counts each bin's leading misses, the taps before its
+        first hit."""
+        dest = out[:, bins]
+        # the running maximum is faster in a contiguous array than in a run
+        # of bin rows of ``out``; that one is filled with a copy
+        out = dest if dest.flags.c_contiguous else np.empty(dest.shape, dest.dtype)
+        np.copyto(out, a[self.taps[0]])
         for tap in self.taps[1:]:
             np.maximum(out, a[tap], out=out)
-        if not record:
-            return out, None
+        if out is not dest:
+            dest[...] = out
+        if index is None:
+            return
+        index = index[:, bins]
         missed = a[self.taps[0]] != out  # bins whose first hit is still ahead
-        index = missed.astype(self.index_dtype)
+        np.copyto(index, missed)
         miss = np.empty_like(missed)
         for tap in self.taps[1:]:
             np.not_equal(a[tap], out, out=miss)
             missed &= miss
             index += missed
-        return out, index
 
     def scatter(self, g: np.ndarray, index: np.ndarray) -> np.ndarray:
         """The input gradient of output gradient ``g``: each bin's gradient
@@ -572,9 +657,8 @@ class _Pool:
 
 class _BinPool(_Pool):
     """The bins of an ``adaptive_maxpool`` over the last axis: contiguous,
-    starting at ``firsts[-1]``, ascending, with ``sizes`` elements each,
-    together the whole axis; the same outputs and index as :class:`_Pool`
-    with the same bins.
+    ascending, bin i covering [edges[i], edges[i + 1]), together the whole
+    axis; the same outputs and index as :class:`_Pool` with the same bins.
 
     Forward is one ``np.maximum.reduceat``, which walks each row once, in
     index order. For the index, every element equal to its bin's output
@@ -584,19 +668,26 @@ class _BinPool(_Pool):
     sentinel.
     """
 
-    def __init__(self, shape: tuple[int, ...], firsts: list[np.ndarray],
-                 offsets: np.ndarray, sizes: np.ndarray):
-        super().__init__(shape, firsts, offsets, None)
-        self.sizes = sizes
+    __slots__ = ("sizes",)
 
-    def forward(self, a: np.ndarray, record: bool) -> tuple[np.ndarray, np.ndarray | None]:
-        starts, n = self.firsts[-1], len(self.offsets)
-        out = np.maximum.reduceat(a, starts, axis=-1)
-        if not record:
-            return out, None
-        weights = np.repeat(starts + n, self.sizes) - np.arange(a.shape[-1])
-        hits = (a == np.repeat(out, self.sizes, axis=-1)) * weights.astype(self.index_dtype)
-        return out, n - np.maximum.reduceat(hits, starts, axis=-1)
+    def __init__(self, shape: tuple[int, ...], firsts: list[np.ndarray],
+                 offsets: np.ndarray, edges: np.ndarray):
+        super().__init__(shape, firsts, offsets, None, edges)
+        self.sizes = edges[1:] - edges[:-1]
+
+    def fill(self, a: np.ndarray, bins: slice, out: np.ndarray, index: np.ndarray | None) -> None:
+        """:meth:`forward` of the bins ``bins`` into ``out[..., bins]`` and,
+        unless it is None, ``index[..., bins]``, where ``a`` holds exactly
+        those bins' elements along the last axis."""
+        starts, sizes, n = self.firsts[-1][bins], self.sizes[bins], len(self.offsets)
+        starts = starts - starts[0]  # within ``a``
+        out = out[..., bins]
+        np.maximum.reduceat(a, starts, axis=-1, out=out)
+        if index is None:
+            return
+        weights = np.repeat(starts + n, sizes) - np.arange(a.shape[-1])
+        hits = (a == np.repeat(out, sizes, axis=-1)) * weights.astype(self.index_dtype)
+        np.subtract(n, np.maximum.reduceat(hits, starts, axis=-1), out=index[..., bins])
 
 
 def _pool_node(x: Tensor, pool: _Pool) -> Tensor:

@@ -1,10 +1,13 @@
 """Command-line surface: workflows, exit codes, config validation."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from wavems import cli
+from wavems.audio import make_clip_loader
 from wavems.checkpoint import load_checkpoint, save_checkpoint
 from wavems.cli import main, parse_run_config, UsageError
 from wavems.datasets import load_manifest
@@ -418,3 +421,42 @@ class TestRobustnessExitCodes:
         err = TestBadInputExitCodes._assert_error_line(capsys)
         assert "non-finite loss" in err and "epoch 0, batch 0" in err
         assert not ckpt.exists()
+
+
+class TestPreloadedClips:
+    @pytest.fixture
+    def long_corpus(self, tmp_path):
+        """48 one-second clips at 8820 Hz, resampled to the micro model's 4410 Hz."""
+        out = tmp_path / "long"
+        assert main(["synth", "--out", str(out), "--classes", "3", "--clips-per-class", "16",
+                     "--seconds", "1.0", "--seed", "3", "--rate", "8820"]) == 0
+        return cli._load_manifest_file(str(out / "manifest.csv"))
+
+    def test_clips_are_float32_of_the_float64_load(self, long_corpus):
+        """The model reads the same input values: float32 of the float64
+        resample and normalize."""
+        cfg = parse_run_config(json.dumps({"model": MICRO_MODEL}))
+        clips = cli._preload_clips(long_corpus.entries, cfg)
+        load = make_clip_loader(4410)
+        for e in long_corpus.entries[:4]:
+            want = load(e.path)
+            assert clips[e.path].samples.dtype == np.float32
+            assert clips[e.path].samples.tobytes() == want.samples.astype(np.float32).tobytes()
+            assert clips[e.path].sample_rate == want.sample_rate == 4410
+
+    def test_at_most_four_bytes_a_sample(self, long_corpus):
+        """Preloading peaks at 4 bytes per stored sample plus a fixed
+        allowance for the clip objects and one clip's float64 decode, which
+        ends before the next clip's starts. Float64 clips would take twice
+        the samples' share, which this allowance does not cover."""
+        cfg = parse_run_config(json.dumps({"model": MICRO_MODEL}))
+        cli._preload_clips(long_corpus.entries[:1], cfg)  # first-call allocations
+        tracemalloc.start()
+        try:
+            clips = cli._preload_clips(long_corpus.entries, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        stored = sum(len(c) for c in clips.values())
+        assert stored == 48 * 4410
+        assert peak <= 4 * stored + (512 << 10), (peak, stored)

@@ -3,9 +3,11 @@ index every recording pool node keeps.
 
 A fused node must give the bytes of ``maxpool2d`` / ``adaptive_maxpool`` on
 ``conv(..., relu=True)``: the output and every input, weight and bias
-gradient, in both kernel families and both precisions.
+gradient, in both kernel families and both precisions, and with its GEMM
+forward cut in pieces on bin edges at any worker count.
 """
 
+import contextlib
 import tracemalloc
 
 import numpy as np
@@ -16,6 +18,7 @@ from wavems.errors import ShapeError
 from wavems.tensor import Tensor, backward, no_grad
 
 from gradcheck import check_op_gradients, weighted_sum
+from test_gemm import forward_chunks  # noqa: F401
 
 # (conv, x shape, weight shape, stride, pool): bins of 68 and 69 taps, bins
 # of 3 and 4, a 2x2 window over even maps, and windows that drop edge rows
@@ -225,13 +228,14 @@ class TestPoolIndex:
 
     @pytest.mark.parametrize("op", ["maxpool2d", "adaptive_maxpool", "conv1d", "conv2d"])
     def test_no_grad_computes_no_index(self, op, monkeypatch):
+        """Every pool, fused or not and in both kernel families, fills its
+        bins once here, with an index only when it records."""
         calls = []
         for cls in (ops._Pool, ops._BinPool):
-            def spy(self, a, record, forward=vars(cls)["forward"]):
-                out, index = forward(self, a, record)
-                calls.append((record, index))
-                return out, index
-            monkeypatch.setattr(cls, "forward", spy)
+            def spy(self, a, bins, out, index, fill=vars(cls)["fill"]):
+                fill(self, a, bins, out, index)
+                calls.append((index is not None, index))
+            monkeypatch.setattr(cls, "fill", spy)
         rng = np.random.default_rng(5)
         x = Tensor(rng.standard_normal((2, 6, 8) if op.endswith("2d") else (2, 30)),
                    requires_grad=True)
@@ -241,11 +245,14 @@ class TestPoolIndex:
                 "adaptive_maxpool": lambda: ops.adaptive_maxpool(x, 4, axis=1),
                 "conv1d": lambda: ops.conv1d(x, w, b, relu=True, pool=4),
                 "conv2d": lambda: ops.conv2d(x, w, b, relu=True, pool=(2, 2))}[op]
-        with no_grad():
-            assert not call().requires_grad
-        assert calls == [(False, None)]
-        assert call().requires_grad
-        assert calls[1][0] and calls[1][1].dtype == np.uint8
+        for gemm in (False, True):
+            calls.clear()
+            with ops.gemm_kernels(gemm):
+                with no_grad():
+                    assert not call().requires_grad
+                assert calls == [(False, None)]
+                assert call().requires_grad
+            assert len(calls) == 2 and calls[1][0] and calls[1][1].dtype == np.uint8
 
 
 class TestPoolArguments:
@@ -276,3 +283,94 @@ class TestPoolArguments:
         with pytest.raises(error) as fused:
             ops.conv2d(x, w, b, relu=True, pool=pool)
         assert str(fused.value) == str(standalone.value)
+
+
+# Fused layers whose GEMM forward splits over workers, cut on bin edges:
+# (conv, x shape, weight shape, pool, whether the column budget is off, GEMM
+# forward matmuls at 1, 2 and 3 workers)
+PIECE_CASES = {
+    # 12000 outputs in 4100 bins of 2 and 3 taps, in chunks of up to 2733
+    # rows sized against the pooled output (the last, of 366 bins, too small
+    # to split); the unpooled map's rule would cut at row 8000, inside bin 2733
+    "conv1d-unequal-bins": ("conv1d", (32, 12002), (64, 32, 3), 4100, True, (5, 9, 13)),
+    # a 97 x 101 map in 2x2 windows: 48 rows of bins in chunks of 40 and 8,
+    # its last row and column in no bin
+    "conv2d-odd-sides": ("conv2d", (8, 97, 101), (128, 8, 3, 3), (2, 2), False, (2, 4, 6)),
+}
+
+
+@pytest.fixture
+def indexes(monkeypatch):
+    """Every first-hit index a pool fills, once each (pieces fill one
+    index in turn)."""
+    seen = {}
+    for cls in (ops._Pool, ops._BinPool):
+        def spy(self, a, bins, out, index, fill=vars(cls)["fill"]):
+            fill(self, a, bins, out, index)
+            if index is not None:
+                seen.setdefault(id(index), index)
+        monkeypatch.setattr(cls, "fill", spy)
+    return seen
+
+
+def piece_case(case, kind):
+    """(conv op, pool argument, [x, weight, bias]) of a ``PIECE_CASES`` layer.
+    NaN inputs hold NaN in five elements of x and in one bias; signed-zero
+    inputs mix +0.0 and -0.0 in x and in the biases."""
+    conv, xs, ws, pool, *_ = PIECE_CASES[case]
+    rng = np.random.default_rng(len(case) + len(kind))
+    x = rng.standard_normal(xs).astype(np.float32)
+    w = (rng.standard_normal(ws) / np.sqrt(np.prod(ws[1:]))).astype(np.float32)
+    b = rng.standard_normal(ws[0]).astype(np.float32)
+    if kind == "nan":
+        x.reshape(-1)[rng.choice(x.size, 5, replace=False)] = np.nan
+        b[1] = np.nan
+    elif kind == "signed-zero":
+        x[...] = np.where(rng.random(xs) < 0.5, -0.0, 0.0)
+        b[...] = np.where(np.arange(ws[0]) % 2, -0.0, 0.0)
+    return getattr(ops, conv), pool, [x, w, b]
+
+
+def pooled_bytes(op, pool, arrays, gemm, workers, record, fused, indexes):
+    """Bytes of the pooled output, of each first-hit index and, when the
+    graph records, of the x, weight and bias gradients of sum(r * out), from
+    the fused node or from a separate conv, ``relu`` and pool."""
+    indexes.clear()
+    inputs = [Tensor(a.copy(), requires_grad=True) for a in arrays]
+    with ops.gemm_kernels(gemm), ops.workers(workers), \
+            (contextlib.nullcontext() if record else no_grad()):
+        out = (op(*inputs, relu=True, pool=pool) if fused
+               else pool_of(pool, ops.relu(op(*inputs))))
+        if record:
+            r = np.random.default_rng(out.size).standard_normal(out.shape).astype(out.dtype)
+            r.reshape(-1)[::3] = -0.0
+            backward(weighted_sum(out, r))
+    got = [out.data.tobytes()] + [i.tobytes() for i in indexes.values()]
+    return got + [t.grad.tobytes() for t in inputs if record]
+
+
+class TestPooledPieces:
+    """A fused pool's forward cuts its chunks and pieces on bin edges, and
+    each piece biases, activates and pools its own bins. At 1, 2 and 3
+    workers, recording or not, in both families, the pooled output, its
+    index and all three gradients keep the bytes of a separate conv,
+    ``relu`` and pool at one worker."""
+
+    @pytest.mark.parametrize("record", [False, True], ids=["no_grad", "recording"])
+    @pytest.mark.parametrize("gemm", [False, True], ids=["reference", "gemm"])
+    @pytest.mark.parametrize("kind", ["random", "signed-zero", "nan"])
+    @pytest.mark.parametrize("case", PIECE_CASES)
+    def test_byte_identical_to_separate_pool(self, case, kind, gemm, record, indexes,
+                                             forward_chunks, monkeypatch):
+        monkeypatch.setattr(ops, "usable_cpus", lambda: 4)
+        *_, no_budget, calls = PIECE_CASES[case]
+        if no_budget:
+            monkeypatch.setattr(ops, "_COLUMN_BUDGET", 0)
+        op, pool, arrays = piece_case(case, kind)
+        want = pooled_bytes(op, pool, arrays, gemm, 1, record, False, indexes)
+        assert len(want) == (5 if record else 1)
+        for workers, count in zip((1, 2, 3), calls):
+            forward_chunks.clear()
+            assert pooled_bytes(op, pool, arrays, gemm, workers, record, True, indexes) == want
+            if gemm and not record:
+                assert len(forward_chunks) == count

@@ -123,7 +123,8 @@ class TestSplitForward:
     column budget the GEMM kernels cut these layers into several chunks;
     ``calls`` counts their forward matmuls at one, two and three workers:
     a chunk splits into at most one piece per worker, of at least
-    ``ops._PIECE_MACS`` multiply-adds each."""
+    ``ops._PIECE_MACS`` multiply-adds each. A pooled layer's chunks are
+    whole rows of bins, sized against its pooled output."""
 
     CONV1D = [  # stride, cin, fout, k, length; matmuls at 1, 2, 3 workers
         ((3, 8, 32, 7, 30000), (2, 3, 3)),    # chunks of 5713 and 4285 rows; the last stays whole
@@ -131,9 +132,11 @@ class TestSplitForward:
         ((1, 2, 3, 5, 40), (4, 4, 4)),       # chunks too small to split
     ]
     CONV2D = [  # cin, fout, h, w; matmuls at 1, 2, 3 workers
-        ((32, 128, 23, 60), (3, 5, 7)),  # chunks of 10, 10 and 3 rows; the last stays whole
-        ((64, 64, 5, 200), (5, 5, 5)),  # one-row chunks: more workers than a chunk's rows
-        ((3, 4, 8, 6), (8, 8, 8)),      # chunks too small to split
+        # the pool's budget gives chunks of one row of bins (two rows of the
+        # map), which never split; the map's odd last row is in no bin
+        ((32, 128, 23, 60), (11, 11, 11)),
+        ((64, 64, 5, 200), (2, 2, 2)),
+        ((3, 4, 8, 6), (4, 4, 4)),
     ]
 
     @staticmethod
@@ -238,6 +241,32 @@ class TestSplitForward:
                 finally:
                     tracemalloc.stop()
         assert peaks[1] <= peaks[0] + (256 << 10), peaks
+
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("layer", ["phase", "conv1"])
+    def test_pooled_forward_holds_no_unpooled_map(self, layer, workers, cpus):
+        """A no-grad full-scale GEMM phase conv and ``conv1`` peak below the
+        bytes of their unpooled maps: each piece pools its own chunk's
+        product, so the map never exists whole. The pool starts before the
+        measured call."""
+        rng = np.random.default_rng(7)
+        if layer == "phase":  # a (32, 66138) map, 8.5 MB, pooled to 441 bins
+            shapes, op = ((32, 66140), (32, 32, 3), (32,)), ops.conv1d
+            pool, unpooled = 441, 32 * 66138 * 4
+        else:  # a (64, 96, 441) map, 10.8 MB, pooled 2x2
+            shapes, op = ((1, 96, 441), (64, 1, 3, 3), (64,)), ops.conv2d
+            pool, unpooled = (2, 2), 64 * 96 * 441 * 4
+        x, w, b = (Tensor(rng.standard_normal(s).astype(np.float32)) for s in shapes)
+        with ops.gemm_kernels(), ops.workers(workers), no_grad():
+            op(x, w, b, relu=True, pool=pool)
+            tracemalloc.start()
+            try:
+                op(x, w, b, relu=True, pool=pool)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak < unpooled, (peak, unpooled)
 
 
 # The CLI micro model with 32-filter branches and wider levels: its phase
