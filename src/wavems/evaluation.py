@@ -103,7 +103,8 @@ def _default_fold_runner(clips: Optional[dict[str, AudioClip]] = None) -> FoldRu
             manifest: DatasetManifest, fold: int, repeat: int) -> float:
         cfg = replace(train_config, seed=train_config.seed + repeat)
         ckpt = train(model_config, cfg, manifest, fold, clips=clips)
-        model = ckpt.restore_model()
+        # weights only: the model holds the checkpoint's arrays, no velocities
+        model = replace(ckpt, velocities=None).restore_model()
         with ops.gemm_kernels(not train_config.deterministic):
             report = evaluate(model, manifest, fold, clips=clips)
         return report.accuracy

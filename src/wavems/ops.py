@@ -25,24 +25,27 @@ one of two forward kernels:
 Convolutions view their input, once per call, as a tap-leading window
 array (C, *taps, P, *S): element [c, *t, p, *s] is the input element under
 tap t of output position (p, *s), read through the input's own strides with
-no copy. They have two kernel families. The reference kernels, the
-default, run the forward one (channel, tap) term at a time in a fixed
-order, so their outputs are bit-identical to a sequential nested-loop
-evaluation at the same precision. Inside :class:`gemm_kernels` the forward
-instead copies that view into im2col columns and runs one matrix multiply
-per piece of output positions; a chunk's columns, and a pooled node's
-product, hold at most the larger of the node's output size and a fixed
-budget of elements, so a small layer is one chunk. Both families share one
-backward: the weight-gradient and column-gradient products over chunks of
-the unpooled map, then one scatter per tap. The family picks the product,
-for convolutions and for :func:`linear` alike: the GEMM family multiplies
-with BLAS (``np.matmul``, ``@``), the reference family with numpy's einsum
-loops (:func:`_ordered_matmul`). So no reference kernel, forward or
-backward, calls BLAS, and its bits depend on neither the BLAS build, nor
-the CPU kernel BLAS picks, nor its thread count. The GEMM family is many
-times faster and agrees with the reference family to rounding, but repeats
-bit for bit only with the same BLAS build and thread count. The choice is
-per thread.
+no copy. They have two kernel families and one forward: the view is copied
+into im2col columns one chunk of output positions at a time, each chunk
+runs one matrix product per piece, and each piece runs its own epilogue
+(ReLU and a fused pool). A chunk's columns, and a pooled node's product,
+hold at most the larger of the node's output size and a fixed budget of
+elements, so a small layer is one chunk. The family picks only the product
+and where the bias enters. The GEMM family, inside :class:`gemm_kernels`,
+multiplies with BLAS (``np.matmul``) and adds the bias to the product. The
+reference family, the default, multiplies with numpy's einsum loops
+(:func:`_ordered_matmul`) on bias-augmented operands: a leading bias column
+on the weights and a leading row of ones on the columns. Each output then
+sums its bias, then its (channel, tap) terms in raster order, one at a
+time, so it is bit-identical to a sequential nested-loop evaluation at the
+same precision. Both families share one backward: the weight-gradient and
+column-gradient products over chunks of the unpooled map, then one scatter
+per tap, with the family's product. :func:`linear` picks its products the
+same way. So no reference kernel, forward or backward, calls BLAS, and its
+bits depend on neither the BLAS build, nor the CPU kernel BLAS picks, nor
+its thread count. The GEMM forward is several times faster and agrees with
+the reference family to rounding, but repeats bit for bit only with the
+same BLAS build and thread count. The choice is per thread.
 
 Inside :class:`workers`, also set per thread, a GEMM convolution's
 forward is split along P and shared by the calling thread and a pool of
@@ -53,9 +56,10 @@ them (one piece per worker, where a chunk is too small to cut into that
 many). Each piece finishes its own slice: the matmul, the bias, the ReLU
 and, for a fused pool, the pool of its bins into the pooled output, so a
 pooled node's unpooled map exists only a piece at a time. No pool thread
-builds a graph node or reads per-thread state. The reference family's
-forward, and every backward, stay serial, so reference bits are those of
-one thread by construction. A GEMM piece is a smaller matrix product than
+builds a graph node or reads per-thread state. The reference family runs
+its forward's chunks whole, in order, in the calling thread, and every
+backward is serial, so reference bits are those of one thread by
+construction. A GEMM piece is a smaller matrix product than
 its chunk, and BLAS promises no bits across such a split; the pieces are
 kept large (:data:`_PIECE_MACS`), and the bits matched one worker in every
 shape tried with OpenBLAS 0.3.31 (``tests/test_workers.py``,
@@ -339,18 +343,24 @@ def _windows(a: np.ndarray, taps: tuple[int, ...], stride: int,
     return view
 
 
-def _terms(channels: int, taps: tuple[int, ...]):
-    """Weight and window indices of each (channel, tap) term, in the
-    reference summation order: channels outer, taps in raster order."""
-    for c in range(channels):
-        for tap in itertools.product(*map(range, taps)):
-            yield (slice(None), c) + tap, (c,) + tap
+def _ordered_matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """``a @ b`` (into ``out`` if given) by numpy's own single-threaded
+    einsum loops, which call no BLAS, so the bits do not depend on the BLAS
+    build or its thread count.
 
-
-def _ordered_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``a @ b`` by numpy's own single-threaded einsum loops, which call no
-    BLAS, so the bits do not depend on the BLAS build or its thread count."""
-    return np.einsum("ij,jk->ik", a, b)
+    einsum sums each output in term order, one term at a time, only when
+    both operands are C-contiguous and the product has at least two
+    columns; with one column, or a column-major operand, it runs a dot loop
+    with partial sums. The reference convolution forward meets that
+    condition (see :func:`_conv`), and acceptance criterion 2, bits equal
+    to the nested-loop oracles, relies on it. Two reference products fall
+    outside it and are left so, because making them sequential would move
+    the reference family's bits: :func:`linear`'s (O, D) @ (D, 1) forward,
+    and the convolution backward's weight-gradient product
+    ``gc @ columns.T``. Their bits depend on numpy's choice of loop, still
+    on no BLAS.
+    """
+    return np.einsum("ij,jk->ik", a, b, out=out)
 
 
 def _conv(x: Tensor, weight: Tensor, bias: Tensor, stride: int, pad: int,
@@ -366,27 +376,33 @@ def _conv(x: Tensor, weight: Tensor, bias: Tensor, stride: int, pad: int,
     writes the source's gradient through the same view of a zero array,
     whose unpadded part is ``x``'s gradient.
 
-    Forward differs by family, and both end in one epilogue per run of
-    units (rows of P, or a pool's rows of bins): ReLU in place, then the
-    fused pool of those units' bins into the preallocated pooled output
-    and, when the node records, its index (:meth:`_Pool.fill`). The
-    reference family starts each output from its bias and adds one
-    (channel, tap) term at a time, in the order of :func:`_terms`; each
-    term reads the same elements as a nested-loop evaluation, so the output
-    is bit-exact against one. It then runs the epilogue once over all
-    units. The GEMM family (inside :class:`gemm_kernels`) multiplies the
-    (F, C*taps) weights by im2col columns one piece of P at a time, into
-    the output (unpooled) or into the piece's own product array (pooled),
-    adds the bias and runs the epilogue on that piece, so a pooled node's
-    unpooled map exists only a piece at a time. Pieces are cut from chunks
-    of whole units: a pooled node's units are its pool's rows of bins
-    (pairs of rows for a 2x2 window, one adaptive bin for ``conv1d``), an
-    unpooled node's are single rows of P. A chunk's (C*taps, n) columns and
-    its (F, n) product each hold at most max(node output size,
-    ``_COLUMN_BUDGET``) elements, the pooled size for a pooled node, and at
-    least one unit. Inside :class:`workers` each chunk is cut into pieces
-    (:func:`_pieces`) and the pieces of all chunks are shared out in order,
-    one per worker at a time (:func:`_run`).
+    Forward is one algorithm for both families. It multiplies the (F,
+    C*taps) weights by im2col columns one piece of P at a time, into the
+    output (unpooled) or into the piece's own product array (pooled), and
+    runs the epilogue on that piece: ReLU in place, then the fused pool of
+    the piece's bins into the preallocated pooled output and, when the node
+    records, its index (:meth:`_Pool.fill`). So a pooled node's unpooled map
+    exists only a piece at a time. Pieces are cut from chunks of whole
+    units: a pooled node's units are its pool's rows of bins (pairs of rows
+    for a 2x2 window, one adaptive bin for ``conv1d``), an unpooled node's
+    are single rows of P. A chunk's (depth, n) columns and its (F, n)
+    product each hold at most max(node output size, ``_COLUMN_BUDGET``)
+    elements, the pooled size for a pooled node, and at least one unit.
+
+    The family picks only the product and where the bias enters. The GEMM
+    family (inside :class:`gemm_kernels`) runs ``np.matmul`` and adds the
+    bias to the product. Inside :class:`workers` each of its chunks is cut
+    into pieces (:func:`_pieces`) and the pieces of all chunks are shared
+    out in order, one per worker at a time (:func:`_run`). The reference
+    family runs :func:`_ordered_matmul` on bias-augmented operands, a
+    leading bias column on the weights and a leading row of ones on
+    C-contiguous columns (depth C*taps + 1), so each output sums its bias,
+    then its terms in (C, *taps) raster order, as a nested-loop evaluation
+    does, bit for bit. Two mends keep it so: a one-column chunk is padded
+    to two columns, which einsum sums in order, and for a filter whose bias
+    is -0.0 each output that is exactly 0 with every term -0.0 is set to
+    -0.0, where einsum, starting at +0.0, gives +0.0. Its forward is serial:
+    one piece per chunk, in the calling thread.
 
     Backward is one algorithm for both families, over chunks of rows of P
     sized as the unpooled map's forward chunks would be: whose columns hold
@@ -419,7 +435,6 @@ def _conv(x: Tensor, weight: Tensor, bias: Tensor, stride: int, pad: int,
     fout, taps = wd.shape[0], wd.shape[2:]
     win = _windows(_padded(x.data, pad), taps, stride)
     shape = (fout,) + win.shape[1 + len(taps):]  # the unpooled map's
-    col = (fout,) + (1,) * (len(shape) - 1)  # a per-filter value against the map
     w2 = wd.reshape(fout, -1)
     depth, rows, per_row = w2.shape[1], shape[1], math.prod(shape[2:])
     lead = (slice(None),) * (1 + len(taps))  # the (C, *taps) axes of a window view
@@ -434,41 +449,55 @@ def _conv(x: Tensor, weight: Tensor, bias: Tensor, stride: int, pad: int,
         out = np.empty(pooled, win.dtype)
         index = np.empty(pooled, pool.index_dtype) if recording((x, weight, bias)) else None
 
-    def finish(y: np.ndarray, units: slice) -> None:
-        """The epilogue of the biased map ``y`` of ``units``: ReLU in
-        place, then the pool of their bins into ``out`` and ``index``."""
+    gemm = _kernels.gemm
+    matmul = np.matmul if gemm else _ordered_matmul
+    if not gemm:
+        # the bias leads each sum, then the terms in (C, *taps) raster order
+        wb = np.concatenate((bias.data[:, None], w2), axis=1)
+        signed = np.flatnonzero((bias.data == 0) & np.signbit(bias.data))  # -0.0 biases
+
+    def ordered(p: slice, y: np.ndarray) -> None:
+        """The reference family's biased product of the rows ``p`` into ``y``."""
+        src = win[lead + (p,)]
+        n = y.shape[1]
+        cols = np.empty((depth + 1, max(n, 2)), win.dtype)
+        cols[0], cols[1:, n:] = 1, 0
+        cols[1:, :n].reshape(src.shape, copy=False)[...] = src
+        if n > 1:
+            _ordered_matmul(wb, cols, out=y)
+        else:  # einsum would sum a single column out of order
+            y[...] = _ordered_matmul(wb, cols)[:, :1]
+        # einsum starts each sum at +0.0, the nested loops at the bias: where
+        # a -0.0 bias and every term are -0.0, the loops keep -0.0
+        for f in signed:
+            zero = np.flatnonzero(y[f] == 0)
+            terms = w2[f, :, None] * cols[1:, zero]
+            y[f, zero[((terms == 0) & np.signbit(terms)).all(axis=0)]] = -0.0
+
+    flat = out.reshape(fout, -1)  # where an unpooled node's pieces land
+
+    def piece(units: slice) -> None:
+        p = slice(int(edges[units.start]), int(edges[units.stop]))
+        y = (flat[:, p.start * per_row:p.stop * per_row] if pool is None  # into the output
+             else np.empty((fout, (p.stop - p.start) * per_row), win.dtype))
+        if gemm:
+            np.matmul(w2, columns(win, p), out=y)
+            y += bias.data[:, None]
+        else:
+            ordered(p, y)
+        y = y.reshape((fout, -1) + shape[2:])  # a view: the last axis splits
         if relu:
             np.maximum(y, 0, out=y)
         if pool is not None:
             pool.fill(y, units, out, index)
 
-    if _kernels.gemm:
-        matmul = np.matmul
-        flat = out.reshape(fout, -1)  # where an unpooled node's pieces land
-
-        def piece(units: slice) -> None:
-            p = slice(int(edges[units.start]), int(edges[units.stop]))
-            y = (flat[:, p.start * per_row:p.stop * per_row] if pool is None  # into the output
-                 else np.empty((fout, (p.stop - p.start) * per_row), win.dtype))
-            np.matmul(w2, columns(win, p), out=y)
-            y = y.reshape((fout, -1) + shape[2:])  # a view: the last axis splits
-            y += bias.data.reshape(col)
-            finish(y, units)
-
-        # rows of P per chunk: its columns and its product hold at most
-        # max(|out|, budget) elements each
-        step = max(1, max(out.size, _COLUMN_BUDGET) // (max(depth, fout) * per_row))
-        workers = _kernels.workers
-        pieces = [p for c in _chunks(edges, step) for p in _pieces(
-            c, workers, int(edges[c.stop] - edges[c.start]) * fout * depth * per_row)]
-        _run(_kernels.pool, workers, piece, pieces)
-    else:
-        matmul = _ordered_matmul
-        y = out if pool is None else np.empty(shape, win.dtype)
-        y[...] = bias.data.reshape(col)
-        for wi, xi in _terms(win.shape[0], taps):
-            y += wd[wi].reshape(col) * win[xi]
-        finish(y, slice(0, len(edges) - 1))
+    # rows of P per chunk: its columns (with the reference family's row of
+    # ones) and its product hold at most max(|out|, budget) elements each
+    step = max(1, max(out.size, _COLUMN_BUDGET) // (max(depth + (not gemm), fout) * per_row))
+    workers = _kernels.workers if gemm else 1  # the reference forward stays serial
+    pieces = [p for c in _chunks(edges, step) for p in _pieces(
+        c, workers, int(edges[c.stop] - edges[c.start]) * fout * depth * per_row)]
+    _run(_kernels.pool if gemm else None, workers, piece, pieces)
 
     # backward's chunks are rows of P whose columns hold at most
     # max(|unpooled map|, budget) elements

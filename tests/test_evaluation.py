@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from wavems import ops
 from wavems.audio import AudioClip
 from wavems.datasets import DatasetManifest, ManifestEntry, synth_dataset
 from wavems.errors import ManifestError
@@ -204,6 +205,37 @@ class TestCrossValidate:
         values = np.array(list(row.accuracies.values()))
         assert abs(row.mean - values.mean()) < 1e-12
         assert abs(row.stddev - values.std()) < 1e-12
+
+    def test_default_runner_votes_on_the_checkpoint_weights(self, monkeypatch):
+        """The default fold runner votes with the trained checkpoint's own
+        parameter arrays and allocates no velocities, with the accuracy of
+        a model restored from copies."""
+        import wavems.evaluation as evaluation_mod
+
+        manifest, clips = synth_dataset(3, 4, 0.15, 4410, seed=8, num_folds=2)
+        tc = TrainConfig(epochs=1, batch_size=8, lr_stages=((1, 1e-2),), seed=1)
+        seen = {}
+        real_train, real_evaluate = evaluation_mod.train, evaluation_mod.evaluate
+
+        def spy_train(*args, **kwargs):
+            seen["ckpt"] = real_train(*args, **kwargs)
+            return seen["ckpt"]
+
+        def spy_evaluate(model, *args, **kwargs):
+            seen["model"] = model
+            return real_evaluate(model, *args, **kwargs)
+
+        monkeypatch.setattr(evaluation_mod, "train", spy_train)
+        monkeypatch.setattr(evaluation_mod, "evaluate", spy_evaluate)
+        accuracy = evaluation_mod._default_fold_runner(clips)(
+            tiny_model_config(), tc, manifest, 1, 0)
+        ckpt, model = seen["ckpt"], seen["model"]
+        for name, p in model.named_parameters():
+            assert np.shares_memory(p.value.data, ckpt.parameters[name]), name
+            assert p.velocity.strides == (0,) * p.velocity.ndim, name
+        with ops.gemm_kernels(not tc.deterministic):
+            copied = real_evaluate(ckpt.restore_model(), manifest, 1, clips=clips)
+        assert accuracy == copied.accuracy
 
     def test_bad_repeats(self):
         manifest, _ = labeled_clip_manifest()

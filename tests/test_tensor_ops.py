@@ -24,6 +24,59 @@ def t(data, requires_grad=False):
     return Tensor(np.asarray(data, dtype=np.float64), requires_grad=requires_grad)
 
 
+# Reference convolutions against the nested-loop oracles, byte for byte. The
+# chunks noted are those of the reference forward under a zero column budget
+# (rows of P per chunk: F * P // max(C * taps + 1, F), at least one).
+ORACLE_CASES = ["random", "one-column-last-chunk", "one-position", "neg-zero-bias",
+                "cancelling", "nan"]
+
+
+def oracle_case(conv, case, rng):
+    """(x, weight, bias, stride) of one oracle comparison, in float64."""
+    if case == "random":  # conv1d: 3 chunks of one column; conv2d: 4 of one row
+        shapes = ((2, 9), (3, 2, 4)) if conv == "conv1d" else ((2, 4, 5), (3, 2, 3, 3))
+    elif case == "one-column-last-chunk":  # chunks of 2, 2, 1 and 2, 2, 2, 1 columns
+        shapes = ((1, 7), (2, 1, 3)) if conv == "conv1d" else ((1, 7, 1), (4, 1, 3, 3))
+    elif case == "one-position":  # a single output column, whatever the budget
+        shapes = ((3, 5), (2, 3, 5)) if conv == "conv1d" else ((2, 1, 1), (3, 2, 3, 3))
+    elif case == "neg-zero-bias":  # zero input: filter 0's terms are all -0.0, filter
+        # 1's all +0.0; conv1d: 5 chunks of 2 columns, conv2d: 5 of one row
+        shapes = ((2, 12), (2, 2, 3)) if conv == "conv1d" else ((2, 5, 4), (2, 2, 3, 3))
+    elif case == "cancelling":  # weights -1: the 1, -1, 0 runs cancel exactly, to
+        # +0.0; outputs over zeros alone keep -0.0. conv1d: 5 chunks, conv2d: 6
+        shapes = ((1, 12), (1, 1, 3)) if conv == "conv1d" else ((1, 6, 6), (1, 1, 3, 3))
+    else:  # "nan": one NaN input, and a -0.0 bias
+        shapes = ((2, 10), (2, 2, 3)) if conv == "conv1d" else ((2, 5, 4), (2, 2, 3, 3))
+    x, w = rng.standard_normal(shapes[0]), rng.standard_normal(shapes[1])
+    b = rng.standard_normal(w.shape[0])
+    if case == "neg-zero-bias":
+        x[...] = 0.0
+        w[0], w[1] = -np.abs(w[0]), np.abs(w[1])
+        b[:] = -0.0
+    elif case == "cancelling":
+        x[...] = 0.0
+        x[..., :6] = [1, -1, 0, 1, -1, 0]
+        if conv == "conv2d":
+            x[:, 2:] = 0.0  # rows 0-1 hold the runs
+        w[...], b[:] = -1.0, -0.0
+    elif case == "nan":
+        x[(1,) * x.ndim] = np.nan
+        b[0] = -0.0
+    return x, w, b, 2 if case == "random" and conv == "conv1d" else 1
+
+
+def assert_oracle_bytes(got, want, case):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+    zeros = want[want == 0]
+    if case == "neg-zero-bias":
+        assert np.signbit(want[0]).all() and not np.signbit(want[1]).any()
+    elif case == "cancelling":  # both signs of zero occur
+        assert np.signbit(zeros).any() and not np.signbit(zeros).all()
+    elif case == "nan":
+        assert np.isnan(want).any() and not np.isnan(want).all()
+
+
 # ---------------------------------------------------------------------------
 # conv1d
 # ---------------------------------------------------------------------------
@@ -41,12 +94,14 @@ class TestConv1d:
         out = ops.conv1d(t([[1, 2, 3]]), t([[[1, 0, 0]]]), t([0]), stride=1)
         assert out.data.tolist() == [[1.0]]
 
-    def test_matches_oracle_random(self, rng):
-        x = rng.standard_normal((2, 9))
-        w = rng.standard_normal((3, 2, 4))
-        b = rng.standard_normal(3)
-        out = ops.conv1d(Tensor(x), Tensor(w), Tensor(b), stride=2)
-        assert np.array_equal(out.data, conv1d_oracle(x, w, b, 2))
+    @pytest.mark.parametrize("split", [False, True], ids=["budget", "no_budget"])
+    @pytest.mark.parametrize("case", ORACLE_CASES)
+    def test_matches_oracle(self, case, split, rng, monkeypatch):
+        if split:
+            monkeypatch.setattr(ops, "_COLUMN_BUDGET", 0)
+        x, w, b, stride = oracle_case("conv1d", case, rng)
+        out = ops.conv1d(Tensor(x), Tensor(w), Tensor(b), stride=stride)
+        assert_oracle_bytes(out.data, conv1d_oracle(x, w, b, stride), case)
 
     def test_shape_and_argument_errors(self):
         x, w, b = t(np.zeros((1, 2))), t(np.zeros((1, 1, 3))), t(np.zeros(1))
@@ -87,12 +142,14 @@ class TestConv2d:
         out = ops.conv2d(Tensor(x), Tensor(w), Tensor(np.zeros(1)))
         assert np.array_equal(out.data, x)
 
-    def test_matches_oracle_random(self, rng):
-        x = rng.standard_normal((2, 4, 5))
-        w = rng.standard_normal((3, 2, 3, 3))
-        b = rng.standard_normal(3)
+    @pytest.mark.parametrize("split", [False, True], ids=["budget", "no_budget"])
+    @pytest.mark.parametrize("case", ORACLE_CASES)
+    def test_matches_oracle(self, case, split, rng, monkeypatch):
+        if split:
+            monkeypatch.setattr(ops, "_COLUMN_BUDGET", 0)
+        x, w, b, _ = oracle_case("conv2d", case, rng)
         out = ops.conv2d(Tensor(x), Tensor(w), Tensor(b))
-        assert np.array_equal(out.data, conv2d_oracle(x, w, b))
+        assert_oracle_bytes(out.data, conv2d_oracle(x, w, b), case)
 
     def test_rejects_non_3x3_kernel(self):
         with pytest.raises(ValueError):

@@ -243,13 +243,14 @@ class TestSplitForward:
         assert peaks[1] <= peaks[0] + (256 << 10), peaks
 
 
+    @pytest.mark.parametrize("gemm", [True, False], ids=["gemm", "reference"])
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("layer", ["phase", "conv1"])
-    def test_pooled_forward_holds_no_unpooled_map(self, layer, workers, cpus):
-        """A no-grad full-scale GEMM phase conv and ``conv1`` peak below the
-        bytes of their unpooled maps: each piece pools its own chunk's
-        product, so the map never exists whole. The pool starts before the
-        measured call."""
+    def test_pooled_forward_holds_no_unpooled_map(self, layer, workers, gemm, cpus):
+        """A no-grad full-scale phase conv and ``conv1`` peak below the bytes
+        of their unpooled maps, in both families: each piece pools its own
+        chunk's product, so the map never exists whole. The pool starts
+        before the measured call."""
         rng = np.random.default_rng(7)
         if layer == "phase":  # a (32, 66138) map, 8.5 MB, pooled to 441 bins
             shapes, op = ((32, 66140), (32, 32, 3), (32,)), ops.conv1d
@@ -258,7 +259,7 @@ class TestSplitForward:
             shapes, op = ((1, 96, 441), (64, 1, 3, 3), (64,)), ops.conv2d
             pool, unpooled = (2, 2), 64 * 96 * 441 * 4
         x, w, b = (Tensor(rng.standard_normal(s).astype(np.float32)) for s in shapes)
-        with ops.gemm_kernels(), ops.workers(workers), no_grad():
+        with ops.gemm_kernels(gemm), ops.workers(workers), no_grad():
             op(x, w, b, relu=True, pool=pool)
             tracemalloc.start()
             try:
