@@ -236,18 +236,23 @@ class Model:
         return t
 
     def forward_frontend(self, wave) -> Tensor:
-        """Input window -> one-channel (frequency x time) feature image."""
+        """Input window -> one-channel (frequency x time) feature image.
+
+        Each branch is one :func:`ops.conv1d_chain` call: its branch conv
+        and its phase conv as two nodes when the call records a graph;
+        otherwise one node that computes the branch conv's rows as its phase
+        conv reads them, so no branch's unpooled map exists whole. Both give
+        the same bits.
+        """
         cfg = self.config
         x = self._as_input(wave)
-        pooled = []
-        for i, b in enumerate(cfg.branches, start=1):
-            y = ops.conv1d(x, self.param(f"branch{i}.conv.weight").value,
-                           self.param(f"branch{i}.conv.bias").value, stride=b.stride,
-                           relu=cfg.relu_after_branch_conv)
-            y = ops.conv1d(y, self.param(f"branch{i}.phase.weight").value,
-                           self.param(f"branch{i}.phase.bias").value,
-                           stride=cfg.phase_stride, relu=True, pool=cfg.frontend_time_bins)
-            pooled.append(y)
+        pooled = [ops.conv1d_chain(x, self.param(f"branch{i}.conv.weight").value,
+                                   self.param(f"branch{i}.conv.bias").value, b.stride,
+                                   cfg.relu_after_branch_conv,
+                                   self.param(f"branch{i}.phase.weight").value,
+                                   self.param(f"branch{i}.phase.bias").value,
+                                   cfg.phase_stride, cfg.frontend_time_bins)
+                  for i, b in enumerate(cfg.branches, start=1)]
         return ops.reshape(ops.concat(pooled, axis=0), cfg.frontend_shape())
 
     def forward_backend(self, featmap: Tensor) -> tuple[Tensor, list[Tensor]]:

@@ -22,30 +22,38 @@ one of two forward kernels:
   input (:class:`_Pool`). There, ``reduceat`` would walk the input with a
   stride and was measured slower.
 
-Convolutions view their input, once per call, as a tap-leading window
-array (C, *taps, P, *S): element [c, *t, p, *s] is the input element under
-tap t of output position (p, *s), read through the input's own strides with
-no copy. They have two kernel families and one forward: the view is copied
-into im2col columns one chunk of output positions at a time, each chunk
-runs one matrix product per piece, and each piece runs its own epilogue
-(ReLU and a fused pool). A chunk's columns, and a pooled node's product,
-hold at most the larger of the node's output size and a fixed budget of
-elements, so a small layer is one chunk. The family picks only the product
-and where the bias enters. The GEMM family, inside :class:`gemm_kernels`,
-multiplies with BLAS (``np.matmul``) and adds the bias to the product. The
-reference family, the default, multiplies with numpy's einsum loops
-(:func:`_ordered_matmul`) on bias-augmented operands: a leading bias column
-on the weights and a leading row of ones on the columns. Each output then
-sums its bias, then its (channel, tap) terms in raster order, one at a
-time, so it is bit-identical to a sequential nested-loop evaluation at the
-same precision. Both families share one backward: the weight-gradient and
-column-gradient products over chunks of the unpooled map, then one scatter
-per tap, with the family's product. :func:`linear` picks its products the
-same way. So no reference kernel, forward or backward, calls BLAS, and its
-bits depend on neither the BLAS build, nor the CPU kernel BLAS picks, nor
-its thread count. The GEMM forward is several times faster and agrees with
-the reference family to rounding, but repeats bit for bit only with the
-same BLAS build and thread count. The choice is per thread.
+Convolutions read their source one piece of output positions at a time. A
+piece asks for the source rows it needs, ``rows(lo, hi)``, and views them as
+a tap-leading window array (C, *taps, n, *S): element [c, *t, p, *s] is the
+source element under tap t of output position (p, *s), read through the
+rows' own strides with no copy. The source is a slice of the input's rows
+(a view) for ``conv1d``; a zero-padded copy of those rows alone for
+``conv2d``; and, for a front-end branch that records no graph
+(:func:`conv1d_chain`), the branch conv's own rows, computed as the phase
+conv reads them. So a no-grad forward never holds a branch conv's map or a
+padded copy of a whole input. There are two kernel families and one
+forward: each piece copies its window view into im2col columns, runs one
+matrix product and its own epilogue (ReLU and a fused pool). Pieces are cut
+from chunks, and a chunk's columns, a pooled node's product and a computed
+source's own arrays hold at most the larger of the node's output size and
+a fixed budget of elements, so a small layer is one chunk. The family picks
+only the product and where the bias enters (:class:`_Kernel`). The GEMM
+family, inside :class:`gemm_kernels`, multiplies with BLAS (``np.matmul``)
+and adds the bias to the product. The reference family, the default,
+multiplies with numpy's einsum loops (:func:`_ordered_matmul`) on
+bias-augmented operands: a leading bias column on the weights and a
+leading row of ones on the columns. Each output then sums its bias, then
+its (channel, tap) terms in raster order, one at a time, so it is
+bit-identical to a sequential nested-loop evaluation at the same
+precision. Both families share one backward, which builds the padded input
+whole again and views it whole: the weight-gradient and column-gradient
+products over chunks of the unpooled map, then one scatter per tap, with
+the family's product. :func:`linear` picks its products the same way. So
+no reference kernel, forward or backward, calls BLAS, and its bits depend
+on neither the BLAS build, nor the CPU kernel BLAS picks, nor its thread
+count. The GEMM forward is several times faster and agrees with the
+reference family to rounding, but repeats bit for bit only with the same
+BLAS build and thread count. The choice is per thread.
 
 Inside :class:`workers`, also set per thread, a GEMM convolution's
 forward is split along P and shared by the calling thread and a pool of
@@ -55,8 +63,10 @@ worker at a time, so the pieces in flight hold about one chunk between
 them (one piece per worker, where a chunk is too small to cut into that
 many). Each piece finishes its own slice: the matmul, the bias, the ReLU
 and, for a fused pool, the pool of its bins into the pooled output, so a
-pooled node's unpooled map exists only a piece at a time. No pool thread
-builds a graph node or reads per-thread state. The reference family runs
+pooled node's unpooled map exists only a piece at a time; a computed
+source's piece also computes its branch rows, in the family fixed when the
+node was built. No pool thread builds a graph node or reads per-thread
+state. The reference family runs
 its forward's chunks whole, in order, in the calling thread, and every
 backward is serial, so reference bits are those of one thread by
 construction. A GEMM piece is a smaller matrix product than
@@ -216,17 +226,28 @@ def conv1d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1,
     x: (C_in, L), weight: (C_out, C_in, k), bias: (C_out,).
     Output length is floor((L - k) / stride) + 1, or ``pool`` when pooled; a
     bad ``pool`` raises what :func:`adaptive_maxpool` would, before any
-    convolution work. The node reads ``x``'s own data in forward and again
-    in backward, so it keeps no copy of it; a pooled node keeps the pooled
-    output and its first-hit index, not the unpooled map.
+    convolution work. The node reads ``x``'s own data in forward, a slice of
+    rows per piece, and again in backward, so it keeps no copy of it; a
+    pooled node keeps the pooled output and its first-hit index, not the
+    unpooled map.
     """
-    _check_dtypes(x, weight, bias)
+    pool = _conv1d_checks(x.shape, x.data.dtype, weight, bias, stride, pool)
+    return _conv(x, weight, bias, stride, 0, relu, pool)
+
+
+def _conv1d_checks(shape: tuple[int, ...], dtype: np.dtype, weight: Tensor, bias: Tensor,
+                   stride: int, pool: int | None) -> _Pool | None:
+    """:func:`conv1d`'s argument checks, for an input of ``shape`` and
+    ``dtype``; the plan of the fused pool, if ``pool`` is given."""
+    for t in (weight, bias):
+        if t.data.dtype != dtype:
+            raise ValueError(f"mixed-precision graph: {t.data.dtype.name} vs {dtype.name}")
     if not isinstance(stride, (int, np.integer)) or stride <= 0:
         raise ValueError(f"stride must be a positive int, got {stride!r}")
-    if x.data.ndim != 2 or weight.data.ndim != 3 or bias.data.ndim != 1:
+    if len(shape) != 2 or weight.data.ndim != 3 or bias.data.ndim != 1:
         raise ShapeError(
-            f"conv1d expects (C,L), (F,C,k), (F,); got {x.shape}, {weight.shape}, {bias.shape}")
-    cin, length = x.shape
+            f"conv1d expects (C,L), (F,C,k), (F,); got {shape}, {weight.shape}, {bias.shape}")
+    cin, length = shape
     fout, cw, k = weight.shape
     if cw != cin:
         raise ShapeError(f"conv1d channel mismatch: input {cin}, weight {cw}")
@@ -234,10 +255,44 @@ def conv1d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1,
         raise ShapeError(f"conv1d bias shape {bias.shape} != ({fout},)")
     if length < k:
         raise ShapeError(f"conv1d input length {length} < filter length {k}")
+    if pool is None:
+        return None
+    return _adaptive_pool((fout, (length - k) // stride + 1), pool, axis=1)
 
-    if pool is not None:
-        pool = _adaptive_pool((fout, (length - k) // stride + 1), pool, axis=1)
-    return _conv(x, weight, bias, stride, 0, relu, pool)
+
+def conv1d_chain(x: Tensor, weight: Tensor, bias: Tensor, stride: int, relu: bool,
+                 phase_weight: Tensor, phase_bias: Tensor, phase_stride: int,
+                 pool: int) -> Tensor:
+    """A front-end branch, ``conv1d(conv1d(x, weight, bias, stride, relu),
+    phase_weight, phase_bias, phase_stride, relu=True, pool=pool)``, with the
+    same errors and the same bits.
+
+    When the call records a graph, it builds those two nodes. When it does
+    not, it runs one pooled node of the second convolution whose pieces
+    compute the rows of the first one's map that they read
+    (:func:`_branch_rows`), in the kernel family of the calling thread, so
+    that map never exists whole: at full scale branch 1's is 32 x 66140
+    float32, 8.5 MB. Its chunks also bound the branch rows' arrays, and its
+    pieces' multiply-adds count the branch rows'. The reference bits are
+    the two nodes' by construction; the GEMM bits are as long as BLAS gives
+    a column the same bits in products of different widths, as OpenBLAS
+    0.3.31 did in every front end tested (``tests/test_workers.py``).
+    """
+    if recording((x, weight, bias, phase_weight, phase_bias)):
+        y = conv1d(x, weight, bias, stride=stride, relu=relu)
+        return conv1d(y, phase_weight, phase_bias, stride=phase_stride, relu=True, pool=pool)
+    _conv1d_checks(x.shape, x.data.dtype, weight, bias, stride, None)
+    fout, depth = weight.shape[0], math.prod(weight.shape[1:])
+    shape = (fout, (x.shape[1] - weight.shape[2]) // stride + 1)
+    plan = _conv1d_checks(shape, x.data.dtype, phase_weight, phase_bias, phase_stride, pool)
+    gemm = _kernels.gemm
+    branch = _Kernel(weight.data, bias.data, stride, gemm)
+    # per row of the branch map: the larger of its columns' and its own
+    # elements, and its multiply-adds
+    cost = max(depth + (not gemm), fout), fout * depth
+    out, _ = _conv_forward(_Kernel(phase_weight.data, phase_bias.data, phase_stride, gemm),
+                           _branch_rows(x.data, branch, relu), shape, True, plan, False, cost)
+    return Tensor(out)
 
 
 def conv2d(x: Tensor, weight: Tensor, bias: Tensor, relu: bool = False,
@@ -249,9 +304,9 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, relu: bool = False,
     x: (C, H, W), weight: (F, C, 3, 3), bias: (F,). The kernel size is fixed
     by the architecture; anything else is an argument error, and so is a bad
     ``pool``, raised as :func:`maxpool2d` would, before any convolution
-    work. The padded input lives only while forward runs and is built again
-    in backward; a pooled node keeps the pooled output and its first-hit
-    index, not the unpooled map.
+    work. Forward pads only the rows each piece reads, so no padded copy of
+    the whole input is made; backward builds one again. A pooled node keeps
+    the pooled output and its first-hit index, not the unpooled map.
     """
     _check_dtypes(x, weight, bias)
     if x.data.ndim != 3 or weight.data.ndim != 4 or bias.data.ndim != 1:
@@ -271,9 +326,10 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, relu: bool = False,
     return _conv(x, weight, bias, 1, 1, relu, pool)
 
 
-#: Elements a GEMM chunk's im2col columns, and a pooled chunk's unpooled
-#: product, may hold when the node's output is smaller (4 MiB in float32), so
-#: a small layer is one matmul, not many narrow ones.
+#: Elements a chunk's im2col columns, a pooled chunk's unpooled product and
+#: a computed source's own arrays may each hold when the node's output is
+#: smaller (4 MiB in float32), so a small layer is one matmul, not many
+#: narrow ones.
 _COLUMN_BUDGET = 1 << 20
 
 #: Fewest multiply-adds a worker's piece of a convolution forward may hold.
@@ -308,14 +364,27 @@ def _pieces(units: slice, workers: int, macs: int) -> list[slice]:
     return [slice(units.start + n * i // k, units.start + n * (i + 1) // k) for i in range(k)]
 
 
+def _padded_rows(a: np.ndarray, pad: int):
+    """``rows(lo, hi)``: rows [lo, hi) along axis 1 of ``a`` with ``pad``
+    zeros on both sides of every axis but the first, built for those rows
+    alone."""
+    c, length = a.shape[:2]
+    dims = [d + 2 * pad for d in a.shape[2:]]
+    inner = (slice(pad, -pad),) * len(dims)
+
+    def rows(lo: int, hi: int) -> np.ndarray:
+        out = np.zeros((c, hi - lo, *dims), a.dtype)
+        first, last = max(lo, pad), min(hi, length + pad)  # the rows that hold ``a``'s
+        out[(slice(None), slice(first - lo, last - lo)) + inner] = a[:, first - pad:last - pad]
+        return out
+
+    return rows
+
+
 def _padded(a: np.ndarray, pad: int) -> np.ndarray:
-    """``a`` with ``pad`` zeros on both sides of every axis but the first;
-    ``a`` itself when ``pad`` is 0."""
-    if not pad:
-        return a
-    out = np.zeros((a.shape[0],) + tuple(d + 2 * pad for d in a.shape[1:]), dtype=a.dtype)
-    _unpadded(out, pad)[...] = a
-    return out
+    """``a`` with ``pad`` zeros on both sides of every axis but the first,
+    all rows at once; ``a`` itself when ``pad`` is 0."""
+    return _padded_rows(a, pad)(0, a.shape[1] + 2 * pad) if pad else a
 
 
 def _unpadded(a: np.ndarray, pad: int) -> np.ndarray:
@@ -325,20 +394,24 @@ def _unpadded(a: np.ndarray, pad: int) -> np.ndarray:
 
 def _windows(a: np.ndarray, taps: tuple[int, ...], stride: int,
              writeable: bool = False) -> np.ndarray:
-    """The (C, *taps, P, *S) view of a C-contiguous (C, *spatial) array:
-    element [c, *t, p, *s] is a[c, p*stride + t[0], s + t[1:]]. ``stride``
-    applies to the first spatial axis (P); the others step by one.
+    """The (C, *taps, P, *S) view of a (C, *spatial) array: element
+    [c, *t, p, *s] is a[c, p*stride + t[0], s + t[1:]]. ``stride`` applies
+    to the first spatial axis (P); the others step by one.
 
-    The view is built on ``a``'s buffer with ``a``'s own strides, which
-    numpy checks against the buffer's size; ``as_strided`` makes the same
-    view without that check and takes about ten times as long per call.
+    The view reads ``a``'s elements through ``a``'s own strides, with no
+    copy. For a C-contiguous ``a`` it is built on ``a``'s buffer, which
+    numpy checks against the buffer's size; ``as_strided``, which other
+    arrays (a run of rows of a larger array) need, makes the same view
+    without that check and takes about four times as long per call.
     """
     c, *dims = a.shape
     channel, *steps = a.strides
-    positions = ((dims[0] - taps[0]) // stride + 1,) + tuple(
-        d - k + 1 for d, k in zip(dims[1:], taps[1:]))
-    view = np.ndarray((c, *taps, *positions), a.dtype, a, 0,
-                      (channel, *steps, steps[0] * stride, *steps[1:]))
+    shape = (c, *taps, (dims[0] - taps[0]) // stride + 1,
+             *(d - k + 1 for d, k in zip(dims[1:], taps[1:])))
+    strides = (channel, *steps, steps[0] * stride, *steps[1:])
+    if not a.flags.c_contiguous:
+        return np.lib.stride_tricks.as_strided(a, shape, strides, writeable=writeable)
+    view = np.ndarray(shape, a.dtype, a, 0, strides)
     view.flags.writeable = writeable
     return view
 
@@ -352,15 +425,148 @@ def _ordered_matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None)
     both operands are C-contiguous and the product has at least two
     columns; with one column, or a column-major operand, it runs a dot loop
     with partial sums. The reference convolution forward meets that
-    condition (see :func:`_conv`), and acceptance criterion 2, bits equal
-    to the nested-loop oracles, relies on it. Two reference products fall
-    outside it and are left so, because making them sequential would move
-    the reference family's bits: :func:`linear`'s (O, D) @ (D, 1) forward,
-    and the convolution backward's weight-gradient product
+    condition (see :class:`_Kernel`), and acceptance criterion 2, bits
+    equal to the nested-loop oracles, relies on it. Two reference products
+    fall outside it and are left so, because making them sequential would
+    move the reference family's bits: :func:`linear`'s (O, D) @ (D, 1)
+    forward, and the convolution backward's weight-gradient product
     ``gc @ columns.T``. Their bits depend on numpy's choice of loop, still
     on no BLAS.
     """
     return np.einsum("ij,jk->ik", a, b, out=out)
+
+
+class _Kernel:
+    """One convolution's weights, bias, stride and kernel family, fixed
+    when it is built, so that a pool thread may run it: the biased product
+    of a run of output rows, from im2col columns of the source rows they
+    read.
+
+    The GEMM family multiplies with ``np.matmul`` and adds the bias to the
+    product. The reference family runs :func:`_ordered_matmul` on
+    bias-augmented operands, a leading bias column on the weights and a
+    leading row of ones on C-contiguous columns, so each output sums its
+    bias, then its terms in (C, *taps) raster order, as a nested-loop
+    evaluation does, bit for bit. A product one column wide is run two
+    wide, on a zero column, because neither BLAS (a matrix-vector product)
+    nor einsum (a dot loop) sums a lone column as it sums a column of a
+    wider product. For a reference filter whose bias is -0.0, each output
+    that is exactly 0 with every term -0.0 is set to -0.0, where einsum,
+    starting at +0.0, gives +0.0.
+    """
+
+    __slots__ = ("w", "bias", "taps", "stride", "gemm", "signed")
+
+    def __init__(self, wd: np.ndarray, bd: np.ndarray, stride: int, gemm: bool):
+        w2 = wd.reshape(len(wd), -1)
+        self.bias, self.taps, self.stride, self.gemm = bd, wd.shape[2:], stride, gemm
+        if gemm:
+            self.w = w2
+        else:  # the bias leads each sum, then the terms in (C, *taps) raster order
+            self.w = np.concatenate((bd[:, None], w2), axis=1)
+            self.signed = np.flatnonzero((bd == 0) & np.signbit(bd))  # -0.0 biases
+
+    def __call__(self, rows, p: slice, y: np.ndarray | None = None) -> np.ndarray:
+        """The (F, n) product of the output rows ``p``, into ``y`` if given,
+        where ``rows(lo, hi)`` gives the source rows [lo, hi) of a (C, rows,
+        *S) array and n is p's length times S's size. The source rows are
+        dropped once copied into columns, and the columns on return."""
+        k, stride, lead = self.taps[0], self.stride, int(not self.gemm)
+        win = _windows(rows(p.start * stride, (p.stop - 1) * stride + k), self.taps, stride)
+        depth = self.w.shape[1] - lead
+        n = win.size // depth
+        if lead or n < 2:
+            cols = np.empty((depth + lead, max(n, 2)), win.dtype)
+            cols[:lead], cols[lead:, n:] = 1, 0
+            cols[lead:, :n].reshape(win.shape, copy=False)[...] = win
+        else:
+            cols = win.reshape(depth, n)  # a copy, unless the window view is contiguous
+        del win  # the source rows, unless ``cols`` is a view of them
+        if y is None:
+            y = np.empty((len(self.w), n), cols.dtype)
+        matmul = np.matmul if self.gemm else _ordered_matmul
+        if n > 1:
+            matmul(self.w, cols, out=y)
+        else:  # the zero column is dropped
+            y[...] = matmul(self.w, cols)[:, :1]
+        if self.gemm:
+            y += self.bias[:, None]
+            return y
+        # einsum starts each sum at +0.0, the nested loops at the bias: where
+        # a -0.0 bias and every term are -0.0, the loops keep -0.0
+        for f in self.signed:
+            zero = np.flatnonzero(y[f] == 0)
+            terms = self.w[f, 1:, None] * cols[1:, zero]
+            y[f, zero[((terms == 0) & np.signbit(terms)).all(axis=0)]] = -0.0
+        return y
+
+
+def _branch_rows(x: np.ndarray, kernel: _Kernel, relu: bool):
+    """``rows(lo, hi)``: rows [lo, hi) of the (F, P) map of the convolution
+    of ``x`` by ``kernel``, then max(0, .) if ``relu`` is set, computed from
+    the input those rows read alone. It reads no per-thread state."""
+
+    def rows(lo: int, hi: int) -> np.ndarray:
+        y = kernel(lambda a, b: x[:, a:b], slice(lo, hi))
+        if relu:
+            np.maximum(y, 0, out=y)
+        return y
+
+    return rows
+
+
+def _conv_forward(kernel: _Kernel, rows, src: tuple[int, ...], relu: bool,
+                  pool: _Pool | None, record: bool,
+                  cost: tuple[int, int] = (0, 0)) -> tuple[np.ndarray, np.ndarray | None]:
+    """A convolution's forward over the (C, L, *S) source ``src`` whose rows
+    ``rows(lo, hi)`` gives: the output, pooled if ``pool`` is given, and the
+    pool's first-hit index if ``record`` is set (else None). ``cost`` holds,
+    per source row, the elements the source's own arrays hold and the
+    multiply-adds it runs: (0, 0) for a stored or padded input, more for a
+    computed one (:func:`_branch_rows`).
+
+    Each piece of output rows multiplies (:class:`_Kernel`) into the output
+    (unpooled) or into its own product array (pooled) and runs the
+    epilogue: ReLU in place, then the fused pool of its bins into the
+    preallocated pooled output and, when recording, its index
+    (:meth:`_Pool.fill`).
+    """
+    taps, stride, fout = kernel.taps, kernel.stride, len(kernel.w)
+    shape = (fout, (src[1] - taps[0]) // stride + 1)  # the unpooled map's
+    if len(src) > 2:
+        shape += tuple([d - k + 1 for d, k in zip(src[2:], taps[1:])])
+    depth, per_row = kernel.w.shape[1], math.prod(shape[2:])  # with the row of ones
+    if pool is None:
+        out, index, edges = np.empty(shape, kernel.w.dtype), None, range(shape[1] + 1)
+    else:
+        pooled, edges = pool.out_shape, pool.edges
+        out = np.empty(pooled, kernel.w.dtype)
+        index = np.empty(pooled, pool.index_dtype) if record else None
+    flat = out.reshape(fout, -1)  # where an unpooled node's pieces land
+
+    def piece(units: slice) -> None:
+        p = slice(int(edges[units.start]), int(edges[units.stop]))
+        y = kernel(rows, p, flat[:, p.start * per_row:p.stop * per_row] if pool is None else None)
+        y = y.reshape((fout, -1) + shape[2:])  # a view: the last axis splits
+        if relu:
+            np.maximum(y, 0, out=y)
+        if pool is not None:
+            pool.fill(y, units, out, index)
+
+    # rows of P per chunk: its columns, its product and the source's own
+    # arrays (about ``stride`` source rows per row of P) hold at most
+    # max(|out|, budget) elements each
+    width, macs = cost
+    step = max(1, max(out.size, _COLUMN_BUDGET) // max(
+        max(depth, fout) * per_row, stride * width))
+    pieces = _chunks(edges, step)
+    workers = _kernels.workers if kernel.gemm else 1  # the reference forward stays serial
+    if workers > 1:  # at one worker a chunk is one piece
+        pieces = [p for c in pieces for p in _pieces(c, workers, int(
+            edges[c.stop] - edges[c.start]) * (fout * (depth - (not kernel.gemm)) * per_row
+                                              + stride * macs))]
+    _run(_kernels.pool if kernel.gemm else None, workers, piece, pieces)
+    return out, index
 
 
 def _conv(x: Tensor, weight: Tensor, bias: Tensor, stride: int, pad: int,
@@ -368,52 +574,38 @@ def _conv(x: Tensor, weight: Tensor, bias: Tensor, stride: int, pad: int,
     """One convolution node, in the kernel family selected when it is built,
     with an optional ReLU and an optional max pool fused in.
 
-    The source is ``x``'s data with ``pad`` zeros around each spatial axis
-    (:func:`_padded`; ``x``'s own array when ``pad`` is 0), read through one
-    (C, *taps, P, *S) view (:func:`_windows`) per call: the taps under every
-    output position, with P the first output axis and ``stride`` its step.
-    The node keeps no source: backward builds it again from ``x`` and
-    writes the source's gradient through the same view of a zero array,
-    whose unpadded part is ``x``'s gradient.
+    The source is ``x``'s data with ``pad`` zeros around each spatial axis.
+    Forward (:func:`_conv_forward`) reads it one piece of output rows at a
+    time: a slice of ``x``'s rows (a view) when ``pad`` is 0, else a
+    zero-padded copy of those rows alone (:func:`_padded_rows`). So no
+    padded copy of the whole input is made, and the unpooled map of a
+    pooled node exists only a piece at a time. Pieces are cut from chunks
+    of whole units: a pooled node's units are its pool's rows of bins
+    (pairs of rows for a 2x2 window, one adaptive bin for ``conv1d``), an
+    unpooled node's are single rows of P, the first output axis. A chunk's
+    (depth, n) columns and its (F, n) product each hold at most max(node
+    output size, ``_COLUMN_BUDGET``) elements, the pooled size for a pooled
+    node, and at least one unit.
 
-    Forward is one algorithm for both families. It multiplies the (F,
-    C*taps) weights by im2col columns one piece of P at a time, into the
-    output (unpooled) or into the piece's own product array (pooled), and
-    runs the epilogue on that piece: ReLU in place, then the fused pool of
-    the piece's bins into the preallocated pooled output and, when the node
-    records, its index (:meth:`_Pool.fill`). So a pooled node's unpooled map
-    exists only a piece at a time. Pieces are cut from chunks of whole
-    units: a pooled node's units are its pool's rows of bins (pairs of rows
-    for a 2x2 window, one adaptive bin for ``conv1d``), an unpooled node's
-    are single rows of P. A chunk's (depth, n) columns and its (F, n)
-    product each hold at most max(node output size, ``_COLUMN_BUDGET``)
-    elements, the pooled size for a pooled node, and at least one unit.
+    The family (:class:`_Kernel`) picks only the product and where the bias
+    enters. Inside :class:`workers` each GEMM chunk is cut into pieces
+    (:func:`_pieces`) and the pieces of all chunks are shared out in order,
+    one per worker at a time (:func:`_run`). The reference forward is
+    serial: one piece per chunk, in the calling thread.
 
-    The family picks only the product and where the bias enters. The GEMM
-    family (inside :class:`gemm_kernels`) runs ``np.matmul`` and adds the
-    bias to the product. Inside :class:`workers` each of its chunks is cut
-    into pieces (:func:`_pieces`) and the pieces of all chunks are shared
-    out in order, one per worker at a time (:func:`_run`). The reference
-    family runs :func:`_ordered_matmul` on bias-augmented operands, a
-    leading bias column on the weights and a leading row of ones on
-    C-contiguous columns (depth C*taps + 1), so each output sums its bias,
-    then its terms in (C, *taps) raster order, as a nested-loop evaluation
-    does, bit for bit. Two mends keep it so: a one-column chunk is padded
-    to two columns, which einsum sums in order, and for a filter whose bias
-    is -0.0 each output that is exactly 0 with every term -0.0 is set to
-    -0.0, where einsum, starting at +0.0, gives +0.0. Its forward is serial:
-    one piece per chunk, in the calling thread.
-
-    Backward is one algorithm for both families, over chunks of rows of P
-    sized as the unpooled map's forward chunks would be: whose columns hold
-    at most max(unpooled size, ``_COLUMN_BUDGET``) elements. It
-    rebuilds each chunk's columns rather than keeping them, multiplies the
-    output gradient by them for the weight gradient and by the weights for
-    the column gradient, and adds the latter to the source's gradient one
-    tap at a time; the per-tap index list is built only when ``x`` needs a
-    gradient. The family picks only the product: ``np.matmul`` for GEMM,
-    :func:`_ordered_matmul` (no BLAS) for the reference. The chunk rule
-    fixes each product's operands, so it also fixes the result bits.
+    The node keeps no source. Backward builds the padded input again
+    (:func:`_padded`) and reads it through one (C, *taps, P, *S) view
+    (:func:`_windows`), over chunks of rows of P sized as the unpooled
+    map's forward chunks would be: whose columns hold at most max(unpooled
+    size, ``_COLUMN_BUDGET``) elements. It rebuilds each chunk's columns
+    rather than keeping them, multiplies the output gradient by them for the
+    weight gradient and by the weights for the column gradient, and adds the
+    latter to the source's gradient one tap at a time, through the same
+    view of a zero array whose unpadded part is ``x``'s gradient; the
+    per-tap index list is built only when ``x`` needs a gradient. The family
+    picks only the product: ``np.matmul`` for GEMM, :func:`_ordered_matmul`
+    (no BLAS) for the reference. The chunk rule fixes each product's
+    operands, so it also fixes the result bits.
 
     With ``relu`` set, both families clamp the biased output at 0 in place,
     and backward passes the output gradient only where the output is above
@@ -431,95 +623,40 @@ def _conv(x: Tensor, weight: Tensor, bias: Tensor, stride: int, pad: int,
     negative gradient gives -0.0 and a NaN stays NaN, where a selection
     would give 0), and everywhere else both leave +0.0.
     """
-    wd = weight.data
-    fout, taps = wd.shape[0], wd.shape[2:]
-    win = _windows(_padded(x.data, pad), taps, stride)
-    shape = (fout,) + win.shape[1 + len(taps):]  # the unpooled map's
-    w2 = wd.reshape(fout, -1)
-    depth, rows, per_row = w2.shape[1], shape[1], math.prod(shape[2:])
-    lead = (slice(None),) * (1 + len(taps))  # the (C, *taps) axes of a window view
-
-    def columns(win: np.ndarray, p: slice) -> np.ndarray:
-        return win[lead + (p,)].reshape(depth, -1)
-
-    if pool is None:
-        out, index, edges = np.empty(shape, win.dtype), None, range(rows + 1)
+    xd, wd, gemm = x.data, weight.data, _kernels.gemm
+    if pad:
+        rows, src = _padded_rows(xd, pad), xd.shape[:1] + tuple([d + 2 * pad for d in xd.shape[1:]])
     else:
-        pooled, edges = pool.out_shape, pool.edges
-        out = np.empty(pooled, win.dtype)
-        index = np.empty(pooled, pool.index_dtype) if recording((x, weight, bias)) else None
-
-    gemm = _kernels.gemm
-    matmul = np.matmul if gemm else _ordered_matmul
-    if not gemm:
-        # the bias leads each sum, then the terms in (C, *taps) raster order
-        wb = np.concatenate((bias.data[:, None], w2), axis=1)
-        signed = np.flatnonzero((bias.data == 0) & np.signbit(bias.data))  # -0.0 biases
-
-    def ordered(p: slice, y: np.ndarray) -> None:
-        """The reference family's biased product of the rows ``p`` into ``y``."""
-        src = win[lead + (p,)]
-        n = y.shape[1]
-        cols = np.empty((depth + 1, max(n, 2)), win.dtype)
-        cols[0], cols[1:, n:] = 1, 0
-        cols[1:, :n].reshape(src.shape, copy=False)[...] = src
-        if n > 1:
-            _ordered_matmul(wb, cols, out=y)
-        else:  # einsum would sum a single column out of order
-            y[...] = _ordered_matmul(wb, cols)[:, :1]
-        # einsum starts each sum at +0.0, the nested loops at the bias: where
-        # a -0.0 bias and every term are -0.0, the loops keep -0.0
-        for f in signed:
-            zero = np.flatnonzero(y[f] == 0)
-            terms = w2[f, :, None] * cols[1:, zero]
-            y[f, zero[((terms == 0) & np.signbit(terms)).all(axis=0)]] = -0.0
-
-    flat = out.reshape(fout, -1)  # where an unpooled node's pieces land
-
-    def piece(units: slice) -> None:
-        p = slice(int(edges[units.start]), int(edges[units.stop]))
-        y = (flat[:, p.start * per_row:p.stop * per_row] if pool is None  # into the output
-             else np.empty((fout, (p.stop - p.start) * per_row), win.dtype))
-        if gemm:
-            np.matmul(w2, columns(win, p), out=y)
-            y += bias.data[:, None]
-        else:
-            ordered(p, y)
-        y = y.reshape((fout, -1) + shape[2:])  # a view: the last axis splits
-        if relu:
-            np.maximum(y, 0, out=y)
-        if pool is not None:
-            pool.fill(y, units, out, index)
-
-    # rows of P per chunk: its columns (with the reference family's row of
-    # ones) and its product hold at most max(|out|, budget) elements each
-    step = max(1, max(out.size, _COLUMN_BUDGET) // (max(depth + (not gemm), fout) * per_row))
-    workers = _kernels.workers if gemm else 1  # the reference forward stays serial
-    pieces = [p for c in _chunks(edges, step) for p in _pieces(
-        c, workers, int(edges[c.stop] - edges[c.start]) * fout * depth * per_row)]
-    _run(_kernels.pool if gemm else None, workers, piece, pieces)
-
-    # backward's chunks are rows of P whose columns hold at most
-    # max(|unpooled map|, budget) elements
-    back_step = max(1, max(fout * rows * per_row, _COLUMN_BUDGET) // (depth * per_row))
+        rows, src = (lambda lo, hi: xd[:, lo:hi]), xd.shape
+    out, index = _conv_forward(_Kernel(wd, bias.data, stride, gemm), rows, src, relu, pool,
+                               pool is not None and recording((x, weight, bias)))
 
     def _bw(g: np.ndarray):
         if relu:
             g = g * (out > 0)  # exactly where the pre-activation is > 0
         if pool is not None:
             g = pool.scatter(g, index)
-        src = _padded(x.data, pad)
+        fout, taps = wd.shape[0], wd.shape[2:]
+        w2 = wd.reshape(fout, -1)
+        matmul = np.matmul if gemm else _ordered_matmul
+        src = _padded(xd, pad)
         win = _windows(src, taps, stride)
+        lead = (slice(None),) * (1 + len(taps))  # the (C, *taps) axes of the view
+        fmap = win.shape[1 + len(taps):]  # (P, *S)
+        depth, rows, per_row = w2.shape[1], fmap[0], math.prod(fmap[1:])
+        # chunks of rows of P whose columns hold at most
+        # max(|unpooled map|, budget) elements
+        step = max(1, max(fout * rows * per_row, _COLUMN_BUDGET) // (depth * per_row))
         gw = np.zeros_like(w2) if weight.requires_grad else None
         gsrc = np.zeros_like(src) if x.requires_grad else None
         if gsrc is not None:
             gwin = _windows(gsrc, taps, stride, writeable=True)
             tap_index = [(slice(None),) + tap for tap in itertools.product(*map(range, taps))]
-        for lo in range(0, rows, back_step):
-            p = slice(lo, min(lo + back_step, rows))
+        for lo in range(0, rows, step):
+            p = slice(lo, min(lo + step, rows))
             gc = g[:, p].reshape(fout, -1)
             if gw is not None:
-                gw += matmul(gc, columns(win, p).T)
+                gw += matmul(gc, win[lead + (p,)].reshape(depth, -1).T)
             if gsrc is not None:
                 target = gwin[lead + (p,)]
                 gcols = matmul(w2.T, gc).reshape(target.shape)

@@ -14,7 +14,8 @@ import pytest
 
 from wavems import cli, evaluation, ops
 from wavems.datasets import fold_split
-from wavems.model import build_model
+from wavems.errors import ShapeError
+from wavems.model import ModelConfig, build_model, full_scale_config
 from wavems.tensor import Tensor, backward, no_grad
 from wavems.training import train
 
@@ -222,52 +223,68 @@ class TestSplitForward:
         one = bits(1)
         assert bits(2) == one and bits(3) == one
 
-    @pytest.mark.parametrize("gemm", [True, False])
-    def test_pieces_hold_no_more_columns_than_a_chunk(self, gemm):
-        """A full-scale phase conv (no grad) peaks no higher at two workers
-        than at one, less an allowance for the worker threads' own state.
-        The pool starts before the measured call."""
-        rng = np.random.default_rng(6)
-        x, w, b = (Tensor(rng.standard_normal(s).astype(np.float32))
-                   for s in ((32, 66140), (32, 32, 3), (32,)))
+    @pytest.mark.parametrize("gemm", [True, False], ids=["gemm", "reference"])
+    @pytest.mark.parametrize("layer", ["phase", "branch"])
+    def test_pieces_hold_no_more_columns_than_a_chunk(self, layer, gemm):
+        """A full-scale phase conv, and the streamed branch-1 chain whose
+        pieces also compute their branch rows (no grad), peak no higher at
+        two workers than at one, less an allowance for the worker threads'
+        own state. The pool starts before the measured call."""
+        op = BRANCH1[layer](np.random.default_rng(6))
         peaks = []
         for workers in (1, 2):
             with ops.gemm_kernels(gemm), ops.workers(workers), no_grad():
-                ops.conv1d(x, w, b)
+                op()
                 tracemalloc.start()
                 try:
-                    ops.conv1d(x, w, b)
+                    op()
                     peaks.append(tracemalloc.get_traced_memory()[1])
                 finally:
                     tracemalloc.stop()
         assert peaks[1] <= peaks[0] + (256 << 10), peaks
 
-
     @pytest.mark.parametrize("gemm", [True, False], ids=["gemm", "reference"])
     @pytest.mark.parametrize("workers", [1, 2])
-    @pytest.mark.parametrize("layer", ["phase", "conv1"])
+    @pytest.mark.parametrize("layer", ["phase", "branch", "conv1"])
     def test_pooled_forward_holds_no_unpooled_map(self, layer, workers, gemm, cpus):
-        """A no-grad full-scale phase conv and ``conv1`` peak below the bytes
-        of their unpooled maps, in both families: each piece pools its own
-        chunk's product, so the map never exists whole. The pool starts
-        before the measured call."""
+        """A no-grad full-scale phase conv, branch-1 chain and ``conv1``
+        peak below the bytes of the unpooled map they make or read, in both
+        families: each piece pools its own chunk's product, so the map never
+        exists whole, and a chain's pieces compute only the branch rows they
+        read. The pool starts before the measured call."""
         rng = np.random.default_rng(7)
-        if layer == "phase":  # a (32, 66138) map, 8.5 MB, pooled to 441 bins
-            shapes, op = ((32, 66140), (32, 32, 3), (32,)), ops.conv1d
-            pool, unpooled = 441, 32 * 66138 * 4
-        else:  # a (64, 96, 441) map, 10.8 MB, pooled 2x2
-            shapes, op = ((1, 96, 441), (64, 1, 3, 3), (64,)), ops.conv2d
-            pool, unpooled = (2, 2), 64 * 96 * 441 * 4
-        x, w, b = (Tensor(rng.standard_normal(s).astype(np.float32)) for s in shapes)
+        if layer == "conv1":  # a (64, 96, 441) map, 10.8 MB, pooled 2x2
+            x, w, b = (Tensor(rng.standard_normal(s).astype(np.float32))
+                       for s in ((1, 96, 441), (64, 1, 3, 3), (64,)))
+            op, unpooled = lambda: ops.conv2d(x, w, b, relu=True, pool=(2, 2)), 64 * 96 * 441 * 4
+        else:  # the (32, 66138) phase map, 8.5 MB, or the (32, 66140) branch map
+            op, unpooled = BRANCH1[layer](rng), 32 * (66138 if layer == "phase" else 66140) * 4
         with ops.gemm_kernels(gemm), ops.workers(workers), no_grad():
-            op(x, w, b, relu=True, pool=pool)
+            op()
             tracemalloc.start()
             try:
-                op(x, w, b, relu=True, pool=pool)
+                op()
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
         assert peak < unpooled, (peak, unpooled)
+
+
+def _phase_conv(rng):
+    """A full-scale branch-1 phase conv, (32, 66140) -> 441 bins."""
+    x, w, b = (Tensor(rng.standard_normal(s).astype(np.float32))
+               for s in ((32, 66140), (32, 32, 3), (32,)))
+    return lambda: ops.conv1d(x, w, b, relu=True, pool=441)
+
+
+def _branch_chain(rng):
+    """Full-scale branch 1, (1, 66150) -> (32, 66140) -> 441 bins."""
+    x, w, b, pw, pb = (Tensor(rng.standard_normal(s).astype(np.float32))
+                       for s in ((1, 66150), (32, 1, 11), (32,), (32, 32, 3), (32,)))
+    return lambda: ops.conv1d_chain(x, w, b, 1, True, pw, pb, 1, 441)
+
+
+BRANCH1 = {"phase": _phase_conv, "branch": _branch_chain}
 
 
 # The CLI micro model with 32-filter branches and wider levels: its phase
@@ -284,6 +301,153 @@ def split_config(tmp_path, monkeypatch):
     path = tmp_path / "split.json"
     path.write_text(json.dumps({"model": SPLIT_MODEL, "train": MICRO_TRAIN}))
     return path
+
+
+# Front ends whose no-grad forward streams each branch conv into its phase
+# conv. "split" and its variants split their GEMM phase convs over two
+# workers. "signed-zero" has a zero run of input under negative branch
+# weights and -0.0 branch biases, and no ReLU after the branch conv, so the
+# reference branch map holds -0.0 (a ReLU would make it +0.0, and so does
+# the phase conv's). "one-column" has a 41-tap branch whose 20 bins are one
+# row each: run with no column budget, each chunk of it is one bin, so each
+# of its pieces reads a one-column branch slab.
+STREAMED = {
+    "split": SPLIT_MODEL,
+    "no-branch-relu": dict(SPLIT_MODEL, relu_after_branch_conv=False),
+    "phase-stride-2": dict(SPLIT_MODEL, phase_stride=2),
+    "signed-zero": dict(SPLIT_MODEL, relu_after_branch_conv=False),
+    "one-column": dict(MICRO_MODEL, branches=[[7, 1, 4], [11, 2, 4], [41, 13, 4]],
+                       phase_filter_len=1),
+}
+
+
+def streamed_case(case, monkeypatch):
+    """The model and window of a ``STREAMED`` case."""
+    model = build_model(ModelConfig.from_dict(STREAMED[case], "model"), seed=5)
+    wave = np.random.default_rng(5).standard_normal(model.window_length).astype(np.float32)
+    if case == "signed-zero":  # every branch term in the zero run is -0.0
+        wave[1000:3000] = 0.0
+        for name, p in model.named_parameters():
+            if name.startswith("branch") and ".conv." in name:
+                p.value.data[:] = -np.abs(p.value.data) if name.endswith("weight") else -0.0
+    if case == "one-column":
+        monkeypatch.setattr(ops, "_COLUMN_BUDGET", 0)
+    return model, wave
+
+
+def frontend_bytes(model, wave, gemm, workers, record):
+    with ops.gemm_kernels(gemm), ops.workers(workers):
+        if record:
+            feat = model.forward_frontend(wave)
+            assert feat.requires_grad
+        else:
+            with no_grad():
+                feat = model.forward_frontend(wave)
+    return feat.data.tobytes()
+
+
+@pytest.fixture(scope="module")
+def full_model():
+    """A full-scale model with seeded biases, and one window."""
+    model = build_model(full_scale_config(5), seed=3)
+    rng = np.random.default_rng(3)
+    for name, p in model.named_parameters():
+        if name.endswith(".bias"):
+            p.value.data[:] = rng.uniform(-0.05, 0.05, p.value.shape)
+    return model, rng.standard_normal(model.window_length).astype(np.float32)
+
+
+class TestStreamedFrontend:
+    """A no-grad ``forward_frontend``, one node per branch whose pieces
+    compute the branch rows they read, gives the bytes of the recorded
+    two-node front end at one worker, in both families at 1 and 2 workers.
+    So a piece must compute its branch rows as the branch conv's own node
+    does, in the family fixed when the node was built."""
+
+    @pytest.mark.parametrize("gemm", [True, False], ids=["gemm", "reference"])
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("case", STREAMED)
+    def test_equals_recorded(self, case, workers, gemm, cpus, monkeypatch):
+        model, wave = streamed_case(case, monkeypatch)
+        want = frontend_bytes(model, wave, gemm, 1, record=True)
+        slabs = []
+        real = ops._windows
+        monkeypatch.setattr(ops, "_windows",
+                            lambda a, *args: slabs.append(a.shape) or real(a, *args))
+        assert frontend_bytes(model, wave, gemm, workers, record=False) == want
+        monkeypatch.setattr(ops, "_windows", real)
+        assert frontend_bytes(model, wave, gemm, workers, record=True) == want
+        if case == "one-column":
+            assert (4, 1) in slabs
+
+    @pytest.mark.parametrize("case", STREAMED)
+    def test_branch_rows_are_the_branch_map(self, case, monkeypatch):
+        """Reference branch rows have the bytes of the branch conv node's
+        map, signed zeros included, over any run of rows, one row wide too.
+        GEMM rows are checked through the front end alone: with OpenBLAS
+        0.3.31, products a few columns wide round otherwise than wide ones
+        for some depths (51 and 101 taps), so GEMM bits hold only for the
+        pieces the chunk rule makes."""
+        model, wave = streamed_case(case, monkeypatch)
+        cfg, x = model.config, wave[None]
+        signed = 0
+        for i, b in enumerate(cfg.branches, start=1):
+            w, bias = (model.param(f"branch{i}.conv.{n}").value for n in ("weight", "bias"))
+            want = ops.conv1d(Tensor(x), w, bias, stride=b.stride,
+                              relu=cfg.relu_after_branch_conv).data
+            rows = ops._branch_rows(x, ops._Kernel(w.data, bias.data, b.stride, False),
+                                    cfg.relu_after_branch_conv)
+            n = want.shape[1]
+            for lo, hi in [(0, n), (0, 1), (n // 2, n // 2 + 1), (n - 1, n), (3, n // 3)]:
+                assert rows(lo, hi).tobytes() == want[:, lo:hi].tobytes(), (i, lo, hi)
+            signed += np.count_nonzero(np.signbit(want) & (want == 0))
+        assert (signed > 0) == (case == "signed-zero")
+
+    @pytest.mark.parametrize("gemm", [True, False], ids=["gemm", "reference"])
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_full_scale_window(self, workers, gemm, cpus, full_model):
+        model, wave = full_model
+        want = frontend_bytes(model, wave, gemm, 1, record=True)
+        assert frontend_bytes(model, wave, gemm, workers, record=False) == want
+
+    @pytest.mark.parametrize("bad", ["phase-channels", "pool", "precision"])
+    def test_errors_are_the_two_convs(self, bad):
+        """A bad branch raises what its two convolutions raise, recorded or
+        not."""
+        rng = np.random.default_rng(0)
+        shapes = [(1, 300), (4, 1, 7), (4,), (4, 3 if bad == "phase-channels" else 4, 3), (4,)]
+        arrays = [rng.standard_normal(s).astype(np.float32) for s in shapes]
+        if bad == "precision":
+            arrays[4] = arrays[4].astype(np.float64)
+        pool = 999 if bad == "pool" else 20
+        errors = []
+        for record in (True, False):
+            x, w, b, pw, pb = (Tensor(a, requires_grad=record) for a in arrays)
+            with pytest.raises((ShapeError, ValueError)) as err:
+                ops.conv1d_chain(x, w, b, 1, True, pw, pb, 1, pool)
+            errors.append((type(err.value), str(err.value)))
+        assert errors[0] == errors[1]
+
+    @pytest.mark.parametrize("gemm", [True, False], ids=["gemm", "reference"])
+    def test_forward_pads_no_whole_input(self, gemm, monkeypatch):
+        """Neither a no-grad nor a recorded forward of the desk model makes a
+        padded copy of a whole input (``ops._padded``): ``conv2d`` pads the
+        rows of each piece. Backward still does."""
+        model = build_model(desk_model_config(), seed=0)
+        wave = np.random.default_rng(3).standard_normal(4410).astype(np.float32)
+        real = ops._padded
+
+        def padded(*args):
+            raise AssertionError("forward padded a whole input")
+
+        monkeypatch.setattr(ops, "_padded", padded)
+        with ops.gemm_kernels(gemm):
+            with no_grad():
+                model.forward(wave)
+            logits = model.forward(wave)
+            monkeypatch.setattr(ops, "_padded", real)
+            backward(ops.softmax_cross_entropy(logits, 2))
+        assert all(p.value.grad is not None for p in model.parameters())
 
 
 def train_args(root, config, out, threads, deterministic):
