@@ -312,10 +312,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--report", required=True, help="report output directory")
     p.add_argument("--config", help="JSON run config")
     p.add_argument("--threads", type=_positive_int, default=1,
-                   help="worker threads that share each GEMM convolution forward, "
-                        "capped at the CPUs this process may use (reference kernels "
-                        "run serially); outputs matched --threads 1 byte for byte "
-                        "on the BLAS build tested")
+                   help="worker threads that share the blocks of each convolution "
+                        "forward, capped at the CPUs this process may use; the blocks "
+                        "do not depend on it, so outputs are those of --threads 1 "
+                        "byte for byte")
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("ablate", help="run the temporal or level ablation")

@@ -22,58 +22,53 @@ one of two forward kernels:
   input (:class:`_Pool`). There, ``reduceat`` would walk the input with a
   stride and was measured slower.
 
-Convolutions read their source one piece of output positions at a time. A
-piece asks for the source rows it needs, ``rows(lo, hi)``, and views them as
-a tap-leading window array (C, *taps, n, *S): element [c, *t, p, *s] is the
-source element under tap t of output position (p, *s), read through the
+Convolutions read their source one block of output positions at a time.
+A block asks for the source rows it needs, ``rows(lo, hi)``, and views them
+as a tap-leading window array (C, *taps, n, *S): element [c, *t, p, *s] is
+the source element under tap t of output position (p, *s), read through the
 rows' own strides with no copy. The source is a slice of the input's rows
 (a view) for ``conv1d``; a zero-padded copy of those rows alone for
 ``conv2d``; and, for a front-end branch that records no graph
 (:func:`conv1d_chain`), the branch conv's own rows, computed as the phase
 conv reads them. So a no-grad forward never holds a branch conv's map or a
-padded copy of a whole input. There are two kernel families and one
-forward: each piece copies its window view into im2col columns, runs one
-matrix product and its own epilogue (ReLU and a fused pool). Pieces are cut
-from chunks, and a chunk's columns, a pooled node's product and a computed
-source's own arrays hold at most the larger of the node's output size and
-a fixed budget of elements, so a small layer is one chunk. The family picks
-only the product and where the bias enters (:class:`_Kernel`). The GEMM
-family, inside :class:`gemm_kernels`, multiplies with BLAS (``np.matmul``)
-and adds the bias to the product. The reference family, the default,
-multiplies with numpy's einsum loops (:func:`_ordered_matmul`) on
-bias-augmented operands: a leading bias column on the weights and a
-leading row of ones on the columns. Each output then sums its bias, then
-its (channel, tap) terms in raster order, one at a time, so it is
-bit-identical to a sequential nested-loop evaluation at the same
-precision. Both families share one backward, which builds the padded input
-whole again and views it whole: the weight-gradient and column-gradient
-products over chunks of the unpooled map, then one scatter per tap, with
-the family's product. :func:`linear` picks its products the same way. So
-no reference kernel, forward or backward, calls BLAS, and its bits depend
-on neither the BLAS build, nor the CPU kernel BLAS picks, nor its thread
+padded copy of a whole input.
+
+Every product of a node runs on one grid of blocks, set by the node's
+shape alone (:func:`_chunks`): runs of whole units (rows of the first
+output axis, or a fused pool's rows of bins) whose im2col columns and
+product each hold at most :data:`_COLUMN_BUDGET` elements, but at least
+one unit. There are two kernel families and one forward: each block copies
+its window view into im2col columns, runs one matrix product and its own
+epilogue (ReLU and a fused pool). The family picks only the product and
+where the bias enters (:class:`_Kernel`). The GEMM family, inside
+:class:`gemm_kernels`, multiplies with BLAS (``np.matmul``) and adds the
+bias to the product. The reference family, the default, multiplies with
+numpy's einsum loops (:func:`_ordered_matmul`) on bias-augmented operands:
+a leading bias column on the weights and a leading row of ones on the
+columns. Each output then sums its bias, then its (channel, tap) terms in
+raster order, one at a time, so it is bit-identical to a sequential
+nested-loop evaluation at the same precision. Both families share one
+backward, which builds the padded input whole again and views it whole:
+the weight-gradient and column-gradient products over blocks of rows of
+the unpooled map, cut by the same rule, then one scatter per tap, with the
+family's product. :func:`linear` picks its products the same way. So no
+reference kernel, forward or backward, calls BLAS, and its bits depend on
+neither the BLAS build, nor the CPU kernel BLAS picks, nor its thread
 count. The GEMM forward is several times faster and agrees with the
 reference family to rounding, but repeats bit for bit only with the same
 BLAS build and thread count. The choice is per thread.
 
-Inside :class:`workers`, also set per thread, a GEMM convolution's
-forward is split along P and shared by the calling thread and a pool of
-worker threads. Each chunk is cut into up to one piece per worker, and the
-pieces of all chunks are taken in order from one queue, one piece per
-worker at a time, so the pieces in flight hold about one chunk between
-them (one piece per worker, where a chunk is too small to cut into that
-many). Each piece finishes its own slice: the matmul, the bias, the ReLU
-and, for a fused pool, the pool of its bins into the pooled output, so a
-pooled node's unpooled map exists only a piece at a time; a computed
-source's piece also computes its branch rows, in the family fixed when the
-node was built. No pool thread builds a graph node or reads per-thread
-state. The reference family runs
-its forward's chunks whole, in order, in the calling thread, and every
-backward is serial, so reference bits are those of one thread by
-construction. A GEMM piece is a smaller matrix product than
-its chunk, and BLAS promises no bits across such a split; the pieces are
-kept large (:data:`_PIECE_MACS`), and the bits matched one worker in every
-shape tried with OpenBLAS 0.3.31 (``tests/test_workers.py``,
-``tests/test_fused_pool.py``).
+Inside :class:`workers`, also set per thread, the calling thread and a
+pool of worker threads take a convolution forward's blocks in order from
+one queue, one block per worker at a time, in both families. Each block
+finishes its own slice: the product, the bias, the ReLU and, for a fused
+pool, the pool of its bins into the pooled output, so a pooled node's
+unpooled map exists only a block at a time; a computed source's block also
+computes its branch rows, in the family fixed when the node was built. No
+pool thread builds a graph node or reads per-thread state. The worker
+count only picks the thread that runs a block: every product has the
+operands it has at one worker, so the bits at any count are those of one
+worker by construction, in both families. Backward is serial.
 
 Both convolutions take ``relu=True`` to apply max(0, .) inside the same
 node, with the same results as :func:`relu` on their output, and ``pool=``
@@ -89,6 +84,7 @@ again in backward rather than kept.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 import os
@@ -104,7 +100,7 @@ from .tensor import Tensor, make_node, recording
 
 class _KernelChoice(threading.local):
     gemm = False  # every thread starts on the reference kernels
-    pool = None  # ... and runs its GEMM convolution forwards itself
+    pool = None  # ... and runs its convolution forwards itself
     workers = 1
 
 
@@ -145,8 +141,8 @@ def usable_cpus() -> int:
 
 
 class workers:
-    """Context manager that splits the forward of every GEMM convolution
-    built in the calling thread over ``count`` workers: ``n``, capped at
+    """Context manager that shares the forward blocks of every convolution
+    built in the calling thread among ``count`` workers: ``n``, capped at
     :func:`usable_cpus`. The calling thread is one of them and a pool of
     ``count - 1`` threads holds the others; at a count of 1 no thread
     starts. On exit the pool's threads end and the previous pool returns.
@@ -169,34 +165,35 @@ class workers:
         return False
 
 
-def _run(pool: ThreadPoolExecutor | None, workers: int, fn, pieces: list[slice]) -> None:
-    """``fn(p)`` for every piece; returns when all have returned.
+def _run(fn, blocks: list[slice]) -> None:
+    """``fn(b)`` for every block; returns when all have returned.
 
-    With a pool and more than one piece, the calling thread and up to
-    ``workers - 1`` pool threads take pieces in order from a shared queue,
-    so no piece waits for a thread to wake: the caller runs whatever the
-    pool has not taken. Before it returns or raises, a pool task that has
-    not started is cancelled and every other one is waited for, so no pool
-    thread still writes into the output; then the first exception, the
-    caller's before the pool's, is raised.
+    Inside :class:`workers` of more than one, with more than one block, the
+    calling thread and up to ``workers - 1`` pool threads take blocks in
+    order from a shared queue, so no block waits for a thread to wake: the
+    caller runs whatever the pool has not taken. Before it returns or
+    raises, a pool task that has not started is cancelled and every other
+    one is waited for, so no pool thread still writes into the output; then
+    the first exception, the caller's before the pool's, is raised.
     """
-    if pool is None or len(pieces) == 1:
-        for p in pieces:
-            fn(p)
+    pool = _kernels.pool
+    if pool is None or len(blocks) == 1:
+        for b in blocks:
+            fn(b)
         return
     queue = SimpleQueue()
-    for p in pieces:
-        queue.put(p)
+    for b in blocks:
+        queue.put(b)
 
     def drain() -> None:
         while True:
             try:
-                p = queue.get_nowait()
+                b = queue.get_nowait()
             except Empty:
                 return
-            fn(p)
+            fn(b)
 
-    helpers = [pool.submit(drain) for _ in range(min(workers, len(pieces)) - 1)]
+    helpers = [pool.submit(drain) for _ in range(min(_kernels.workers, len(blocks)) - 1)]
     try:
         drain()
     finally:
@@ -227,7 +224,7 @@ def conv1d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1,
     Output length is floor((L - k) / stride) + 1, or ``pool`` when pooled; a
     bad ``pool`` raises what :func:`adaptive_maxpool` would, before any
     convolution work. The node reads ``x``'s own data in forward, a slice of
-    rows per piece, and again in backward, so it keeps no copy of it; a
+    rows per block, and again in backward, so it keeps no copy of it; a
     pooled node keeps the pooled output and its first-hit index, not the
     unpooled map.
     """
@@ -268,30 +265,27 @@ def conv1d_chain(x: Tensor, weight: Tensor, bias: Tensor, stride: int, relu: boo
     same errors and the same bits.
 
     When the call records a graph, it builds those two nodes. When it does
-    not, it runs one pooled node of the second convolution whose pieces
-    compute the rows of the first one's map that they read
-    (:func:`_branch_rows`), in the kernel family of the calling thread, so
-    that map never exists whole: at full scale branch 1's is 32 x 66140
-    float32, 8.5 MB. Its chunks also bound the branch rows' arrays, and its
-    pieces' multiply-adds count the branch rows'. The reference bits are
-    the two nodes' by construction; the GEMM bits are as long as BLAS gives
-    a column the same bits in products of different widths, as OpenBLAS
-    0.3.31 did in every front end tested (``tests/test_workers.py``).
+    not, it runs one pooled node of the second convolution, on that
+    convolution's own grid, whose blocks compute the rows of the first
+    one's map that they read (:func:`_branch_rows`), in the kernel family of
+    the calling thread, so that map never exists whole: at full scale branch
+    1's is 32 x 66140 float32, 8.5 MB. The phase products are the recorded
+    phase node's, so the reference bits are the two nodes' by construction.
+    The branch rows are products of other widths than the branch node's,
+    so the GEMM bits are as long as BLAS gives a column the same bits in
+    products of different widths, as OpenBLAS 0.3.31 did in every front end
+    tested (``tests/test_workers.py``).
     """
     if recording((x, weight, bias, phase_weight, phase_bias)):
         y = conv1d(x, weight, bias, stride=stride, relu=relu)
         return conv1d(y, phase_weight, phase_bias, stride=phase_stride, relu=True, pool=pool)
     _conv1d_checks(x.shape, x.data.dtype, weight, bias, stride, None)
-    fout, depth = weight.shape[0], math.prod(weight.shape[1:])
-    shape = (fout, (x.shape[1] - weight.shape[2]) // stride + 1)
+    shape = (weight.shape[0], (x.shape[1] - weight.shape[2]) // stride + 1)
     plan = _conv1d_checks(shape, x.data.dtype, phase_weight, phase_bias, phase_stride, pool)
     gemm = _kernels.gemm
     branch = _Kernel(weight.data, bias.data, stride, gemm)
-    # per row of the branch map: the larger of its columns' and its own
-    # elements, and its multiply-adds
-    cost = max(depth + (not gemm), fout), fout * depth
     out, _ = _conv_forward(_Kernel(phase_weight.data, phase_bias.data, phase_stride, gemm),
-                           _branch_rows(x.data, branch, relu), shape, True, plan, False, cost)
+                           _branch_rows(x.data, branch, relu), shape, True, plan, False)
     return Tensor(out)
 
 
@@ -304,7 +298,7 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, relu: bool = False,
     x: (C, H, W), weight: (F, C, 3, 3), bias: (F,). The kernel size is fixed
     by the architecture; anything else is an argument error, and so is a bad
     ``pool``, raised as :func:`maxpool2d` would, before any convolution
-    work. Forward pads only the rows each piece reads, so no padded copy of
+    work. Forward pads only the rows each block reads, so no padded copy of
     the whole input is made; backward builds one again. A pooled node keeps
     the pooled output and its first-hit index, not the unpooled map.
     """
@@ -326,42 +320,27 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, relu: bool = False,
     return _conv(x, weight, bias, 1, 1, relu, pool)
 
 
-#: Elements a chunk's im2col columns, a pooled chunk's unpooled product and
-#: a computed source's own arrays may each hold when the node's output is
-#: smaller (4 MiB in float32), so a small layer is one matmul, not many
-#: narrow ones.
-_COLUMN_BUDGET = 1 << 20
-
-#: Fewest multiply-adds a worker's piece of a convolution forward may hold.
-#: Smaller pieces cost more to hand over than they save, and BLAS may round
-#: them differently from the product over their whole chunk: with OpenBLAS
-#: 0.3.31, pieces one column wide, and some of up to 1.6 million
-#: multiply-adds, did.
-_PIECE_MACS = 1 << 22
+#: Elements one block's im2col columns and its product may each hold (2 MiB
+#: in float32). It is the one constant of every convolution grid, forward
+#: and backward: a small layer is one block, and a large one never holds
+#: its columns whole.
+_COLUMN_BUDGET = 1 << 19
 
 
-def _chunks(edges: range | np.ndarray, step: int) -> list[slice]:
-    """Units cut into runs, in order, of at most ``step`` rows each but at
-    least one unit; unit i covers rows [edges[i], edges[i + 1])."""
-    n = len(edges) - 1
+def _chunks(edges: range | np.ndarray, row: int) -> list[slice]:
+    """A node's grid: its units cut into blocks, in order, each of as many
+    whole units as hold at most ``_COLUMN_BUDGET`` elements at ``row``
+    elements per row, but at least one unit; unit i covers rows
+    [edges[i], edges[i + 1])."""
+    n, step = len(edges) - 1, max(1, _COLUMN_BUDGET // row)
     if edges[n] - edges[0] <= step:
         return [slice(0, n)]
-    edges, chunks, lo = np.asarray(edges), [], 0
+    blocks, lo = [], 0
     while lo < n:
-        hi = max(lo + 1, int(np.searchsorted(edges, edges[lo] + step, "right")) - 1)
-        chunks.append(slice(lo, hi))
+        hi = max(lo + 1, bisect.bisect_right(edges, edges[lo] + step) - 1)
+        blocks.append(slice(lo, hi))
         lo = hi
-    return chunks
-
-
-def _pieces(units: slice, workers: int, macs: int) -> list[slice]:
-    """The run ``units`` of ``macs`` multiply-adds cut into near-equal runs,
-    in order: at most ``workers`` of them, and at most one per unit and per
-    ``_PIECE_MACS`` multiply-adds. ``[units]`` itself when that leaves one,
-    as at one worker."""
-    n = units.stop - units.start
-    k = max(1, min(workers, n, macs // _PIECE_MACS))
-    return [slice(units.start + n * i // k, units.start + n * (i + 1) // k) for i in range(k)]
+    return blocks
 
 
 def _padded_rows(a: np.ndarray, pad: int):
@@ -455,11 +434,12 @@ class _Kernel:
     starting at +0.0, gives +0.0.
     """
 
-    __slots__ = ("w", "bias", "taps", "stride", "gemm", "signed")
+    __slots__ = ("w", "bias", "taps", "stride", "depth", "gemm", "signed")
 
     def __init__(self, wd: np.ndarray, bd: np.ndarray, stride: int, gemm: bool):
         w2 = wd.reshape(len(wd), -1)
         self.bias, self.taps, self.stride, self.gemm = bd, wd.shape[2:], stride, gemm
+        self.depth = w2.shape[1]  # (C, *taps) terms per output
         if gemm:
             self.w = w2
         else:  # the bias leads each sum, then the terms in (C, *taps) raster order
@@ -471,9 +451,8 @@ class _Kernel:
         where ``rows(lo, hi)`` gives the source rows [lo, hi) of a (C, rows,
         *S) array and n is p's length times S's size. The source rows are
         dropped once copied into columns, and the columns on return."""
-        k, stride, lead = self.taps[0], self.stride, int(not self.gemm)
+        k, stride, lead, depth = self.taps[0], self.stride, int(not self.gemm), self.depth
         win = _windows(rows(p.start * stride, (p.stop - 1) * stride + k), self.taps, stride)
-        depth = self.w.shape[1] - lead
         n = win.size // depth
         if lead or n < 2:
             cols = np.empty((depth + lead, max(n, 2)), win.dtype)
@@ -516,35 +495,31 @@ def _branch_rows(x: np.ndarray, kernel: _Kernel, relu: bool):
 
 
 def _conv_forward(kernel: _Kernel, rows, src: tuple[int, ...], relu: bool,
-                  pool: _Pool | None, record: bool,
-                  cost: tuple[int, int] = (0, 0)) -> tuple[np.ndarray, np.ndarray | None]:
+                  pool: _Pool | None, record: bool) -> tuple[np.ndarray, np.ndarray | None]:
     """A convolution's forward over the (C, L, *S) source ``src`` whose rows
     ``rows(lo, hi)`` gives: the output, pooled if ``pool`` is given, and the
-    pool's first-hit index if ``record`` is set (else None). ``cost`` holds,
-    per source row, the elements the source's own arrays hold and the
-    multiply-adds it runs: (0, 0) for a stored or padded input, more for a
-    computed one (:func:`_branch_rows`).
+    pool's first-hit index if ``record`` is set (else None).
 
-    Each piece of output rows multiplies (:class:`_Kernel`) into the output
-    (unpooled) or into its own product array (pooled) and runs the
+    Each block of the node's grid multiplies (:class:`_Kernel`) into the
+    output (unpooled) or into its own product array (pooled) and runs the
     epilogue: ReLU in place, then the fused pool of its bins into the
     preallocated pooled output and, when recording, its index
-    (:meth:`_Pool.fill`).
+    (:meth:`_Pool.fill`). The blocks are shared out by :func:`_run`.
     """
     taps, stride, fout = kernel.taps, kernel.stride, len(kernel.w)
     shape = (fout, (src[1] - taps[0]) // stride + 1)  # the unpooled map's
     if len(src) > 2:
         shape += tuple([d - k + 1 for d, k in zip(src[2:], taps[1:])])
-    depth, per_row = kernel.w.shape[1], math.prod(shape[2:])  # with the row of ones
+    per_row = math.prod(shape[2:])
     if pool is None:
         out, index, edges = np.empty(shape, kernel.w.dtype), None, range(shape[1] + 1)
     else:
         pooled, edges = pool.out_shape, pool.edges
         out = np.empty(pooled, kernel.w.dtype)
         index = np.empty(pooled, pool.index_dtype) if record else None
-    flat = out.reshape(fout, -1)  # where an unpooled node's pieces land
+    flat = out.reshape(fout, -1)  # where an unpooled node's blocks land
 
-    def piece(units: slice) -> None:
+    def block(units: slice) -> None:
         p = slice(int(edges[units.start]), int(edges[units.stop]))
         y = kernel(rows, p, flat[:, p.start * per_row:p.stop * per_row] if pool is None else None)
         y = y.reshape((fout, -1) + shape[2:])  # a view: the last axis splits
@@ -553,19 +528,7 @@ def _conv_forward(kernel: _Kernel, rows, src: tuple[int, ...], relu: bool,
         if pool is not None:
             pool.fill(y, units, out, index)
 
-    # rows of P per chunk: its columns, its product and the source's own
-    # arrays (about ``stride`` source rows per row of P) hold at most
-    # max(|out|, budget) elements each
-    width, macs = cost
-    step = max(1, max(out.size, _COLUMN_BUDGET) // max(
-        max(depth, fout) * per_row, stride * width))
-    pieces = _chunks(edges, step)
-    workers = _kernels.workers if kernel.gemm else 1  # the reference forward stays serial
-    if workers > 1:  # at one worker a chunk is one piece
-        pieces = [p for c in pieces for p in _pieces(c, workers, int(
-            edges[c.stop] - edges[c.start]) * (fout * (depth - (not kernel.gemm)) * per_row
-                                              + stride * macs))]
-    _run(_kernels.pool if kernel.gemm else None, workers, piece, pieces)
+    _run(block, _chunks(edges, max(kernel.depth, fout) * per_row))
     return out, index
 
 
@@ -575,37 +538,35 @@ def _conv(x: Tensor, weight: Tensor, bias: Tensor, stride: int, pad: int,
     with an optional ReLU and an optional max pool fused in.
 
     The source is ``x``'s data with ``pad`` zeros around each spatial axis.
-    Forward (:func:`_conv_forward`) reads it one piece of output rows at a
+    Forward (:func:`_conv_forward`) reads it one block of output rows at a
     time: a slice of ``x``'s rows (a view) when ``pad`` is 0, else a
     zero-padded copy of those rows alone (:func:`_padded_rows`). So no
     padded copy of the whole input is made, and the unpooled map of a
-    pooled node exists only a piece at a time. Pieces are cut from chunks
-    of whole units: a pooled node's units are its pool's rows of bins
-    (pairs of rows for a 2x2 window, one adaptive bin for ``conv1d``), an
-    unpooled node's are single rows of P, the first output axis. A chunk's
-    (depth, n) columns and its (F, n) product each hold at most max(node
-    output size, ``_COLUMN_BUDGET``) elements, the pooled size for a pooled
-    node, and at least one unit.
+    pooled node exists only a block at a time. The blocks are the node's
+    grid (:func:`_chunks`), set by its shape alone: runs of whole units
+    whose (depth, n) columns and (F, n) product each hold at most
+    ``_COLUMN_BUDGET`` elements, but at least one unit. A pooled node's
+    units are its pool's rows of bins (pairs of rows for a 2x2 window, one
+    adaptive bin for ``conv1d``), an unpooled node's are single rows of P,
+    the first output axis.
 
     The family (:class:`_Kernel`) picks only the product and where the bias
-    enters. Inside :class:`workers` each GEMM chunk is cut into pieces
-    (:func:`_pieces`) and the pieces of all chunks are shared out in order,
-    one per worker at a time (:func:`_run`). The reference forward is
-    serial: one piece per chunk, in the calling thread.
+    enters. Inside :class:`workers` the blocks are shared out in order, one
+    per worker at a time (:func:`_run`), in both families; the worker count
+    picks only the thread that runs a block, never its operands.
 
     The node keeps no source. Backward builds the padded input again
     (:func:`_padded`) and reads it through one (C, *taps, P, *S) view
-    (:func:`_windows`), over chunks of rows of P sized as the unpooled
-    map's forward chunks would be: whose columns hold at most max(unpooled
-    size, ``_COLUMN_BUDGET``) elements. It rebuilds each chunk's columns
-    rather than keeping them, multiplies the output gradient by them for the
+    (:func:`_windows`), over blocks of rows of P cut by the same rule, as an
+    unpooled node's forward is. It rebuilds each block's columns rather
+    than keeping them, multiplies the output gradient by them for the
     weight gradient and by the weights for the column gradient, and adds the
     latter to the source's gradient one tap at a time, through the same
     view of a zero array whose unpadded part is ``x``'s gradient; the
     per-tap index list is built only when ``x`` needs a gradient. The family
     picks only the product: ``np.matmul`` for GEMM, :func:`_ordered_matmul`
-    (no BLAS) for the reference. The chunk rule fixes each product's
-    operands, so it also fixes the result bits.
+    (no BLAS) for the reference. The grid fixes each product's operands,
+    so it also fixes the result bits.
 
     With ``relu`` set, both families clamp the biased output at 0 in place,
     and backward passes the output gradient only where the output is above
@@ -618,8 +579,8 @@ def _conv(x: Tensor, weight: Tensor, bias: Tensor, stride: int, pad: int,
     multiplies the pooled gradient by ``pooled > 0``, which is the ReLU
     mask at every winner, scatters the product to the winners of a zero
     conv-shaped array (:meth:`_Pool.scatter`) and runs the convolution's
-    gradient products on that. This is the array the separate pool and ReLU give, bit for bit:
-    at a winner both multiply the same gradient by the same mask (a masked
+    gradient products on that. This is the array the separate pool and
+    ReLU give, bit for bit: at a winner both multiply the same gradient by the same mask (a masked
     negative gradient gives -0.0 and a NaN stays NaN, where a selection
     would give 0), and everywhere else both leave +0.0.
     """
@@ -643,17 +604,13 @@ def _conv(x: Tensor, weight: Tensor, bias: Tensor, stride: int, pad: int,
         win = _windows(src, taps, stride)
         lead = (slice(None),) * (1 + len(taps))  # the (C, *taps) axes of the view
         fmap = win.shape[1 + len(taps):]  # (P, *S)
-        depth, rows, per_row = w2.shape[1], fmap[0], math.prod(fmap[1:])
-        # chunks of rows of P whose columns hold at most
-        # max(|unpooled map|, budget) elements
-        step = max(1, max(fout * rows * per_row, _COLUMN_BUDGET) // (depth * per_row))
+        depth, per_row = w2.shape[1], math.prod(fmap[1:])
         gw = np.zeros_like(w2) if weight.requires_grad else None
         gsrc = np.zeros_like(src) if x.requires_grad else None
         if gsrc is not None:
             gwin = _windows(gsrc, taps, stride, writeable=True)
             tap_index = [(slice(None),) + tap for tap in itertools.product(*map(range, taps))]
-        for lo in range(0, rows, step):
-            p = slice(lo, min(lo + step, rows))
+        for p in _chunks(range(fmap[0] + 1), max(depth, fout) * per_row):
             gc = g[:, p].reshape(fout, -1)
             if gw is not None:
                 gw += matmul(gc, win[lead + (p,)].reshape(depth, -1).T)

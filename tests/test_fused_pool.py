@@ -3,8 +3,8 @@ index every recording pool node keeps.
 
 A fused node must give the bytes of ``maxpool2d`` / ``adaptive_maxpool`` on
 ``conv(..., relu=True)``: the output and every input, weight and bias
-gradient, in both kernel families and both precisions, and with its GEMM
-forward cut in pieces on bin edges at any worker count.
+gradient, in both kernel families and both precisions, and with its
+forward cut in blocks on bin edges at any worker count.
 """
 
 import contextlib
@@ -285,23 +285,22 @@ class TestPoolArguments:
         assert str(fused.value) == str(standalone.value)
 
 
-# Fused layers whose GEMM forward splits over workers, cut on bin edges:
-# (conv, x shape, weight shape, pool, whether the column budget is off, GEMM
-# forward matmuls at 1, 2 and 3 workers)
+# Fused layers whose forward runs in several blocks, cut on bin edges:
+# (conv, x shape, weight shape, pool, column budget or None for the
+# default, forward matmuls)
 PIECE_CASES = {
-    # 12000 outputs in 4100 bins of 2 and 3 taps, in chunks of up to 2733
-    # rows sized against the pooled output (the last, of 366 bins, too small
-    # to split); the unpooled map's rule would cut at row 8000, inside bin 2733
-    "conv1d-unequal-bins": ("conv1d", (32, 12002), (64, 32, 3), 4100, True, (5, 9, 13)),
-    # a 97 x 101 map in 2x2 windows: 48 rows of bins in chunks of 40 and 8,
-    # its last row and column in no bin
-    "conv2d-odd-sides": ("conv2d", (8, 97, 101), (128, 8, 3, 3), (2, 2), False, (2, 4, 6)),
+    # 12000 outputs in 4100 bins of 2 and 3 taps, in blocks of whole bins of
+    # up to 2730 rows; the last block is short
+    "conv1d-unequal-bins": ("conv1d", (32, 12002), (64, 32, 3), 4100, 1 << 18, 5),
+    # a 97 x 101 map in 2x2 windows: 48 rows of bins in blocks of 20, 20
+    # and 8, its last row and column in no bin
+    "conv2d-odd-sides": ("conv2d", (8, 97, 101), (128, 8, 3, 3), (2, 2), None, 3),
 }
 
 
 @pytest.fixture
 def indexes(monkeypatch):
-    """Every first-hit index a pool fills, once each (pieces fill one
+    """Every first-hit index a pool fills, once each (blocks fill one
     index in turn)."""
     seen = {}
     for cls in (ops._Pool, ops._BinPool):
@@ -350,11 +349,11 @@ def pooled_bytes(op, pool, arrays, gemm, workers, record, fused, indexes):
 
 
 class TestPooledPieces:
-    """A fused pool's forward cuts its chunks and pieces on bin edges, and
-    each piece biases, activates and pools its own bins. At 1, 2 and 3
-    workers, recording or not, in both families, the pooled output, its
-    index and all three gradients keep the bytes of a separate conv,
-    ``relu`` and pool at one worker."""
+    """A fused pool's forward cuts its blocks on bin edges, and each block
+    biases, activates and pools its own bins. At 1, 2 and 3 workers,
+    recording or not, in both families, the pooled output, its index and
+    all three gradients keep the bytes of a separate conv, ``relu`` and
+    pool at one worker, and the GEMM forward runs the same matmuls."""
 
     @pytest.mark.parametrize("record", [False, True], ids=["no_grad", "recording"])
     @pytest.mark.parametrize("gemm", [False, True], ids=["reference", "gemm"])
@@ -363,14 +362,14 @@ class TestPooledPieces:
     def test_byte_identical_to_separate_pool(self, case, kind, gemm, record, indexes,
                                              forward_chunks, monkeypatch):
         monkeypatch.setattr(ops, "usable_cpus", lambda: 4)
-        *_, no_budget, calls = PIECE_CASES[case]
-        if no_budget:
-            monkeypatch.setattr(ops, "_COLUMN_BUDGET", 0)
+        *_, budget, calls = PIECE_CASES[case]
+        if budget is not None:
+            monkeypatch.setattr(ops, "_COLUMN_BUDGET", budget)
         op, pool, arrays = piece_case(case, kind)
         want = pooled_bytes(op, pool, arrays, gemm, 1, record, False, indexes)
         assert len(want) == (5 if record else 1)
-        for workers, count in zip((1, 2, 3), calls):
+        for workers in (1, 2, 3):
             forward_chunks.clear()
             assert pooled_bytes(op, pool, arrays, gemm, workers, record, True, indexes) == want
             if gemm and not record:
-                assert len(forward_chunks) == count
+                assert len(forward_chunks) == calls

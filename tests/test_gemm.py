@@ -27,24 +27,24 @@ def rel_err(got, want) -> float:
 
 
 def chunk_count(rows, fout, depth, per_row=1):
-    """Chunks the GEMM kernels split ``rows`` output rows of ``per_row``
-    positions into, and whether the last is short: each chunk's
-    (depth, n) column buffer holds at most max(output size,
-    ``ops._COLUMN_BUDGET``) elements."""
-    budget = max(fout * rows * per_row, ops._COLUMN_BUDGET)
-    step = min(rows, max(1, budget // (depth * per_row)))
+    """Blocks the kernels split ``rows`` output rows of ``per_row``
+    positions into, and whether the last is short: each block's (depth, n)
+    columns and (F, n) product hold at most ``ops._COLUMN_BUDGET``
+    elements, and at least one row."""
+    step = min(rows, max(1, ops._COLUMN_BUDGET // (max(depth, fout) * per_row)))
     return -(-rows // step), rows % step != 0
 
 
 @pytest.fixture
-def no_column_budget(monkeypatch):
-    """Cap chunk columns at the output's size alone, so small layers split."""
-    monkeypatch.setattr(ops, "_COLUMN_BUDGET", 0)
+def column_budget(monkeypatch):
+    """``column_budget(n)`` sets the elements a block may hold to ``n``, so
+    small layers split into several blocks."""
+    return lambda n: monkeypatch.setattr(ops, "_COLUMN_BUDGET", n)
 
 
 @pytest.fixture
 def forward_chunks(monkeypatch):
-    """Count the GEMM forward's matmuls: one per chunk of a convolution."""
+    """Count the GEMM forward's matmuls: one per block of a convolution."""
     calls = []
     real = np.matmul
     monkeypatch.setattr(np, "matmul", lambda *a, **k: calls.append(1) or real(*a, **k))
@@ -117,16 +117,17 @@ class TestGradients:
         with ops.gemm_kernels():
             check_op_gradients(lambda: ops.conv2d(x, w, b), [x, w, b], seed)
 
-    def test_several_chunks(self, no_column_budget):
+    def test_several_chunks(self, column_budget):
         rng = np.random.default_rng(5)
-        # conv1d: 15 outputs, depth 3*4 = 12, fout 2 -> 2 outputs per chunk
+        column_budget(24)
+        # conv1d: 15 outputs, depth 3*4 = 12, fout 2 -> 2 outputs per block
         x = Tensor(rng.standard_normal((3, 18)), requires_grad=True)
         w = Tensor(rng.standard_normal((2, 3, 4)), requires_grad=True)
         b = Tensor(rng.standard_normal(2), requires_grad=True)
         assert chunk_count(15, 2, 12) == (8, True)
         with ops.gemm_kernels():
             check_op_gradients(lambda: ops.conv1d(x, w, b), [x, w, b], 6)
-        # conv2d: 4 rows, depth 9*3 = 27, fout 2 -> 1 row per chunk
+        # conv2d: 4 rows, depth 9*3 = 27, fout 2 -> 1 row per block
         x = Tensor(rng.standard_normal((3, 4, 5)), requires_grad=True)
         w = Tensor(rng.standard_normal((2, 3, 3, 3)), requires_grad=True)
         b = Tensor(rng.standard_normal(2), requires_grad=True)
@@ -152,13 +153,14 @@ class TestAgreement:
         assert_agrees(op, arrays, seed)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    @pytest.mark.parametrize("stride,cin,fout,k,length,chunks", [
-        (1, 4, 2, 11, 300, 23),   # 290 outputs, 13 per chunk
-        (5, 3, 4, 51, 700, 44),   # 130 outputs, 3 per chunk
-        (10, 2, 3, 101, 1510, 71),  # 141 outputs, 2 per chunk
+    @pytest.mark.parametrize("stride,cin,fout,k,length,chunks", [  # a budget of 600
+        (1, 4, 2, 11, 300, 23),   # 290 outputs, 13 per block
+        (5, 3, 4, 51, 700, 44),   # 130 outputs, 3 per block
+        (10, 2, 3, 101, 1510, 71),  # 141 outputs, 2 per block
     ])
     def test_conv1d_ragged_chunks(self, stride, cin, fout, k, length, chunks, dtype,
-                                  no_column_budget):
+                                  column_budget):
+        column_budget(600)
         lout = (length - k) // stride + 1
         assert chunk_count(lout, fout, cin * k) == (chunks, True)
         op, arrays = conv1d_case(np.random.default_rng(chunks), dtype, stride,
@@ -166,33 +168,35 @@ class TestAgreement:
         assert_agrees(op, arrays, chunks)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    @pytest.mark.parametrize("cin,fout,h,w,chunks", [
-        (4, 8, 23, 9, 5),   # 5 rows per chunk
-        (16, 8, 37, 5, 19),  # 2 rows per chunk
+    @pytest.mark.parametrize("cin,fout,h,w,chunks", [  # a budget of 1800
+        (4, 8, 23, 9, 5),   # 5 rows per block
+        (16, 8, 37, 5, 19),  # 2 rows per block
     ])
-    def test_conv2d_ragged_chunks(self, cin, fout, h, w, chunks, dtype, no_column_budget):
-        assert chunk_count(h, fout, cin * 9) == (chunks, True)
+    def test_conv2d_ragged_chunks(self, cin, fout, h, w, chunks, dtype, column_budget):
+        column_budget(1800)
+        assert chunk_count(h, fout, cin * 9, per_row=w) == (chunks, True)
         op, arrays = conv2d_case(np.random.default_rng(h), dtype, cin=cin, fout=fout, h=h, w=w)
         assert_agrees(op, arrays, h)
 
     @pytest.mark.parametrize("conv", ["conv1d", "conv2d"])
     def test_columns_past_the_budget_split(self, conv, forward_chunks):
-        """Columns larger than both the output and the budget split in chunks."""
+        """Columns larger than the budget split in blocks, at the default
+        budget."""
         rng = np.random.default_rng(17)
-        if conv == "conv1d":  # 6000 outputs of depth 202: 5190 per chunk
-            assert chunk_count(6000, 3, 2 * 101) == (2, True)
+        if conv == "conv1d":  # 6000 outputs of depth 202: 2595 per block
+            assert chunk_count(6000, 3, 2 * 101) == (3, True)
             op, arrays = conv1d_case(rng, np.float32, 10, cin=2, fout=3, k=101,
                                      length=59990 + 101)
-        else:  # 40 rows of 60 at depth 576: 30 rows per chunk
-            assert chunk_count(40, 4, 64 * 9, per_row=60) == (2, True)
+        else:  # 40 rows of 60 at depth 576: 15 rows per block
+            assert chunk_count(40, 4, 64 * 9, per_row=60) == (3, True)
             op, arrays = conv2d_case(rng, np.float32, cin=64, fout=4, h=40, w=60)
         with ops.gemm_kernels():
             op(*[Tensor(a) for a in arrays])
-        assert len(forward_chunks) == 2
+        assert len(forward_chunks) == 3
         assert_agrees(op, arrays, 17)
 
     def test_desk_layers_are_one_chunk(self, forward_chunks):
-        """Every convolution of the desk model fits the budget in one chunk."""
+        """Every convolution of the desk model fits the budget in one block."""
         model = build_model(desk_model_config(), seed=0)
         with ops.gemm_kernels():
             model.forward(np.zeros(model.config.window_length, dtype=np.float32))
@@ -218,23 +222,23 @@ class TestGradientOracles:
     @pytest.mark.parametrize("gemm", [False, True], ids=["reference", "gemm"])
     @pytest.mark.parametrize("stride", [1, 5, 10])
     @pytest.mark.parametrize("seed", range(3))
-    def test_conv1d(self, seed, stride, gemm, split, monkeypatch):
-        if split:
-            monkeypatch.setattr(ops, "_COLUMN_BUDGET", 0)
+    def test_conv1d(self, seed, stride, gemm, split, column_budget):
         op, arrays = conv1d_case(np.random.default_rng(700 + 10 * seed + stride),
                                  np.float64, stride)
         x, w, _ = arrays
+        if split:  # blocks of three rows
+            column_budget(3 * max(w[0].size, len(w)))
         self.assert_matches_oracle(op, arrays, lambda g: conv1d_grad_oracle(x, w, stride, g),
                                    gemm, seed)
 
     @pytest.mark.parametrize("split", [False, True], ids=["budget", "no_budget"])
     @pytest.mark.parametrize("gemm", [False, True], ids=["reference", "gemm"])
     @pytest.mark.parametrize("seed", range(3))
-    def test_conv2d(self, seed, gemm, split, monkeypatch):
-        if split:
-            monkeypatch.setattr(ops, "_COLUMN_BUDGET", 0)
+    def test_conv2d(self, seed, gemm, split, column_budget):
         op, arrays = conv2d_case(np.random.default_rng(800 + seed), np.float64)
         x, w, _ = arrays
+        if split:  # blocks of three rows
+            column_budget(3 * max(w[0].size, len(w)) * x.shape[2])
         self.assert_matches_oracle(op, arrays, lambda g: conv2d_grad_oracle(x, w, g),
                                    gemm, seed)
 

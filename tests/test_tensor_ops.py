@@ -25,25 +25,26 @@ def t(data, requires_grad=False):
 
 
 # Reference convolutions against the nested-loop oracles, byte for byte. The
-# chunks noted are those of the reference forward under a zero column budget
-# (rows of P per chunk: F * P // max(C * taps + 1, F), at least one).
+# blocks noted are those of the forward under ``ORACLE_SPLIT_BUDGET`` (rows
+# of P per block: budget // (max(C * taps, F) * S), at least one).
 ORACLE_CASES = ["random", "one-column-last-chunk", "one-position", "neg-zero-bias",
                 "cancelling", "nan"]
+ORACLE_SPLIT_BUDGET = {"conv1d": 12, "conv2d": 18}
 
 
 def oracle_case(conv, case, rng):
     """(x, weight, bias, stride) of one oracle comparison, in float64."""
-    if case == "random":  # conv1d: 3 chunks of one column; conv2d: 4 of one row
+    if case == "random":  # conv1d: 3 blocks of one column; conv2d: 4 of one row
         shapes = ((2, 9), (3, 2, 4)) if conv == "conv1d" else ((2, 4, 5), (3, 2, 3, 3))
-    elif case == "one-column-last-chunk":  # chunks of 2, 2, 1 and 2, 2, 2, 1 columns
+    elif case == "one-column-last-chunk":  # blocks of 4, 1 and 2, 2, 2, 1 columns
         shapes = ((1, 7), (2, 1, 3)) if conv == "conv1d" else ((1, 7, 1), (4, 1, 3, 3))
     elif case == "one-position":  # a single output column, whatever the budget
         shapes = ((3, 5), (2, 3, 5)) if conv == "conv1d" else ((2, 1, 1), (3, 2, 3, 3))
     elif case == "neg-zero-bias":  # zero input: filter 0's terms are all -0.0, filter
-        # 1's all +0.0; conv1d: 5 chunks of 2 columns, conv2d: 5 of one row
+        # 1's all +0.0; conv1d: 5 blocks of 2 columns, conv2d: 5 of one row
         shapes = ((2, 12), (2, 2, 3)) if conv == "conv1d" else ((2, 5, 4), (2, 2, 3, 3))
     elif case == "cancelling":  # weights -1: the 1, -1, 0 runs cancel exactly, to
-        # +0.0; outputs over zeros alone keep -0.0. conv1d: 5 chunks, conv2d: 6
+        # +0.0; outputs over zeros alone keep -0.0. conv1d: 3 blocks, conv2d: 6
         shapes = ((1, 12), (1, 1, 3)) if conv == "conv1d" else ((1, 6, 6), (1, 1, 3, 3))
     else:  # "nan": one NaN input, and a -0.0 bias
         shapes = ((2, 10), (2, 2, 3)) if conv == "conv1d" else ((2, 5, 4), (2, 2, 3, 3))
@@ -98,7 +99,7 @@ class TestConv1d:
     @pytest.mark.parametrize("case", ORACLE_CASES)
     def test_matches_oracle(self, case, split, rng, monkeypatch):
         if split:
-            monkeypatch.setattr(ops, "_COLUMN_BUDGET", 0)
+            monkeypatch.setattr(ops, "_COLUMN_BUDGET", ORACLE_SPLIT_BUDGET["conv1d"])
         x, w, b, stride = oracle_case("conv1d", case, rng)
         out = ops.conv1d(Tensor(x), Tensor(w), Tensor(b), stride=stride)
         assert_oracle_bytes(out.data, conv1d_oracle(x, w, b, stride), case)
@@ -146,7 +147,7 @@ class TestConv2d:
     @pytest.mark.parametrize("case", ORACLE_CASES)
     def test_matches_oracle(self, case, split, rng, monkeypatch):
         if split:
-            monkeypatch.setattr(ops, "_COLUMN_BUDGET", 0)
+            monkeypatch.setattr(ops, "_COLUMN_BUDGET", ORACLE_SPLIT_BUDGET["conv2d"])
         x, w, b, _ = oracle_case("conv2d", case, rng)
         out = ops.conv2d(Tensor(x), Tensor(w), Tensor(b))
         assert_oracle_bytes(out.data, conv2d_oracle(x, w, b), case)

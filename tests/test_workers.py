@@ -1,8 +1,10 @@
-"""Workers (``ops.workers``, ``eval --threads``): each GEMM convolution
-forward shared by the calling thread and a pool, with the same bytes as one
-thread; the worker count's cap, the pool's lifetime, and what the CLI
-commands read and write at any ``--threads``."""
+"""Workers (``ops.workers``, ``eval --threads``): the blocks of each
+convolution forward shared by the calling thread and a pool, on a grid that
+the worker count does not move, so with the same bytes as one thread; the
+worker count's cap, the pool's lifetime, and what the CLI commands read and
+write at any ``--threads``."""
 
+import contextlib
 import json
 import sys
 import threading
@@ -22,13 +24,20 @@ from wavems.training import train
 from conftest import desk_model_config
 from gradcheck import weighted_sum
 from test_cli import MICRO_MODEL, MICRO_TRAIN, config_file, corpus_dir  # noqa: F401
-from test_gemm import conv1d_case, conv2d_case, forward_chunks, no_column_budget  # noqa: F401
+from test_gemm import conv1d_case, conv2d_case, forward_chunks  # noqa: F401
 
 
 @pytest.fixture
 def cpus(monkeypatch):
     """Four usable CPUs, so up to four workers run on any host."""
     monkeypatch.setattr(ops, "usable_cpus", lambda: 4)
+
+
+@pytest.fixture
+def three_blocks(monkeypatch):
+    """A column budget that runs ``conv2d_case(rng, dtype, 32, 128, 23, 60)``
+    in three blocks, of 8, 8 and 7 rows of 60 positions at depth 288."""
+    monkeypatch.setattr(ops, "_COLUMN_BUDGET", 8 * 288 * 60)
 
 
 def run_conv(op, arrays, gemm, workers, r=None):
@@ -64,7 +73,7 @@ class TestWorkerCount:
                 build_model(desk_model_config(), seed=0).forward(np.ones(4410, np.float32))
             assert threading.active_count() == before
 
-    def test_pool_is_per_thread_and_nests(self, cpus, no_column_budget):
+    def test_pool_is_per_thread_and_nests(self, cpus, three_blocks):
         before = threading.active_count()
         seen = []
         with ops.workers(3):
@@ -85,9 +94,9 @@ class TestWorkerCount:
         assert threading.active_count() == before
 
 
-    def test_piece_error_reaches_the_caller(self, cpus, monkeypatch):
-        """A piece that raises in a pool thread reaches the caller only once
-        every other piece has returned, so no thread still writes into the
+    def test_piece_error_reaches_the_caller(self, cpus, three_blocks, monkeypatch):
+        """A block that raises in a pool thread reaches the caller only once
+        every other block has returned, so no thread still writes into the
         output; the threads then end with the pool."""
         op, arrays = conv2d_case(np.random.default_rng(0), np.float32, 32, 128, 23, 60)
         before = threading.active_count()
@@ -96,14 +105,14 @@ class TestWorkerCount:
         started, finished = [], []
 
         def matmul(*args, **kwargs):
-            """The first piece a pool thread takes fails at once; any other
-            pool piece outlasts the caller's."""
+            """The first block a pool thread takes fails at once; any other
+            pool block outlasts the caller's."""
             me = threading.current_thread()
             with lock:
                 first = me is not caller and all(t is caller for t in started)
                 started.append(me)
             if first:
-                raise MemoryError("no room for a piece")
+                raise MemoryError("no room for a block")
             time.sleep(0.05 if me is caller else 0.3)
             finished.append(me)
 
@@ -119,40 +128,40 @@ class TestWorkerCount:
 
 class TestSplitForward:
     """Both families' forwards give the bytes of one thread at 2 and 3
-    workers (the reference forward runs serially); so do the gradients,
-    whose backward stays serial. With no
-    column budget the GEMM kernels cut these layers into several chunks;
-    ``calls`` counts their forward matmuls at one, two and three workers:
-    a chunk splits into at most one piece per worker, of at least
-    ``ops._PIECE_MACS`` multiply-adds each. A pooled layer's chunks are
-    whole rows of bins, sized against its pooled output."""
+    workers; so do the gradients, whose backward stays serial. Each case's
+    column budget cuts its layer into several blocks, the last one short
+    where its units allow; ``calls`` counts the GEMM forward's matmuls, one
+    per block at any worker count. A pooled layer's blocks are whole rows of
+    bins."""
 
-    CONV1D = [  # stride, cin, fout, k, length; matmuls at 1, 2, 3 workers
-        ((3, 8, 32, 7, 30000), (2, 3, 3)),    # chunks of 5713 and 4285 rows; the last stays whole
-        ((1, 32, 32, 3, 18000), (4, 7, 10)),  # three chunks of 5999 rows and a ragged one of 1
-        ((1, 2, 3, 5, 40), (4, 4, 4)),       # chunks too small to split
+    CONV1D = [  # stride, cin, fout, k, length; column budget; forward matmuls
+        ((3, 8, 32, 7, 30000), 1 << 16, 9),   # 9998 rows at depth 56: 8 blocks of 1170, one of 638
+        ((1, 32, 32, 3, 18000), 1 << 16, 27),  # 17998 rows at depth 96: 26 of 682, one of 266
+        ((1, 2, 3, 5, 40), 100, 4),           # 36 rows at depth 10: three of 10, one of 6
     ]
-    CONV2D = [  # cin, fout, h, w; matmuls at 1, 2, 3 workers
-        # the pool's budget gives chunks of one row of bins (two rows of the
-        # map), which never split; the map's odd last row is in no bin
-        ((32, 128, 23, 60), (11, 11, 11)),
-        ((64, 64, 5, 200), (2, 2, 2)),
-        ((3, 4, 8, 6), (4, 4, 4)),
+    CONV2D = [  # cin, fout, h, w; column budget; forward matmuls
+        # 11 rows of bins in blocks of 3, 3, 3 and 2; the map's odd last row
+        # is in no bin
+        ((32, 128, 23, 60), 1 << 17, 4),
+        ((64, 64, 5, 200), 1 << 17, 2),  # one row of bins per block
+        ((3, 4, 8, 6), 1000, 2),         # 4 rows of bins in blocks of 3 and 1
     ]
+    IDS = [f"case{i}-calls{i}" for i in range(3)]
 
     @staticmethod
     def check(op, arrays, r, gemm, calls, forward_chunks):
         one = run_conv(op, arrays, gemm, 1, r)
-        for workers, count in zip((1, 2, 3), calls):
+        for workers in (1, 2, 3):
             forward_chunks.clear()
             assert run_conv(op, arrays, gemm, workers) == one[:1]
             if gemm:
-                assert len(forward_chunks) == count
+                assert len(forward_chunks) == calls
             assert run_conv(op, arrays, gemm, workers, r) == one
 
     @pytest.mark.parametrize("gemm", [True, False])
-    @pytest.mark.parametrize("case,calls", CONV1D)
-    def test_conv1d(self, case, calls, gemm, cpus, no_column_budget, forward_chunks):
+    @pytest.mark.parametrize("case,budget,calls", CONV1D, ids=IDS)
+    def test_conv1d(self, case, budget, calls, gemm, cpus, forward_chunks, monkeypatch):
+        monkeypatch.setattr(ops, "_COLUMN_BUDGET", budget)
         stride, cin, fout, k, length = case
         op, arrays = conv1d_case(np.random.default_rng(length), np.float32, stride,
                                  cin=cin, fout=fout, k=k, length=length)
@@ -161,8 +170,10 @@ class TestSplitForward:
         self.check(op, arrays, r, gemm, calls, forward_chunks)
 
     @pytest.mark.parametrize("gemm", [True, False])
-    @pytest.mark.parametrize("case,calls", CONV2D)
-    def test_conv2d_relu_pool(self, case, calls, gemm, cpus, no_column_budget, forward_chunks):
+    @pytest.mark.parametrize("case,budget,calls", CONV2D, ids=IDS)
+    def test_conv2d_relu_pool(self, case, budget, calls, gemm, cpus, forward_chunks,
+                              monkeypatch):
+        monkeypatch.setattr(ops, "_COLUMN_BUDGET", budget)
         cin, fout, h, w = case
         _, arrays = conv2d_case(np.random.default_rng(h), np.float32, cin, fout, h, w)
 
@@ -224,24 +235,26 @@ class TestSplitForward:
         assert bits(2) == one and bits(3) == one
 
     @pytest.mark.parametrize("gemm", [True, False], ids=["gemm", "reference"])
+    @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("layer", ["phase", "branch"])
-    def test_pieces_hold_no_more_columns_than_a_chunk(self, layer, gemm):
+    def test_blocks_in_flight_hold_one_block_per_worker(self, layer, workers, gemm, cpus):
         """A full-scale phase conv, and the streamed branch-1 chain whose
-        pieces also compute their branch rows (no grad), peak no higher at
-        two workers than at one, less an allowance for the worker threads'
-        own state. The pool starts before the measured call."""
-        op = BRANCH1[layer](np.random.default_rng(6))
-        peaks = []
-        for workers in (1, 2):
-            with ops.gemm_kernels(gemm), ops.workers(workers), no_grad():
+        blocks also compute their branch rows (no grad), peak within
+        ``workers`` blocks' arrays: a block's columns and its product, and a
+        chain block's branch rows, each hold about ``ops._COLUMN_BUDGET``
+        float32 elements at most. An allowance covers the pooled output and
+        the worker threads' own state. The pool starts before the measured
+        call."""
+        op, arrays = BRANCH1[layer](np.random.default_rng(6)), {"phase": 2, "branch": 3}[layer]
+        with ops.gemm_kernels(gemm), ops.workers(workers), no_grad():
+            op()
+            tracemalloc.start()
+            try:
                 op()
-                tracemalloc.start()
-                try:
-                    op()
-                    peaks.append(tracemalloc.get_traced_memory()[1])
-                finally:
-                    tracemalloc.stop()
-        assert peaks[1] <= peaks[0] + (256 << 10), peaks
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak <= workers * arrays * ops._COLUMN_BUDGET * 4 + (256 << 10), peak
 
     @pytest.mark.parametrize("gemm", [True, False], ids=["gemm", "reference"])
     @pytest.mark.parametrize("workers", [1, 2])
@@ -249,9 +262,9 @@ class TestSplitForward:
     def test_pooled_forward_holds_no_unpooled_map(self, layer, workers, gemm, cpus):
         """A no-grad full-scale phase conv, branch-1 chain and ``conv1``
         peak below the bytes of the unpooled map they make or read, in both
-        families: each piece pools its own chunk's product, so the map never
-        exists whole, and a chain's pieces compute only the branch rows they
-        read. The pool starts before the measured call."""
+        families: each block pools its own product, so the map never exists
+        whole, and a chain's blocks compute only the branch rows they read.
+        The pool starts before the measured call."""
         rng = np.random.default_rng(7)
         if layer == "conv1":  # a (64, 96, 441) map, 10.8 MB, pooled 2x2
             x, w, b = (Tensor(rng.standard_normal(s).astype(np.float32))
@@ -287,30 +300,33 @@ def _branch_chain(rng):
 BRANCH1 = {"phase": _phase_conv, "branch": _branch_chain}
 
 
-# The CLI micro model with 32-filter branches and wider levels: its phase
-# convs and conv2 are large enough to split over two workers.
+# The CLI micro model with 32-filter branches and wider levels. Under
+# ``SPLIT_BUDGET`` its phase convs and conv1 run in several blocks.
 SPLIT_MODEL = dict(MICRO_MODEL, branches=[[11, 1, 32], [51, 5, 32], [101, 10, 32]],
                    frontend_time_bins=64, conv_channels=[16, 32, 32, 32],
                    level_pool_windows=[[2, 2]] * 4, window_length=4410)
+SPLIT_BUDGET = 1 << 16
 
 
 @pytest.fixture
 def split_config(tmp_path, monkeypatch):
-    """A run config of ``SPLIT_MODEL``, on two usable CPUs."""
+    """A run config of ``SPLIT_MODEL``, on two usable CPUs, under
+    ``SPLIT_BUDGET``."""
     monkeypatch.setattr(ops, "usable_cpus", lambda: 2)
+    monkeypatch.setattr(ops, "_COLUMN_BUDGET", SPLIT_BUDGET)
     path = tmp_path / "split.json"
     path.write_text(json.dumps({"model": SPLIT_MODEL, "train": MICRO_TRAIN}))
     return path
 
 
 # Front ends whose no-grad forward streams each branch conv into its phase
-# conv. "split" and its variants split their GEMM phase convs over two
-# workers. "signed-zero" has a zero run of input under negative branch
+# conv. "split" and its variants run under ``SPLIT_BUDGET``, so their phase
+# convs run in several blocks. "signed-zero" has a zero run of input under negative branch
 # weights and -0.0 branch biases, and no ReLU after the branch conv, so the
 # reference branch map holds -0.0 (a ReLU would make it +0.0, and so does
 # the phase conv's). "one-column" has a 41-tap branch whose 20 bins are one
-# row each: run with no column budget, each chunk of it is one bin, so each
-# of its pieces reads a one-column branch slab.
+# row each: run with a budget of one phase row (4 channels of one tap), each
+# block of it is one bin, so each reads a one-column branch slab.
 STREAMED = {
     "split": SPLIT_MODEL,
     "no-branch-relu": dict(SPLIT_MODEL, relu_after_branch_conv=False),
@@ -330,8 +346,7 @@ def streamed_case(case, monkeypatch):
         for name, p in model.named_parameters():
             if name.startswith("branch") and ".conv." in name:
                 p.value.data[:] = -np.abs(p.value.data) if name.endswith("weight") else -0.0
-    if case == "one-column":
-        monkeypatch.setattr(ops, "_COLUMN_BUDGET", 0)
+    monkeypatch.setattr(ops, "_COLUMN_BUDGET", 4 if case == "one-column" else SPLIT_BUDGET)
     return model, wave
 
 
@@ -358,11 +373,13 @@ def full_model():
 
 
 class TestStreamedFrontend:
-    """A no-grad ``forward_frontend``, one node per branch whose pieces
+    """A no-grad ``forward_frontend``, one node per branch whose blocks
     compute the branch rows they read, gives the bytes of the recorded
     two-node front end at one worker, in both families at 1 and 2 workers.
-    So a piece must compute its branch rows as the branch conv's own node
-    does, in the family fixed when the node was built."""
+    Its phase products are the recorded phase conv's (``TestGrid``); its
+    branch rows are products of other widths than the branch conv node's,
+    so a block must compute them with the branch node's bits, in the family
+    fixed when the node was built. This measures that for GEMM."""
 
     @pytest.mark.parametrize("gemm", [True, False], ids=["gemm", "reference"])
     @pytest.mark.parametrize("workers", [1, 2])
@@ -386,8 +403,8 @@ class TestStreamedFrontend:
         map, signed zeros included, over any run of rows, one row wide too.
         GEMM rows are checked through the front end alone: with OpenBLAS
         0.3.31, products a few columns wide round otherwise than wide ones
-        for some depths (51 and 101 taps), so GEMM bits hold only for the
-        pieces the chunk rule makes."""
+        for some depths (51 and 101 taps), so GEMM rows are checked only at
+        the widths the phase conv's blocks ask for."""
         model, wave = streamed_case(case, monkeypatch)
         cfg, x = model.config, wave[None]
         signed = 0
@@ -432,7 +449,7 @@ class TestStreamedFrontend:
     def test_forward_pads_no_whole_input(self, gemm, monkeypatch):
         """Neither a no-grad nor a recorded forward of the desk model makes a
         padded copy of a whole input (``ops._padded``): ``conv2d`` pads the
-        rows of each piece. Backward still does."""
+        rows of each block. Backward still does."""
         model = build_model(desk_model_config(), seed=0)
         wave = np.random.default_rng(3).standard_normal(4410).astype(np.float32)
         real = ops._padded
@@ -448,6 +465,58 @@ class TestStreamedFrontend:
             monkeypatch.setattr(ops, "_padded", real)
             backward(ops.softmax_cross_entropy(logits, 2))
         assert all(p.value.grad is not None for p in model.parameters())
+
+
+def product_widths(model, wave, workers, record, monkeypatch):
+    """The column counts of the GEMM products of one forward of ``model``,
+    sorted, keyed by the name of the conv weight each multiplies."""
+    names = {p.value.data.ctypes.data: name for name, p in model.named_parameters()}
+    widths = {}
+    real = np.matmul
+
+    def matmul(a, b, **kwargs):
+        widths.setdefault(names[a.ctypes.data], []).append(b.shape[1])
+        return real(a, b, **kwargs)
+
+    monkeypatch.setattr(np, "matmul", matmul)
+    try:
+        with ops.gemm_kernels(), ops.workers(workers), \
+                (contextlib.nullcontext() if record else no_grad()):
+            model.forward(wave)
+    finally:
+        monkeypatch.setattr(np, "matmul", real)
+    return {name: sorted(w) for name, w in widths.items()}
+
+
+class TestGrid:
+    """Every GEMM convolution product runs on its node's grid, which the
+    node's shape alone sets: the worker count picks only the thread that
+    runs a block, and a streamed front end runs the recorded phase conv's
+    products."""
+
+    def test_full_scale_no_grad_window(self, full_model, cpus, monkeypatch):
+        model, wave = full_model
+        one = product_widths(model, wave, 1, False, monkeypatch)
+        assert len(one) == 10  # three branch convs, three phase convs, four levels
+        assert product_widths(model, wave, 2, False, monkeypatch) == one
+        assert product_widths(model, wave, 3, False, monkeypatch) == one
+        # 18 rows of 441 at depth 9 and 64 filters: 2**19 // (64 * 441) rows per block
+        assert max(one["conv1.weight"]) == 18 * 441
+        recorded = product_widths(model, wave, 1, True, monkeypatch)
+        assert recorded.keys() == one.keys()
+        for name in one:
+            if name.startswith("branch") and ".conv." in name:  # the branch rows
+                assert recorded[name] != one[name], name
+            else:
+                assert recorded[name] == one[name], name
+
+    def test_recorded_desk_window(self, cpus, monkeypatch):
+        model = build_model(desk_model_config(), seed=0)
+        wave = np.random.default_rng(3).standard_normal(4410).astype(np.float32)
+        one = product_widths(model, wave, 1, True, monkeypatch)
+        assert len(one) == 10
+        assert product_widths(model, wave, 2, True, monkeypatch) == one
+        assert product_widths(model, wave, 3, True, monkeypatch) == one
 
 
 def train_args(root, config, out, threads, deterministic):
