@@ -238,11 +238,11 @@ class Model:
     def forward_frontend(self, wave) -> Tensor:
         """Input window -> one-channel (frequency x time) feature image.
 
-        Each branch is one :func:`ops.conv1d_chain` call: its branch conv
-        and its phase conv as two nodes when the call records a graph;
-        otherwise one node that computes the branch conv's rows as its phase
-        conv reads them, so no branch's unpooled map exists whole. Both give
-        the same bits.
+        Each branch is one :func:`ops.conv1d_chain` node, recorded or not:
+        it computes the branch conv's rows as its phase conv reads them, so
+        no branch's unpooled map exists whole in forward or is kept for
+        backward, which computes it again. Training and eval run the same
+        front end.
         """
         cfg = self.config
         x = self._as_input(wave)

@@ -28,10 +28,10 @@ as a tap-leading window array (C, *taps, n, *S): element [c, *t, p, *s] is
 the source element under tap t of output position (p, *s), read through the
 rows' own strides with no copy. The source is a slice of the input's rows
 (a view) for ``conv1d``; a zero-padded copy of those rows alone for
-``conv2d``; and, for a front-end branch that records no graph
-(:func:`conv1d_chain`), the branch conv's own rows, computed as the phase
-conv reads them. So a no-grad forward never holds a branch conv's map or a
-padded copy of a whole input.
+``conv2d``; and, for a front-end branch (:func:`conv1d_chain`), recorded or
+not, the branch conv's own rows, computed as the phase conv reads them. So
+no forward holds a branch conv's map or a padded copy of a whole input,
+and no graph keeps either.
 
 Every product of a node runs on one grid of blocks, set by the node's
 shape alone (:func:`_chunks`): runs of whole units (rows of the first
@@ -47,11 +47,13 @@ numpy's einsum loops (:func:`_ordered_matmul`) on bias-augmented operands:
 a leading bias column on the weights and a leading row of ones on the
 columns. Each output then sums its bias, then its (channel, tap) terms in
 raster order, one at a time, so it is bit-identical to a sequential
-nested-loop evaluation at the same precision. Both families share one
-backward, which builds the padded input whole again and views it whole:
-the weight-gradient and column-gradient products over blocks of rows of
-the unpooled map, cut by the same rule, then one scatter per tap, with the
-family's product. :func:`linear` picks its products the same way. So no
+nested-loop evaluation at the same precision. Every convolution backward
+is one function in both families (:func:`_conv_grads`), which views the
+padded input whole: the weight-gradient and column-gradient products over
+blocks of rows of the unpooled map, cut by the same rule, then one scatter
+per tap, with the family's product. A node builds that input again in
+backward: ``conv2d`` pads it, and a front-end branch computes its branch
+map again. :func:`linear` picks its products the same way. So no
 reference kernel, forward or backward, calls BLAS, and its bits depend on
 neither the BLAS build, nor the CPU kernel BLAS picks, nor its thread
 count. The GEMM forward is several times faster and agrees with the
@@ -68,7 +70,9 @@ computes its branch rows, in the family fixed when the node was built. No
 pool thread builds a graph node or reads per-thread state. The worker
 count only picks the thread that runs a block: every product has the
 operands it has at one worker, so the bits at any count are those of one
-worker by construction, in both families. Backward is serial.
+worker by construction, in both families. Backward's gradient products are
+serial; a front-end branch's backward computes its branch map by a forward,
+whose blocks are shared out like any.
 
 Both convolutions take ``relu=True`` to apply max(0, .) inside the same
 node, with the same results as :func:`relu` on their output, and ``pool=``
@@ -261,32 +265,51 @@ def conv1d_chain(x: Tensor, weight: Tensor, bias: Tensor, stride: int, relu: boo
                  phase_weight: Tensor, phase_bias: Tensor, phase_stride: int,
                  pool: int) -> Tensor:
     """A front-end branch, ``conv1d(conv1d(x, weight, bias, stride, relu),
-    phase_weight, phase_bias, phase_stride, relu=True, pool=pool)``, with the
-    same errors and the same bits.
+    phase_weight, phase_bias, phase_stride, relu=True, pool=pool)``, as one
+    node with five parents, with the same errors and the same bits, recorded
+    or not.
 
-    When the call records a graph, it builds those two nodes. When it does
-    not, it runs one pooled node of the second convolution, on that
+    Forward runs one pooled node of the second convolution, on that
     convolution's own grid, whose blocks compute the rows of the first
     one's map that they read (:func:`_branch_rows`), in the kernel family of
     the calling thread, so that map never exists whole: at full scale branch
-    1's is 32 x 66140 float32, 8.5 MB. The phase products are the recorded
-    phase node's, so the reference bits are the two nodes' by construction.
-    The branch rows are products of other widths than the branch node's,
-    so the GEMM bits are as long as BLAS gives a column the same bits in
-    products of different widths, as OpenBLAS 0.3.31 did in every front end
-    tested (``tests/test_workers.py``).
+    1's is 32 x 66140 float32, 8.5 MB. A recorded node keeps the pooled
+    output and its first-hit index, as a pooled :func:`conv1d` does, and
+    nothing of the branch map. Backward scatters the pooled gradient to the
+    winners, computes the branch map once, as the branch conv's node does,
+    on its own grid, runs the phase conv's gradient products on it, applies
+    the branch ReLU mask and runs the branch conv's gradient products
+    (:func:`_conv_grads`): the two nodes' gradients by construction. The
+    phase products are the phase node's too, so the reference forward bits
+    are the two nodes' by construction as well. The forward's branch rows
+    are products of other widths than the branch node's, so the GEMM
+    forward bits are the two nodes' as long as BLAS gives a column the same
+    bits in products of different widths, as OpenBLAS 0.3.31 did in every
+    front end tested (``tests/test_workers.py``).
     """
-    if recording((x, weight, bias, phase_weight, phase_bias)):
-        y = conv1d(x, weight, bias, stride=stride, relu=relu)
-        return conv1d(y, phase_weight, phase_bias, stride=phase_stride, relu=True, pool=pool)
     _conv1d_checks(x.shape, x.data.dtype, weight, bias, stride, None)
     shape = (weight.shape[0], (x.shape[1] - weight.shape[2]) // stride + 1)
     plan = _conv1d_checks(shape, x.data.dtype, phase_weight, phase_bias, phase_stride, pool)
-    gemm = _kernels.gemm
-    branch = _Kernel(weight.data, bias.data, stride, gemm)
-    out, _ = _conv_forward(_Kernel(phase_weight.data, phase_bias.data, phase_stride, gemm),
-                           _branch_rows(x.data, branch, relu), shape, True, plan, False)
-    return Tensor(out)
+    xd, wd, bd, pwd, gemm = x.data, weight.data, bias.data, phase_weight.data, _kernels.gemm
+    parents = (x, weight, bias, phase_weight, phase_bias)
+    out, index = _conv_forward(_Kernel(pwd, phase_bias.data, phase_stride, gemm),
+                               _branch_rows(xd, _Kernel(wd, bd, stride, gemm), relu), shape,
+                               True, plan, recording(parents))
+
+    def _bw(g: np.ndarray):
+        g = plan.scatter(g * (out > 0), index)
+        # the branch kernel is built again, not kept: a reference one holds a
+        # bias-augmented copy of the weights
+        y, _ = _conv_forward(_Kernel(wd, bd, stride, gemm), lambda lo, hi: xd[:, lo:hi],
+                             xd.shape, relu, None, False)
+        gy, gpw, gpb = _conv_grads(g, y, pwd, phase_stride, gemm, True,
+                                   phase_weight.requires_grad)
+        if relu:
+            gy *= y > 0  # exactly where the branch pre-activation is > 0
+        return _conv_grads(gy, xd, wd, stride, gemm, x.requires_grad,
+                           weight.requires_grad) + (gpw, gpb)
+
+    return make_node(out, parents, _bw)
 
 
 def conv2d(x: Tensor, weight: Tensor, bias: Tensor, relu: bool = False,
@@ -556,17 +579,9 @@ def _conv(x: Tensor, weight: Tensor, bias: Tensor, stride: int, pad: int,
     picks only the thread that runs a block, never its operands.
 
     The node keeps no source. Backward builds the padded input again
-    (:func:`_padded`) and reads it through one (C, *taps, P, *S) view
-    (:func:`_windows`), over blocks of rows of P cut by the same rule, as an
-    unpooled node's forward is. It rebuilds each block's columns rather
-    than keeping them, multiplies the output gradient by them for the
-    weight gradient and by the weights for the column gradient, and adds the
-    latter to the source's gradient one tap at a time, through the same
-    view of a zero array whose unpadded part is ``x``'s gradient; the
-    per-tap index list is built only when ``x`` needs a gradient. The family
-    picks only the product: ``np.matmul`` for GEMM, :func:`_ordered_matmul`
-    (no BLAS) for the reference. The grid fixes each product's operands,
-    so it also fixes the result bits.
+    (:func:`_padded`) and runs the one convolution backward on it
+    (:func:`_conv_grads`), in the family of forward; the unpadded part of
+    the source's gradient is ``x``'s.
 
     With ``relu`` set, both families clamp the biased output at 0 in place,
     and backward passes the output gradient only where the output is above
@@ -597,34 +612,54 @@ def _conv(x: Tensor, weight: Tensor, bias: Tensor, stride: int, pad: int,
             g = g * (out > 0)  # exactly where the pre-activation is > 0
         if pool is not None:
             g = pool.scatter(g, index)
-        fout, taps = wd.shape[0], wd.shape[2:]
-        w2 = wd.reshape(fout, -1)
-        matmul = np.matmul if gemm else _ordered_matmul
-        src = _padded(xd, pad)
-        win = _windows(src, taps, stride)
-        lead = (slice(None),) * (1 + len(taps))  # the (C, *taps) axes of the view
-        fmap = win.shape[1 + len(taps):]  # (P, *S)
-        depth, per_row = w2.shape[1], math.prod(fmap[1:])
-        gw = np.zeros_like(w2) if weight.requires_grad else None
-        gsrc = np.zeros_like(src) if x.requires_grad else None
-        if gsrc is not None:
-            gwin = _windows(gsrc, taps, stride, writeable=True)
-            tap_index = [(slice(None),) + tap for tap in itertools.product(*map(range, taps))]
-        for p in _chunks(range(fmap[0] + 1), max(depth, fout) * per_row):
-            gc = g[:, p].reshape(fout, -1)
-            if gw is not None:
-                gw += matmul(gc, win[lead + (p,)].reshape(depth, -1).T)
-            if gsrc is not None:
-                target = gwin[lead + (p,)]
-                gcols = matmul(w2.T, gc).reshape(target.shape)
-                # one add per tap: within a tap no two positions share an element
-                for tap in tap_index:
-                    target[tap] += gcols[tap]
-        return (None if gsrc is None else _unpadded(gsrc, pad),
-                None if gw is None else gw.reshape(wd.shape),
-                g.reshape(fout, -1).sum(axis=1))
+        gsrc, gw, gb = _conv_grads(g, _padded(xd, pad), wd, stride, gemm,
+                                   x.requires_grad, weight.requires_grad)
+        return None if gsrc is None else _unpadded(gsrc, pad), gw, gb
 
     return make_node(out, (x, weight, bias), _bw)
+
+
+def _conv_grads(g: np.ndarray, src: np.ndarray, wd: np.ndarray, stride: int, gemm: bool,
+                need_src: bool, need_w: bool) -> tuple[np.ndarray | None, ...]:
+    """Every convolution's backward: the gradients of the (padded) source
+    ``src``, of the weights ``wd`` and of the bias, given the gradient ``g``
+    of the unpooled, pre-activation map; None for the source unless
+    ``need_src``, for the weights unless ``need_w``.
+
+    It reads ``src`` through one (C, *taps, P, *S) view (:func:`_windows`),
+    over blocks of rows of P cut by the node's grid (:func:`_chunks`), as an
+    unpooled forward is. It rebuilds each block's columns rather than
+    keeping them, multiplies ``g`` by them for the weight gradient and by
+    the weights for the column gradient, and adds the latter to the
+    source's gradient one tap at a time, through the same view of a zero
+    array; the per-tap index list is built only when the source needs a
+    gradient. ``gemm`` picks only the product: ``np.matmul`` for GEMM,
+    :func:`_ordered_matmul` (no BLAS) for the reference. The grid fixes each
+    product's operands, so it also fixes the result bits.
+    """
+    fout, taps = wd.shape[0], wd.shape[2:]
+    w2 = wd.reshape(fout, -1)
+    matmul = np.matmul if gemm else _ordered_matmul
+    win = _windows(src, taps, stride)
+    lead = (slice(None),) * (1 + len(taps))  # the (C, *taps) axes of the view
+    fmap = win.shape[1 + len(taps):]  # (P, *S)
+    depth, per_row = w2.shape[1], math.prod(fmap[1:])
+    gw = np.zeros_like(w2) if need_w else None
+    gsrc = np.zeros_like(src) if need_src else None
+    if gsrc is not None:
+        gwin = _windows(gsrc, taps, stride, writeable=True)
+        tap_index = [(slice(None),) + tap for tap in itertools.product(*map(range, taps))]
+    for p in _chunks(range(fmap[0] + 1), max(depth, fout) * per_row):
+        gc = g[:, p].reshape(fout, -1)
+        if gw is not None:
+            gw += matmul(gc, win[lead + (p,)].reshape(depth, -1).T)
+        if gsrc is not None:
+            target = gwin[lead + (p,)]
+            gcols = matmul(w2.T, gc).reshape(target.shape)
+            # one add per tap: within a tap no two positions share an element
+            for tap in tap_index:
+                target[tap] += gcols[tap]
+    return gsrc, None if gw is None else gw.reshape(wd.shape), g.reshape(fout, -1).sum(axis=1)
 
 
 def maxpool2d(x: Tensor, window: tuple[int, int]) -> Tensor:

@@ -52,6 +52,19 @@ def desk_model_config(**overrides) -> ModelConfig:
     return ModelConfig(**defaults)
 
 
+def graph_nodes(root) -> int:
+    """Op outputs reachable from ``root``, itself included."""
+    seen, stack, count = {id(root)}, [root], 0
+    while stack:
+        node = stack.pop()
+        count += bool(node._parents)
+        for parent in node._parents:
+            if id(parent) not in seen:
+                seen.add(id(parent))
+                stack.append(parent)
+    return count
+
+
 @pytest.fixture(scope="session")
 def desk_corpus():
     """5 classes x 40 clips at 4410 Hz, 5 folds; shared across the session."""

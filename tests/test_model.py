@@ -11,7 +11,7 @@ from wavems.model import (BranchSpec, ModelConfig, build_model, full_scale_confi
                           param_count, single_branch_variant)
 from wavems.tensor import Tensor, backward
 
-from conftest import desk_model_config, tiny_model_config
+from conftest import desk_model_config, graph_nodes, tiny_model_config
 from gradcheck import assert_rel_close
 
 
@@ -270,10 +270,11 @@ class TestEndToEndGradients:
 class TestGraphMemory:
     @pytest.mark.parametrize("gemm", [False, True], ids=["reference", "gemm"])
     def test_window_graph_holds_one_array_per_conv_layer(self, gemm):
-        """A recorded desk window holds one output per conv layer, with the
-        ReLU fused in, plus the pooled maps and the head. A quarter on top
-        covers the Python objects; a ReLU output kept beside every conv
-        output would nearly double the total."""
+        """A recorded desk window holds at most one output per level conv
+        and one phase-conv-sized array per front-end branch, with the ReLU
+        fused in, plus the pooled maps and the head; no branch-conv map. A
+        quarter on top covers the Python objects; a ReLU output kept beside
+        every conv output would nearly double the total."""
         cfg = desk_model_config()
         model = build_model(cfg, seed=0)
         wave = np.random.default_rng(0).standard_normal(cfg.window_length).astype(np.float32)
@@ -287,7 +288,7 @@ class TestGraphMemory:
                 tracemalloc.stop()
         assert logits.requires_grad
 
-        conv = sum(b.num_filters * ((cfg.window_length - b.filter_len) // b.stride + 1 + prepool)
+        conv = sum(b.num_filters * prepool
                    for b, prepool in zip(cfg.branches, cfg.branch_prepool_lengths()))
         maps = cfg.level_map_shapes()
         h, w = cfg.frontend_rows, cfg.frontend_time_bins
@@ -322,32 +323,38 @@ def recorded_window_bytes(cfg, gemm, warm_up=True):
 
 class TestPooledGraphMemory:
     """Every phase and level conv pools inside its node, which keeps the
-    pooled map and a first-hit index but not the conv output."""
+    pooled map and a first-hit index but not the conv output; a front-end
+    branch's node keeps nothing of its branch conv's map."""
 
     @pytest.mark.parametrize("gemm", [False, True], ids=["reference", "gemm"])
     def test_desk_window_holds_pooled_maps_and_indices(self, gemm):
-        """A desk window holds each branch's first conv output, the pooled
-        phase maps and their stack, the pooled level maps, the head and one
-        uint8 index entry per pooled bin. A quarter on top covers the
-        Python objects, as in :class:`TestGraphMemory`; it holds 1.17x. A
-        phase or level conv output kept beside its pooled map would more
-        than double the total."""
+        """A desk window holds the pooled phase maps and their stack, the
+        pooled level maps, the head and one uint8 index entry per pooled
+        bin, a quarter on top, as in :class:`TestGraphMemory`, and 2 KiB
+        for each of its 22 nodes' pool plans and Python objects; it holds
+        0.85x of that. Branch 1's conv map, or the phase or level conv
+        outputs kept beside their pooled maps, would break the bound."""
         cfg = desk_model_config()
         held = recorded_window_bytes(cfg, gemm)
 
-        branch = sum(b.num_filters * ((cfg.window_length - b.filter_len) // b.stride + 1)
-                     for b in cfg.branches)
         frontend = cfg.frontend_rows * cfg.frontend_time_bins
         maps = cfg.level_map_shapes()
         th, tw = cfg.level_pool_target
         head = sum(maps[i][0] * th * (maps[i][2] + tw) for i in cfg.selected_levels())
         levels = sum(c * h * w for c, h, w in maps)
-        values = (branch + 2 * frontend + levels + head
+        values = (2 * frontend + levels + head
                   + cfg.fc_input_dim() + 2 * cfg.fc_hidden + cfg.num_classes)
         bins = frontend + levels + head
-        bound = 1.25 * (values * np.dtype(np.float32).itemsize + bins)
+        bound = 1.25 * (values * np.dtype(np.float32).itemsize + bins) + 22 * 2048
         assert held < bound, f"window graph holds {held} bytes, bound {bound:.0f}"
 
-    def test_full_scale_window_under_20_mib(self):
+    def test_full_scale_window_under_8_mib(self):
         held = recorded_window_bytes(full_scale_config(5), gemm=True, warm_up=False)
-        assert held <= 20 * 2 ** 20, f"window graph holds {held / 2 ** 20:.2f} MiB"
+        assert held <= 8 * 2 ** 20, f"window graph holds {held / 2 ** 20:.2f} MiB"
+
+    def test_desk_window_has_22_nodes(self):
+        """One node per front-end branch, then the stack and its reshape,
+        the four level convs and the head; no branch conv node."""
+        model = build_model(desk_model_config(), seed=0)
+        logits = model.forward(np.zeros(model.config.window_length, np.float32))
+        assert graph_nodes(logits) == 22

@@ -125,6 +125,25 @@ class TestConv1d:
                            [x, w, b], seed=seed)
 
 
+class TestConv1dChain:
+    @pytest.mark.parametrize("gemm", [False, True], ids=["reference", "gemm"])
+    @pytest.mark.parametrize("phase_stride", [1, 2])
+    @pytest.mark.parametrize("relu", [False, True])
+    def test_gradients(self, relu, phase_stride, gemm):
+        """A front-end branch's one node, against finite differences for
+        all five inputs: the window and both convolutions' weights and
+        biases. Its backward computes the branch map again."""
+        rng = np.random.default_rng(7300 + 2 * relu + phase_stride)
+        x = t(rng.standard_normal((2, 40)), requires_grad=True)
+        w = t(rng.standard_normal((3, 2, 5)), requires_grad=True)
+        b = t(rng.standard_normal(3), requires_grad=True)
+        pw = t(rng.standard_normal((4, 3, 3)), requires_grad=True)
+        pb = t(rng.standard_normal(4), requires_grad=True)
+        with ops.gemm_kernels(gemm):
+            check_op_gradients(lambda: ops.conv1d_chain(x, w, b, 2, relu, pw, pb, phase_stride, 4),
+                               [x, w, b, pw, pb], seed=phase_stride)
+
+
 # ---------------------------------------------------------------------------
 # conv2d
 # ---------------------------------------------------------------------------

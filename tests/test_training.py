@@ -16,7 +16,7 @@ from wavems.optim import sgd_step
 from wavems.tensor import backward, zero_grads
 from wavems.training import TrainConfig, lr_at, train, train_epoch
 
-from conftest import tiny_model_config
+from conftest import graph_nodes, tiny_model_config
 
 
 def micro_corpus(seed=21):
@@ -30,19 +30,6 @@ def micro_train_config(epochs=2, **overrides):
                     lr_stages=stages, seed=5)
     defaults.update(overrides)
     return TrainConfig(**defaults)
-
-
-def graph_nodes(root) -> int:
-    """Op outputs reachable from ``root``, itself included."""
-    seen, stack, count = {id(root)}, [root], 0
-    while stack:
-        node = stack.pop()
-        count += bool(node._parents)
-        for parent in node._parents:
-            if id(parent) not in seen:
-                seen.add(id(parent))
-                stack.append(parent)
-    return count
 
 
 class TestLrSchedule:

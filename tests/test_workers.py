@@ -350,15 +350,34 @@ def streamed_case(case, monkeypatch):
     return model, wave
 
 
-def frontend_bytes(model, wave, gemm, workers, record):
+def branch_bits(model, wave, gemm, workers, chained, record=True):
+    """Per front-end branch of ``model`` over ``wave``: the output's bytes
+    and, when recording, the bytes of the gradients of its five parents
+    (the window requires a gradient too) under a random output gradient.
+    The branch runs as one ``ops.conv1d_chain`` node or, unless ``chained``,
+    as the two ``ops.conv1d`` nodes it stands for."""
+    cfg, got = model.config, []
     with ops.gemm_kernels(gemm), ops.workers(workers):
-        if record:
-            feat = model.forward_frontend(wave)
-            assert feat.requires_grad
-        else:
-            with no_grad():
-                feat = model.forward_frontend(wave)
-    return feat.data.tobytes()
+        for i, b in enumerate(cfg.branches, start=1):
+            x = Tensor(wave[None], requires_grad=record)
+            w, bias, pw, pb = (model.param(f"branch{i}.{name}").value for name in
+                               ("conv.weight", "conv.bias", "phase.weight", "phase.bias"))
+            with contextlib.nullcontext() if record else no_grad():
+                if chained:
+                    out = ops.conv1d_chain(x, w, bias, b.stride, cfg.relu_after_branch_conv,
+                                           pw, pb, cfg.phase_stride, cfg.frontend_time_bins)
+                else:
+                    y = ops.conv1d(x, w, bias, b.stride, cfg.relu_after_branch_conv)
+                    out = ops.conv1d(y, pw, pb, cfg.phase_stride, relu=True,
+                                     pool=cfg.frontend_time_bins)
+            got.append([out.data.tobytes()])
+            if record:
+                r = np.random.default_rng(i).standard_normal(out.shape).astype(out.dtype)
+                backward(weighted_sum(out, r))
+                for t in (x, w, bias, pw, pb):
+                    got[-1].append(t.grad.tobytes())
+                    t.grad = None
+    return got
 
 
 @pytest.fixture(scope="module")
@@ -373,27 +392,31 @@ def full_model():
 
 
 class TestStreamedFrontend:
-    """A no-grad ``forward_frontend``, one node per branch whose blocks
-    compute the branch rows they read, gives the bytes of the recorded
-    two-node front end at one worker, in both families at 1 and 2 workers.
-    Its phase products are the recorded phase conv's (``TestGrid``); its
-    branch rows are products of other widths than the branch conv node's,
-    so a block must compute them with the branch node's bits, in the family
-    fixed when the node was built. This measures that for GEMM."""
+    """A front-end branch is one ``ops.conv1d_chain`` node, recorded or not,
+    whose forward blocks compute the branch rows they read and whose
+    backward computes the branch map again. It gives the bytes of the two
+    ``ops.conv1d`` nodes it stands for at one worker, output and all five
+    parent gradients, in both families at 1 and 2 workers. Its phase
+    products, and the branch map its backward computes, are the two nodes'
+    by construction; its forward's branch rows are products of other widths
+    than the branch conv node's, so a block must compute them with the
+    branch node's bits, in the family fixed when the node was built. This
+    measures that for GEMM."""
 
     @pytest.mark.parametrize("gemm", [True, False], ids=["gemm", "reference"])
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("case", STREAMED)
-    def test_equals_recorded(self, case, workers, gemm, cpus, monkeypatch):
+    def test_equals_two_nodes(self, case, workers, gemm, cpus, monkeypatch):
         model, wave = streamed_case(case, monkeypatch)
-        want = frontend_bytes(model, wave, gemm, 1, record=True)
+        want = branch_bits(model, wave, gemm, 1, chained=False)
         slabs = []
         real = ops._windows
         monkeypatch.setattr(ops, "_windows",
                             lambda a, *args: slabs.append(a.shape) or real(a, *args))
-        assert frontend_bytes(model, wave, gemm, workers, record=False) == want
+        got = branch_bits(model, wave, gemm, workers, chained=True, record=False)
+        assert got == [bits[:1] for bits in want]
         monkeypatch.setattr(ops, "_windows", real)
-        assert frontend_bytes(model, wave, gemm, workers, record=True) == want
+        assert branch_bits(model, wave, gemm, workers, chained=True) == want
         if case == "one-column":
             assert (4, 1) in slabs
 
@@ -424,8 +447,10 @@ class TestStreamedFrontend:
     @pytest.mark.parametrize("workers", [1, 2])
     def test_full_scale_window(self, workers, gemm, cpus, full_model):
         model, wave = full_model
-        want = frontend_bytes(model, wave, gemm, 1, record=True)
-        assert frontend_bytes(model, wave, gemm, workers, record=False) == want
+        want = branch_bits(model, wave, gemm, 1, chained=False)
+        got = branch_bits(model, wave, gemm, workers, chained=True, record=False)
+        assert got == [bits[:1] for bits in want]
+        assert branch_bits(model, wave, gemm, workers, chained=True) == want
 
     @pytest.mark.parametrize("bad", ["phase-channels", "pool", "precision"])
     def test_errors_are_the_two_convs(self, bad):
@@ -491,8 +516,8 @@ def product_widths(model, wave, workers, record, monkeypatch):
 class TestGrid:
     """Every GEMM convolution product runs on its node's grid, which the
     node's shape alone sets: the worker count picks only the thread that
-    runs a block, and a streamed front end runs the recorded phase conv's
-    products."""
+    runs a block, and a recorded forward runs the products of a no-grad
+    one."""
 
     def test_full_scale_no_grad_window(self, full_model, cpus, monkeypatch):
         model, wave = full_model
@@ -502,13 +527,8 @@ class TestGrid:
         assert product_widths(model, wave, 3, False, monkeypatch) == one
         # 18 rows of 441 at depth 9 and 64 filters: 2**19 // (64 * 441) rows per block
         assert max(one["conv1.weight"]) == 18 * 441
-        recorded = product_widths(model, wave, 1, True, monkeypatch)
-        assert recorded.keys() == one.keys()
-        for name in one:
-            if name.startswith("branch") and ".conv." in name:  # the branch rows
-                assert recorded[name] != one[name], name
-            else:
-                assert recorded[name] == one[name], name
+        # a recorded forward runs the same nodes, the front end's branch rows included
+        assert product_widths(model, wave, 1, True, monkeypatch) == one
 
     def test_recorded_desk_window(self, cpus, monkeypatch):
         model = build_model(desk_model_config(), seed=0)
