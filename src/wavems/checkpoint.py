@@ -5,22 +5,33 @@ Layout: magic ``WMSN`` | u32 version | u64 header length | UTF-8 JSON header
 name/shape table, rng word count) | raw little-endian float32 arrays in
 table order (parameters, then velocities) | u64 RNG state words.
 
+The writer pads the JSON header with ASCII spaces so that the first array
+starts at a multiple of :data:`ALIGN` bytes. JSON allows the trailing
+whitespace and readers take the header length from the prefix, so padded
+and unpadded files are both version 1.
+
 The RNG state is the pair (seed, completed epochs): all per-epoch random
 streams are derived from those two values, so they are sufficient to resume
 training bit-exactly.
 
+A load maps the file once, read-only, and its arrays are views of that map,
+not copies; only an array at an offset its dtype cannot use directly (a
+file written before the padding) is copied. The map, and the file
+descriptor it holds, close when the last array viewing it is collected.
+
 ``wavems eval``, ``analyze`` and ``inspect`` load weights only
 (``load_checkpoint(path, velocities=False)``): the velocities are
-size-checked like the rest of the file, then skipped. A model restored from
-such a checkpoint holds its parameter arrays without a copy, and its
-velocities are read-only zeros, so it cannot be trained: ``sgd_step`` on it
-raises.
+size-checked like the rest of the file, then left untouched. A model
+restored from such a checkpoint holds the read-only views themselves, so
+its weights exist once, in the shared page cache, and its velocities are
+read-only zeros, so it cannot be trained: ``sgd_step`` on it raises.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import mmap
 import os
 import struct
 from dataclasses import dataclass, field
@@ -35,6 +46,8 @@ from .model import Model, ModelConfig, make_parameter
 
 MAGIC = b"WMSN"
 VERSION = 1
+#: The writer starts the first array at a multiple of this many bytes.
+ALIGN = 64
 
 
 @dataclass
@@ -60,8 +73,9 @@ class Checkpoint:
     def restore_model(self) -> Model:
         """Materialize a single-precision model from copies of the stored
         state. A weights-only checkpoint's model holds the stored parameter
-        arrays themselves, and read-only zero velocities that allocate
-        nothing, so ``sgd_step`` on it raises instead of training."""
+        arrays themselves (read-only views of the mapped file), and read-only
+        zero velocities that allocate nothing, so ``sgd_step`` on it raises
+        instead of training."""
         weights_only = self.velocities is None
         params = {}
         for name, shape in self.param_table():
@@ -91,6 +105,7 @@ def save_checkpoint(checkpoint: Checkpoint, path: str | Path) -> None:
         "rng_words": len(checkpoint.rng_state),
     }
     blob = json.dumps(header).encode("utf-8")
+    blob += b" " * (-(16 + len(blob)) % ALIGN)  # the arrays start aligned
 
     chunks = [MAGIC, struct.pack("<I", VERSION), struct.pack("<Q", len(blob)), blob]
     for kind, arrays in (("parameter", checkpoint.parameters),
@@ -122,9 +137,15 @@ def save_checkpoint(checkpoint: Checkpoint, path: str | Path) -> None:
 
 
 def load_checkpoint(path: str | Path, velocities: bool = True) -> Checkpoint:
-    """Read the checkpoint at ``path``. With ``velocities=False`` the file is
-    checked as a whole, but the velocities are skipped, not read: the result's
-    ``velocities`` is None (a weights-only checkpoint)."""
+    """Read the checkpoint at ``path``. Its arrays are read-only views of one
+    read-only map of the file (copies only where a file written without the
+    header padding leaves them unaligned). With ``velocities=False`` the file
+    is checked as a whole, but the velocities are skipped: the result's
+    ``velocities`` is None (a weights-only checkpoint).
+
+    The views read the file itself, so truncating it in place while they
+    live ends the process with SIGBUS; :func:`save_checkpoint` replaces a
+    file by renaming, which leaves the mapped one intact."""
     try:
         with open(path, "rb") as f:
             return _read_checkpoint(f, os.fstat(f.fileno()).st_size, path, velocities)
@@ -134,8 +155,8 @@ def load_checkpoint(path: str | Path, velocities: bool = True) -> Checkpoint:
 
 def _read_checkpoint(f: BinaryIO, size: int, path, velocities: bool) -> Checkpoint:
     """Parse an open checkpoint file of ``size`` bytes. Every size the header
-    declares is checked against ``size`` before any array is allocated; the
-    arrays are then read straight into place."""
+    declares is checked against ``size`` before the file is mapped; the
+    arrays are then views of the map."""
     from .training import TrainConfig  # local import: training depends on this module
 
     prefix = f.read(16)
@@ -171,7 +192,9 @@ def _read_checkpoint(f: BinaryIO, size: int, path, velocities: bool) -> Checkpoi
     if table != expected:
         raise CheckpointError("parameter table does not match the embedded model config")
 
+    offsets = []  # of the parameters, then the velocities
     for name, shape in expected + [(f"{name} (velocity)", shape) for name, shape in expected]:
+        offsets.append(pos)
         pos += 4 * math.prod(shape)  # exact: np.prod wraps past int64
         if pos > size:
             raise CheckpointError(f"file truncated mid-array {name!r}")
@@ -179,14 +202,26 @@ def _read_checkpoint(f: BinaryIO, size: int, path, velocities: bool) -> Checkpoi
         raise CheckpointError(f"{size - pos} bytes follow the arrays, but the header "
                               f"declares {n_words} RNG words ({8 * n_words} bytes)")
 
-    parameters = {name: _read_into(f, np.empty(shape, dtype="<f4")) for name, shape in expected}
-    vels = ({name: _read_into(f, np.empty(shape, dtype="<f4")) for name, shape in expected}
-            if velocities else None)
-    f.seek(pos)  # to the RNG words, past the velocities whether read or skipped
+    try:
+        mapped = mmap.mmap(f.fileno(), size, access=mmap.ACCESS_READ)
+    # a ValueError when the file shrank after the size checks
+    except (OSError, ValueError) as exc:
+        raise CheckpointError(f"cannot map checkpoint {path}: {exc}") from exc
+    parameters = _views(mapped, expected, offsets)
+    vels = _views(mapped, expected, offsets[len(expected):]) if velocities else None
+    f.seek(pos)  # to the RNG words, past the velocities whether mapped or skipped
     rng_state = struct.unpack(f"<{n_words}Q", _read_into(f, bytearray(8 * n_words)))
 
     return Checkpoint(model_config, train_config, epoch, parameters,
                       vels, tuple(rng_state), history)
+
+
+def _views(mapped: mmap.mmap, table, offsets) -> dict[str, np.ndarray]:
+    """The float32 arrays of ``table`` at ``offsets`` in ``mapped``: views,
+    or aligned copies where an offset is not a multiple of 4."""
+    return {name: np.require(np.frombuffer(mapped, "<f4", math.prod(shape), offset)
+                             .reshape(shape), requirements="A")
+            for (name, shape), offset in zip(table, offsets)}
 
 
 def _read_into(f: BinaryIO, buf):
