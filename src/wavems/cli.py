@@ -190,7 +190,7 @@ def cmd_eval(args) -> int:
     gemm = not ckpt.train_config.deterministic
     model = ckpt.restore_model()
     del ckpt  # the model holds the checkpoint's weight arrays; nothing else is needed
-    with ops.gemm_kernels(gemm), ops.workers(args.threads):
+    with ops.gemm_kernels(gemm):
         report = evaluation.evaluate(model, manifest, args.fold,
                                      clip_loader=loader, hop=cfg.eval.hop)
 
@@ -279,6 +279,13 @@ def build_parser() -> argparse.ArgumentParser:
         description="Raw-waveform sound classifier: data synthesis, training, "
                     "evaluation, ablations, filter analysis.")
     sub = parser.add_subparsers(dest="command", required=True)
+    # train, eval and ablate take it; main enters ops.workers with it
+    threads = argparse.ArgumentParser(add_help=False)
+    threads.add_argument("--threads", type=_positive_int, default=1,
+                         help="worker threads that share the blocks of each convolution "
+                              "forward, capped at the CPUs this process may use (training's "
+                              "gradient products stay serial); the blocks do not depend on "
+                              "it, so outputs are those of --threads 1 byte for byte")
 
     p = sub.add_parser("synth", help="generate the synthetic WAV corpus")
     p.add_argument("--out", required=True, help="output directory")
@@ -290,7 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--folds", type=_positive_int, default=5)
     p.set_defaults(func=cmd_synth)
 
-    p = sub.add_parser("train", help="train on one fold split")
+    p = sub.add_parser("train", parents=[threads], help="train on one fold split")
     p.add_argument("--config", help="JSON run config (defaults reproduce the full protocol)")
     p.add_argument("--manifest", required=True)
     p.add_argument("--fold", type=int, required=True)
@@ -301,31 +308,23 @@ def build_parser() -> argparse.ArgumentParser:
                         "GEMM kernels repeat only at a fixed BLAS thread count); "
                         "eval follows the checkpoint's setting")
     p.add_argument("--checkpoint-every", type=_positive_int, default=None)
-    p.add_argument("--threads", type=_positive_int, default=1,
-                   help="upper bound on worker threads (execution is serial)")
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("eval", help="probability-voting evaluation of a checkpoint")
+    p = sub.add_parser("eval", parents=[threads],
+                       help="probability-voting evaluation of a checkpoint")
     p.add_argument("--ckpt", required=True)
     p.add_argument("--manifest", required=True)
     p.add_argument("--fold", type=int, required=True)
     p.add_argument("--report", required=True, help="report output directory")
     p.add_argument("--config", help="JSON run config")
-    p.add_argument("--threads", type=_positive_int, default=1,
-                   help="worker threads that share the blocks of each convolution "
-                        "forward, capped at the CPUs this process may use; the blocks "
-                        "do not depend on it, so outputs are those of --threads 1 "
-                        "byte for byte")
     p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("ablate", help="run the temporal or level ablation")
+    p = sub.add_parser("ablate", parents=[threads], help="run the temporal or level ablation")
     p.add_argument("--mode", choices=("temporal", "levels"), required=True)
     p.add_argument("--config", help="JSON run config")
     p.add_argument("--manifest", required=True)
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--repeats", type=_positive_int, default=None)
-    p.add_argument("--threads", type=_positive_int, default=1,
-                   help="upper bound on worker threads (execution is serial)")
     p.set_defaults(func=cmd_ablate)
 
     p = sub.add_parser("analyze", help="export learned-filter frequency responses")
@@ -344,7 +343,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        # at one worker (the default, and every command without --threads) no thread starts
+        with ops.workers(getattr(args, "threads", 1)):
+            return args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -482,7 +482,14 @@ class _Kernel:
             cols[:lead], cols[lead:, n:] = 1, 0
             cols[lead:, :n].reshape(win.shape, copy=False)[...] = win
         else:
-            cols = win.reshape(depth, n)  # a copy, unless the window view is contiguous
+            # A copy, unless the window view is contiguous or has one
+            # channel. A one-channel branch conv's is a view of the source
+            # rows whose columns overlap (strides of 1 and ``stride``
+            # elements), which np.matmul cannot hand to BLAS as it is. It
+            # is not copied: the chain's GEMM branch rows match the branch
+            # conv node's map only at the widths that phase blocks request
+            # (``TestStreamedFrontend``), and a copy moves those bits.
+            cols = win.reshape(depth, n)
         del win  # the source rows, unless ``cols`` is a view of them
         if y is None:
             y = np.empty((len(self.w), n), cols.dtype)

@@ -269,6 +269,17 @@ class TestRunConfig:
         for flag in flags:
             assert flag in out
 
+    def test_threads_help_is_one_text(self, capsys):
+        """``train``, ``eval`` and ``ablate`` show one ``--threads`` text."""
+        texts = []
+        for cmd in ("train", "eval", "ablate"):
+            with pytest.raises(SystemExit):
+                main([cmd, "--help"])
+            out = capsys.readouterr().out
+            entry = out[out.index("  --threads THREADS"):].split("\n  -")[0]
+            texts.append(" ".join(entry.split()))
+        assert "convolution forward" in texts[0] and texts[1] == texts[0] == texts[2]
+
 
 class TestBadInputExitCodes:
     @staticmethod

@@ -1,8 +1,9 @@
-"""Workers (``ops.workers``, ``eval --threads``): the blocks of each
-convolution forward shared by the calling thread and a pool, on a grid that
-the worker count does not move, so with the same bytes as one thread; the
-worker count's cap, the pool's lifetime, and what the CLI commands read and
-write at any ``--threads``."""
+"""Workers (``ops.workers``, ``--threads`` of ``train``, ``eval`` and
+``ablate``): the blocks of each convolution forward shared by the calling
+thread and a pool, on a grid that the worker count does not move, so with the
+same bytes as one thread; the worker count's cap, the pool's lifetime, which
+``cli.main`` ties to the command's, and what the commands read and write at
+any ``--threads``."""
 
 import contextlib
 import json
@@ -14,7 +15,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from wavems import cli, evaluation, ops
+from wavems import cli, ops
 from wavems.datasets import fold_split
 from wavems.errors import ShapeError
 from wavems.model import ModelConfig, build_model, full_scale_config
@@ -550,20 +551,45 @@ def eval_args(root, ckpt, report, threads):
             "--fold", "1", "--report", str(report), "--threads", str(threads)]
 
 
+def ablate_args(root, config, out, threads):
+    return ["ablate", "--mode", "levels", "--config", str(config), "--manifest",
+            str(root / "manifest.csv"), "--out", str(out), "--threads", str(threads)]
+
+
+@pytest.fixture
+def thread_counts(monkeypatch):
+    """The number of live threads after each block run (``ops._run``). It
+    rises above the count before a command once a block run of more than one
+    block has handed blocks to a pool, whose threads live until it ends."""
+    counts = []
+    real = ops._run
+
+    def run(fn, blocks):
+        real(fn, blocks)
+        counts.append(threading.active_count())
+
+    monkeypatch.setattr(ops, "_run", run)
+    return counts
+
+
 class TestCommands:
     @pytest.mark.parametrize("deterministic", [False, True])
     def test_train_then_eval_identical(self, deterministic, corpus_dir, split_config,
-                                       tmp_path, capsys):
-        """``train`` gives the same stdout CSV and checkpoint bytes at two
-        threads as at one, and ``eval`` the same report files."""
+                                       thread_counts, tmp_path, capsys):
+        """``train`` runs pool threads at two threads and gives the same
+        stdout CSV and checkpoint bytes as at one, and ``eval`` the same
+        report files."""
+        before = threading.active_count()
         runs = []
         for threads in (1, 2):
             path = tmp_path / f"t{threads}.ckpt"
             capsys.readouterr()
+            thread_counts.clear()
             assert cli.main(train_args(corpus_dir, split_config, path, threads,
                                        deterministic)) == 0
-            runs.append((capsys.readouterr().out, path.read_bytes()))
-        assert runs[1] == runs[0]
+            runs.append((capsys.readouterr().out, path.read_bytes(), max(thread_counts)))
+        assert runs[0][2] == before and runs[1][2] > before
+        assert runs[1][:2] == runs[0][:2]
 
         reports = []
         for threads in (1, 2):
@@ -572,28 +598,47 @@ class TestCommands:
             reports.append({f.name: f.read_bytes() for f in report.iterdir()})
         assert len(reports[0]) == 3 and reports[1] == reports[0]
 
-    @pytest.mark.parametrize("fail", [False, True])
-    def test_pool_threads_end_with_the_command(self, fail, corpus_dir, split_config, tmp_path,
-                                               monkeypatch, capsys):
-        """The pool's threads run during eval and are gone when ``main``
-        returns, also when the command fails inside the pool."""
-        ckpt = tmp_path / "m.ckpt"
-        assert cli.main(train_args(corpus_dir, split_config, ckpt, 1, False)) == 0
-        counts = []
-        real = evaluation.predict_clip
-
-        def predict_clip(*args, **kwargs):
-            result = real(*args, **kwargs)
-            counts.append(threading.active_count())
-            if fail:
-                raise OSError("disk gone")
-            return result
-
-        monkeypatch.setattr(evaluation, "predict_clip", predict_clip)
+    def test_ablate_identical(self, corpus_dir, split_config, thread_counts, tmp_path, capsys):
+        """``ablate --mode levels`` runs pool threads at two threads and
+        gives the same stdout CSV and output files as at one."""
         before = threading.active_count()
-        code = cli.main(eval_args(corpus_dir, ckpt, tmp_path / "r", 2))
-        assert code == (1 if fail else 0)
-        assert counts and max(counts) > before
+        runs = []
+        for threads in (1, 2):
+            out = tmp_path / f"ablation-{threads}"
+            capsys.readouterr()
+            thread_counts.clear()
+            assert cli.main(ablate_args(corpus_dir, split_config, out, threads)) == 0
+            files = {f.name: f.read_bytes() for f in out.iterdir()}
+            runs.append((capsys.readouterr().out, files, max(thread_counts)))
+        assert runs[0][2] == before and runs[1][2] > before
+        assert len(runs[0][1]) == 2 and runs[1][:2] == runs[0][:2]
+
+    @pytest.mark.parametrize("fail", [False, True])
+    @pytest.mark.parametrize("command", ["train", "eval", "ablate"])
+    def test_pool_threads_end_with_the_command(self, command, fail, corpus_dir, split_config,
+                                               thread_counts, tmp_path, monkeypatch, capsys):
+        """At ``--threads 2`` the pool's threads run during each command and
+        are gone when ``main`` returns, also when the command fails inside
+        the pool."""
+        ckpt = tmp_path / "m.ckpt"
+        if command == "eval":
+            assert cli.main(train_args(corpus_dir, split_config, ckpt, 1, False)) == 0
+        argv = {"train": train_args(corpus_dir, split_config, ckpt, 2, False),
+                "eval": eval_args(corpus_dir, ckpt, tmp_path / "r", 2),
+                "ablate": ablate_args(corpus_dir, split_config, tmp_path / "a", 2)}[command]
+        if fail:
+            counted = ops._run
+
+            def run(fn, blocks):
+                counted(fn, blocks)
+                if len(blocks) > 1:  # these blocks went to the pool
+                    raise OSError("disk gone")
+
+            monkeypatch.setattr(ops, "_run", run)
+        thread_counts.clear()
+        before = threading.active_count()
+        assert cli.main(argv) == (1 if fail else 0)
+        assert thread_counts and max(thread_counts) > before
         assert threading.active_count() == before
 
     def test_train_decodes_only_the_train_split(self, corpus_dir, config_file, tmp_path,
