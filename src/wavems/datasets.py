@@ -114,13 +114,19 @@ def synth_class_center_hz(label: int) -> float:
     return 300.0 * 2.0 ** (label / 2.0)
 
 
-def _synth_clip(label: int, clip_index: int, n_samples: int, sample_rate: int,
-                seed: int) -> np.ndarray:
-    rng = np.random.default_rng(np.random.SeedSequence([seed, label, clip_index]))
+def _synth_band(label: int, sample_rate: int) -> np.ndarray:
+    """The band-pass filter of a synthetic class, as second-order sections:
+    the half octave around its center frequency."""
     center = synth_class_center_hz(label)
-    lo, hi = center / 2 ** 0.25, center * 2 ** 0.25  # half-octave band
+    lo, hi = center / 2 ** 0.25, center * 2 ** 0.25
+    return sp_signal.butter(2, [lo, hi], btype="bandpass", fs=sample_rate, output="sos")
 
-    sos = sp_signal.butter(2, [lo, hi], btype="bandpass", fs=sample_rate, output="sos")
+
+def _synth_clip(label: int, clip_index: int, n_samples: int, sample_rate: int,
+                seed: int, sos: np.ndarray) -> np.ndarray:
+    """One clip of class ``label``, band-passed by its class filter ``sos``
+    (:func:`_synth_band`)."""
+    rng = np.random.default_rng(np.random.SeedSequence([seed, label, clip_index]))
     band = sp_signal.sosfilt(sos, rng.standard_normal(n_samples))
     band /= np.sqrt(np.mean(band ** 2)) + 1e-12
 
@@ -164,9 +170,10 @@ def synth_dataset(num_classes: int, clips_per_class: int, clip_seconds: float,
     entries: list[ManifestEntry] = []
     clips: dict[str, AudioClip] = {}
     for label in range(num_classes):
+        sos = _synth_band(label, sample_rate)  # designed once, used by every clip
         for i in range(clips_per_class):
             path = f"class{label:02d}_clip{i:03d}.wav"
-            samples = _synth_clip(label, i, n_samples, sample_rate, seed)
+            samples = _synth_clip(label, i, n_samples, sample_rate, seed, sos)
             clips[path] = AudioClip(samples, sample_rate, source_id=path)
             entries.append(ManifestEntry(path, label, fold=(i % num_folds) + 1))
 

@@ -11,8 +11,11 @@ that holds the tap count (uint8 for 2x2 windows and for bins of up to 255
 elements); a NaN bin keeps the tap count as a no-hit sentinel. Backward is
 one scatter of the output gradient to those winners (:meth:`_Pool.scatter`)
 and never reads the input, so no pool keeps it. Under
-:class:`~wavems.tensor.no_grad` no index is made. The input's shape picks
-one of two forward kernels:
+:class:`~wavems.tensor.no_grad` no index is made. A pool's plan, its bins
+and taps, is built once per input shape and pool argument and cached
+(:func:`_window_plan`, :func:`_adaptive_plan`): every node of that shape,
+fused or not, shares the one read-only plan. The input's shape picks one
+of two forward kernels:
 
 - an :func:`adaptive_maxpool` over the last axis is a bin reduction
   (:class:`_BinPool`): one ``np.maximum.reduceat``, and one more over
@@ -89,8 +92,10 @@ again in backward rather than kept.
 from __future__ import annotations
 
 import bisect
+import functools
 import itertools
 import math
+import operator
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor, wait
@@ -687,17 +692,44 @@ def adaptive_maxpool(x: Tensor, target: int, axis: int) -> Tensor:
     return _pool_node(x, _adaptive_pool(x.shape, target, axis))
 
 
-def _window_pool(shape: tuple[int, ...], window: tuple[int, int]) -> _Pool:
-    """The bins of ``maxpool2d(., window)`` over a ``shape`` input, after
-    its argument checks."""
+def _window_pool(shape: tuple[int, ...], window) -> _Pool:
+    """The shared plan of ``maxpool2d(., window)`` over a ``shape`` input
+    (:func:`_window_plan`), after its argument checks, which run on every
+    call. ``window`` is any pair of ints: a tuple, a list or an array."""
     h, w = window
     if h <= 0 or w <= 0:
         raise ValueError(f"pool window must be positive, got {window}")
     if len(shape) != 3:
         raise ShapeError(f"maxpool2d expects (C,H,W), got {shape}")
-    channels, hin, win = shape
-    if h > hin or w > win:
-        raise ShapeError(f"pool window {window} exceeds input {hin}x{win}")
+    if h > shape[1] or w > shape[2]:
+        raise ShapeError(f"pool window {window} exceeds input {shape[1]}x{shape[2]}")
+    return _window_plan(tuple(shape), (operator.index(h), operator.index(w)))
+
+
+def _adaptive_pool(shape: tuple[int, ...], target: int, axis: int) -> _Pool:
+    """The shared plan of ``adaptive_maxpool(., target, axis)`` over a
+    ``shape`` input (:func:`_adaptive_plan`), after its argument checks,
+    which run on every call."""
+    if target <= 0:
+        raise ValueError(f"target must be positive, got {target}")
+    length = shape[axis]
+    if length < target:
+        raise ShapeError(f"axis extent {length} < pool target {target}")
+    return _adaptive_plan(tuple(shape), operator.index(target), axis % len(shape))
+
+
+#: Plans each of :func:`_window_plan` and :func:`_adaptive_plan` keeps, least
+#: recently used first out: a model runs 15 (4 windows and 11 bin pools),
+#: so this holds a few models' while a sweep of odd shapes stays bounded.
+_PLANS = 64
+
+
+@functools.lru_cache(maxsize=_PLANS)
+def _window_plan(shape: tuple[int, int, int], window: tuple[int, int]) -> _Pool:
+    """The bins of a checked ``maxpool2d(., window)`` over a ``shape``
+    input: one read-only plan per (shape, window), which every node of that
+    shape shares, recorded or not, from any thread."""
+    (h, w), (channels, hin, win) = window, shape
     rows, cols = hin // h * h, win // w * w
     taps = [(i, j) for i in range(h) for j in range(w)]  # raster order
     return _Pool(shape, [np.arange(channels), np.arange(0, rows, h), np.arange(0, cols, w)],
@@ -706,17 +738,14 @@ def _window_pool(shape: tuple[int, ...], window: tuple[int, int]) -> _Pool:
                  range(0, rows + 1, h))
 
 
-def _adaptive_pool(shape: tuple[int, ...], target: int, axis: int) -> _Pool:
-    """The bins of ``adaptive_maxpool(., target, axis)`` over a ``shape``
-    input, after its argument checks."""
-    if target <= 0:
-        raise ValueError(f"target must be positive, got {target}")
+@functools.lru_cache(maxsize=_PLANS)
+def _adaptive_plan(shape: tuple[int, ...], target: int, axis: int) -> _Pool:
+    """The bins of a checked ``adaptive_maxpool(., target, axis)`` over a
+    ``shape`` input, ``axis`` non-negative: one read-only plan per (shape,
+    target, axis), which every node of that shape shares, recorded or not,
+    from any thread."""
     length = shape[axis]
-    if length < target:
-        raise ShapeError(f"axis extent {length} < pool target {target}")
-    axis %= len(shape)
-
-    bounds = np.arange(target + 1) * length // target
+    bounds = _frozen(np.arange(target + 1) * length // target)
     starts, ends = bounds[:-1], bounds[1:]
     firsts = [np.arange(d) for d in shape]
     firsts[axis] = starts
@@ -725,9 +754,15 @@ def _adaptive_pool(shape: tuple[int, ...], target: int, axis: int) -> _Pool:
     if axis == len(shape) - 1:
         return _BinPool(shape, firsts, offsets, bounds)
     # row j holds the j-th index of every bin; short bins repeat their last
-    rows = np.minimum(starts + taps[:, None], ends - 1)
+    rows = _frozen(np.minimum(starts + taps[:, None], ends - 1))
     lead = (slice(None),) * axis
     return _Pool(shape, firsts, offsets, [lead + (row,) for row in rows], None)
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    """``a``, made read-only: so are the views taken of it from now on."""
+    a.flags.writeable = False
+    return a
 
 
 class _Pool:
@@ -748,16 +783,22 @@ class _Pool:
     [edges[i], edges[i + 1]), and :meth:`fill` pools any run of them from
     those input rows alone. An adaptive pool over a leading axis has no
     ``edges`` and pools all its bins at once.
+
+    A plan is shared by every node of its shape and by the worker threads
+    that fill their blocks, so its arrays are read-only.
     """
 
-    # every recorded pool node keeps its plan: no per-instance dict
+    # a plan is cached and shared by every node of its shape: no
+    # per-instance dict, and no array of it may be written
     __slots__ = ("shape", "firsts", "offsets", "taps", "edges", "index_dtype")
 
     def __init__(self, shape: tuple[int, ...], firsts: list[np.ndarray],
                  offsets: np.ndarray, taps: list[tuple] | None,
                  edges: range | np.ndarray | None):
-        self.shape, self.firsts, self.offsets, self.taps = shape, firsts, offsets, taps
-        self.edges = edges
+        self.shape, self.offsets = shape, _frozen(offsets)
+        self.firsts = tuple(map(_frozen, firsts))
+        self.taps = None if taps is None else tuple(taps)
+        self.edges = _frozen(edges) if isinstance(edges, np.ndarray) else edges
         # tap numbers 0 .. n-1 and the no-hit sentinel n
         self.index_dtype = np.min_scalar_type(len(offsets))
 
@@ -838,7 +879,7 @@ class _BinPool(_Pool):
     def __init__(self, shape: tuple[int, ...], firsts: list[np.ndarray],
                  offsets: np.ndarray, edges: np.ndarray):
         super().__init__(shape, firsts, offsets, None, edges)
-        self.sizes = edges[1:] - edges[:-1]
+        self.sizes = _frozen(edges[1:] - edges[:-1])
 
     def fill(self, a: np.ndarray, bins: slice, out: np.ndarray, index: np.ndarray | None) -> None:
         """:meth:`forward` of the bins ``bins`` into ``out[..., bins]`` and,

@@ -1,5 +1,7 @@
 """Manifest parsing, fold splits, and the synthetic corpus."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from scipy import signal as sp_signal
@@ -88,6 +90,16 @@ class TestSynthDataset:
         assert m1 == m2
         for path in c1:
             assert np.array_equal(c1[path].samples, c2[path].samples)
+
+    def test_pinned_sample_bytes(self):
+        """A seeded corpus's samples, in manifest order, keep the bytes they
+        had when each clip designed its own band-pass filter."""
+        m, clips = synth_dataset(4, 3, 0.25, 4410, seed=7, num_folds=3)
+        digest = hashlib.sha256()
+        for e in m.entries:
+            digest.update(clips[e.path].samples.tobytes())
+        assert digest.hexdigest() == \
+            "4c3fe36bfa983901b34d7e9a4b1817db0772d07ff5fbf6fad0e4d31d0166c748"
 
     def test_different_seeds_differ(self):
         _, c1 = synth_dataset(2, 2, 0.5, 4410, seed=1)

@@ -14,9 +14,13 @@ import numpy as np
 import pytest
 
 from wavems import ops
+from wavems.datasets import fold_split
 from wavems.errors import ShapeError
+from wavems.model import build_model
 from wavems.tensor import Tensor, backward, no_grad
+from wavems.training import TrainConfig, train_epoch
 
+from conftest import desk_model_config
 from gradcheck import check_op_gradients, weighted_sum
 from test_gemm import forward_chunks  # noqa: F401
 
@@ -283,6 +287,117 @@ class TestPoolArguments:
         with pytest.raises(error) as fused:
             ops.conv2d(x, w, b, relu=True, pool=pool)
         assert str(fused.value) == str(standalone.value)
+
+
+def plan_of(node):
+    """The pool plan that a recorded pool node's backward closure holds."""
+    cells = [c.cell_contents for c in node._backward.__closure__]
+    return next(c for c in cells if isinstance(c, ops._Pool))
+
+
+class TestSharedPlans:
+    """A pool's plan is built once per input shape and pool argument and
+    shared, read-only, by every node of that shape."""
+
+    def test_desk_epoch_builds_each_plan_once(self, desk_corpus, monkeypatch):
+        """A desk window runs 15 pools of 15 distinct shapes: three branch
+        bin pools, four level windows and eight head bin pools. One epoch
+        of 160 windows builds each plan once, not once per window."""
+        built = []
+        init = ops._Pool.__init__
+        monkeypatch.setattr(ops._Pool, "__init__",
+                            lambda self, *a: built.append(a[0]) or init(self, *a))
+        manifest, clips = desk_corpus
+        train, _ = fold_split(manifest, 1)
+        ops._window_plan.cache_clear()
+        ops._adaptive_plan.cache_clear()
+        train_epoch(build_model(desk_model_config(), seed=0), train, clips, 0,
+                    TrainConfig(epochs=1, lr_stages=((1, 1e-2),)))
+        assert 0 < len(built) <= 15, built
+
+    @pytest.mark.parametrize("op", ["maxpool2d", "adaptive_maxpool", "adaptive_maxpool-lead",
+                                    "conv1d", "conv2d"])
+    def test_nodes_of_one_shape_share_a_plan(self, op):
+        rng = np.random.default_rng(6)
+        w2, w1, b = (Tensor(rng.standard_normal(s)) for s in ((2, 2, 3, 3), (2, 2, 3), (2,)))
+        call = {"maxpool2d": lambda x: ops.maxpool2d(x, (2, 2)),
+                "adaptive_maxpool": lambda x: ops.adaptive_maxpool(x, 4, axis=-1),
+                "adaptive_maxpool-lead": lambda x: ops.adaptive_maxpool(x, 3, axis=1),
+                "conv1d": lambda x: ops.conv1d(x, w1, b, relu=True, pool=4),
+                "conv2d": lambda x: ops.conv2d(x, w2, b, relu=True, pool=(2, 2))}[op]
+        shape = (2, 30) if op == "conv1d" else (2, 6, 8)
+        first, second = (call(Tensor(rng.standard_normal(shape), requires_grad=True))
+                         for _ in range(2))
+        assert plan_of(first) is plan_of(second)
+        if op == "conv2d":  # a separate pool of the conv's output shares it too
+            x = Tensor(rng.standard_normal(shape), requires_grad=True)
+            assert plan_of(ops.maxpool2d(ops.conv2d(x, w2, b), (2, 2))) is plan_of(first)
+
+    @pytest.mark.parametrize("plan,count", [
+        (lambda: ops._window_pool((2, 6, 8), (2, 3)), 4),  # edges a range, taps slices
+        (lambda: ops._adaptive_pool((2, 30), 4, axis=1), 5),
+        (lambda: ops._adaptive_pool((2, 30, 5), 4, axis=1), 4 + 8)], ids=["window", "bins", "lead"])
+    def test_plan_arrays_are_read_only(self, plan, count):
+        """Every array of a plan refuses writes, and its lists are tuples."""
+        plan = plan()
+        assert isinstance(plan.firsts, tuple) and isinstance(plan.taps, (tuple, type(None)))
+        arrays = [*plan.firsts, plan.offsets, getattr(plan, "sizes", None), plan.edges]
+        arrays += [i for tap in plan.taps or () for i in tap]
+        arrays = [a for a in arrays if isinstance(a, np.ndarray)]
+        assert len(arrays) == count
+        for a in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                a[...] = 0
+
+    @pytest.mark.parametrize("conv", [False, True], ids=["maxpool2d", "conv2d"])
+    def test_list_and_array_windows(self, conv):
+        rng = np.random.default_rng(8)
+        x = rng.standard_normal((2, 7, 9))
+        w, b = Tensor(rng.standard_normal((2, 2, 3, 3))), Tensor(rng.standard_normal(2))
+
+        def pooled(window):
+            xt = Tensor(x, requires_grad=True)
+            return ops.conv2d(xt, w, b, relu=True, pool=window) if conv else ops.maxpool2d(xt, window)
+
+        want = pooled((2, 3))
+        for window in ([2, 3], np.array([2, 3])):
+            got = pooled(window)
+            assert got.data.tobytes() == want.data.tobytes()
+            assert plan_of(got) is plan_of(want)
+
+    @pytest.mark.parametrize("call,error", [
+        (lambda x3, x2: ops.maxpool2d(x3, (0, 2)), ValueError),
+        (lambda x3, x2: ops.maxpool2d(x3, [7, 2]), ShapeError),
+        (lambda x3, x2: ops.maxpool2d(x3, (2.0, 2)), TypeError),
+        (lambda x3, x2: ops.conv2d(x3, Tensor(np.ones((2, 2, 3, 3))), Tensor(np.ones(2)),
+                                   pool=np.array([2, 9])), ShapeError),
+        (lambda x3, x2: ops.adaptive_maxpool(x2, 0, axis=1), ValueError),
+        (lambda x3, x2: ops.adaptive_maxpool(x2, 31, axis=-1), ShapeError),
+        (lambda x3, x2: ops.adaptive_maxpool(x2, 4.0, axis=1), TypeError),
+        (lambda x3, x2: ops.adaptive_maxpool(x3, 3.0, axis=1), TypeError),
+        (lambda x3, x2: ops.adaptive_maxpool(x2, 4, axis=2), IndexError),
+        (lambda x3, x2: ops.conv1d(x2, Tensor(np.ones((2, 2, 3))), Tensor(np.ones(2)),
+                                   pool=29), ShapeError)],
+        ids=["window-zero", "window-list-too-tall", "window-float", "conv2d-array-too-wide",
+             "target-zero", "target-too-many", "target-float", "target-float-lead",
+             "axis-out-of-range", "conv1d-target-too-many"])
+    def test_bad_argument_raises_on_every_call(self, call, error):
+        """Checks run on every call, also once the good arguments of the
+        same shape have a cached plan: 2 and 2.0 are one cache key."""
+        x3, x2 = Tensor(np.ones((2, 6, 8))), Tensor(np.ones((2, 30)))
+        ops.maxpool2d(x3, (2, 2)), ops.adaptive_maxpool(x2, 4, axis=1)
+        ops.adaptive_maxpool(x3, 3, axis=1)
+        messages = []
+        for _ in range(2):
+            with pytest.raises(error) as raised:
+                call(x3, x2)
+            messages.append(str(raised.value))
+        assert messages[0] == messages[1]
+
+    def test_cache_is_bounded(self):
+        for n in range(1, 2 * ops._PLANS + 2):
+            ops._adaptive_pool((1, 2 * ops._PLANS + 1), n, axis=1)
+        assert ops._adaptive_plan.cache_info().currsize == ops._PLANS
 
 
 # Fused layers whose forward runs in several blocks, cut on bin edges:
