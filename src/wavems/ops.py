@@ -25,16 +25,18 @@ of two forward kernels:
   input (:class:`_Pool`). There, ``reduceat`` would walk the input with a
   stride and was measured slower.
 
-Convolutions read their source one block of output positions at a time.
-A block asks for the source rows it needs, ``rows(lo, hi)``, and views them
-as a tap-leading window array (C, *taps, n, *S): element [c, *t, p, *s] is
-the source element under tap t of output position (p, *s), read through the
-rows' own strides with no copy. The source is a slice of the input's rows
-(a view) for ``conv1d``; a zero-padded copy of those rows alone for
-``conv2d``; and, for a front-end branch (:func:`conv1d_chain`), recorded or
-not, the branch conv's own rows, computed as the phase conv reads them. So
-no forward holds a branch conv's map or a padded copy of a whole input,
-and no graph keeps either.
+Convolutions read their source one block of output positions at a time,
+forward and backward. A block asks for the source rows it needs,
+``rows(lo, hi)``, and views them as a tap-leading window array (C, *taps,
+n, *S) (:func:`_block_windows`): element [c, *t, p, *s] is the source
+element under tap t of output position (p, *s), read through the rows' own
+strides with no copy. The source is a slice of the input's rows (a view)
+for ``conv1d``; a zero-padded copy of those rows alone for ``conv2d``
+(:func:`_padded_rows`); and, for a front-end branch's forward
+(:func:`conv1d_chain`), recorded or not, the branch conv's own rows,
+computed as the phase conv reads them. So no convolution, forward or
+backward, makes a padded copy of a whole input, no forward holds a branch
+conv's map, and no graph keeps either.
 
 Every product of a node runs on one grid of blocks, set by the node's
 shape alone (:func:`_chunks`): runs of whole units (rows of the first
@@ -51,12 +53,13 @@ a leading bias column on the weights and a leading row of ones on the
 columns. Each output then sums its bias, then its (channel, tap) terms in
 raster order, one at a time, so it is bit-identical to a sequential
 nested-loop evaluation at the same precision. Every convolution backward
-is one function in both families (:func:`_conv_grads`), which views the
-padded input whole: the weight-gradient and column-gradient products over
-blocks of rows of the unpooled map, cut by the same rule, then one scatter
-per tap, with the family's product. A node builds that input again in
-backward: ``conv2d`` pads it, and a front-end branch computes its branch
-map again. :func:`linear` picks its products the same way. So no
+is one function in both families (:func:`_conv_grads`): the
+weight-gradient and column-gradient products over blocks of rows of the
+unpooled map, cut by the same rule, each block reading its source rows
+through a reader built as its forward's, then one scatter per tap into the
+whole padded source gradient, with the family's product. A front-end
+branch computes its branch map again in backward and reads it so too.
+:func:`linear` picks its products the same way. So no
 reference kernel, forward or backward, calls BLAS, and its bits depend on
 neither the BLAS build, nor the CPU kernel BLAS picks, nor its thread
 count. The GEMM forward is several times faster and agrees with the
@@ -85,8 +88,8 @@ for ``conv1d`` (:func:`adaptive_maxpool` over the length) and a window for
 bit for bit. The node keeps only its output, plus a fused pool's first-hit
 index: the ReLU mask is read off the output (the pooled maximum is above 0
 exactly where its winner is), a fused pool's gradient is scattered back to
-a conv-shaped array in backward, and ``conv2d``'s zero-padded input is built
-again in backward rather than kept.
+a conv-shaped array in backward, and ``conv2d``'s zero-padded input rows
+are built again in backward, a block at a time, rather than kept.
 """
 
 from __future__ import annotations
@@ -283,10 +286,11 @@ def conv1d_chain(x: Tensor, weight: Tensor, bias: Tensor, stride: int, relu: boo
     nothing of the branch map. Backward scatters the pooled gradient to the
     winners, computes the branch map once, as the branch conv's node does,
     on its own grid, runs the phase conv's gradient products on it, applies
-    the branch ReLU mask and runs the branch conv's gradient products
-    (:func:`_conv_grads`): the two nodes' gradients by construction. The
-    phase products are the phase node's too, so the reference forward bits
-    are the two nodes' by construction as well. The forward's branch rows
+    the branch ReLU mask and runs the branch conv's gradient products on
+    ``x`` (:func:`_conv_grads`, reading the map and ``x`` through row
+    slices, as the two nodes do): the two nodes' gradients by construction.
+    The phase products are the phase node's too, so the reference forward
+    bits are the two nodes' by construction as well. The forward's branch rows
     are products of other widths than the branch node's, so the GEMM
     forward bits are the two nodes' as long as BLAS gives a column the same
     bits in products of different widths, as OpenBLAS 0.3.31 did in every
@@ -305,13 +309,13 @@ def conv1d_chain(x: Tensor, weight: Tensor, bias: Tensor, stride: int, relu: boo
         g = plan.scatter(g * (out > 0), index)
         # the branch kernel is built again, not kept: a reference one holds a
         # bias-augmented copy of the weights
-        y, _ = _conv_forward(_Kernel(wd, bd, stride, gemm), lambda lo, hi: xd[:, lo:hi],
-                             xd.shape, relu, None, False)
-        gy, gpw, gpb = _conv_grads(g, y, pwd, phase_stride, gemm, True,
-                                   phase_weight.requires_grad)
+        xrows = _padded_rows(xd, 0)
+        y, _ = _conv_forward(_Kernel(wd, bd, stride, gemm), xrows, xd.shape, relu, None, False)
+        gy, gpw, gpb = _conv_grads(g, _padded_rows(y, 0), y.shape, pwd, phase_stride, gemm,
+                                   True, phase_weight.requires_grad)
         if relu:
             gy *= y > 0  # exactly where the branch pre-activation is > 0
-        return _conv_grads(gy, xd, wd, stride, gemm, x.requires_grad,
+        return _conv_grads(gy, xrows, xd.shape, wd, stride, gemm, x.requires_grad,
                            weight.requires_grad) + (gpw, gpb)
 
     return make_node(out, parents, _bw)
@@ -326,9 +330,9 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, relu: bool = False,
     x: (C, H, W), weight: (F, C, 3, 3), bias: (F,). The kernel size is fixed
     by the architecture; anything else is an argument error, and so is a bad
     ``pool``, raised as :func:`maxpool2d` would, before any convolution
-    work. Forward pads only the rows each block reads, so no padded copy of
-    the whole input is made; backward builds one again. A pooled node keeps
-    the pooled output and its first-hit index, not the unpooled map.
+    work. Forward and backward pad only the rows each block reads, so no
+    padded copy of the whole input is made. A pooled node keeps the pooled
+    output and its first-hit index, not the unpooled map.
     """
     _check_dtypes(x, weight, bias)
     if x.data.ndim != 3 or weight.data.ndim != 4 or bias.data.ndim != 1:
@@ -374,7 +378,10 @@ def _chunks(edges: range | np.ndarray, row: int) -> list[slice]:
 def _padded_rows(a: np.ndarray, pad: int):
     """``rows(lo, hi)``: rows [lo, hi) along axis 1 of ``a`` with ``pad``
     zeros on both sides of every axis but the first, built for those rows
-    alone."""
+    alone; a view of ``a``'s rows when ``pad`` is 0. Every convolution
+    reads its source through one, forward and backward."""
+    if not pad:
+        return lambda lo, hi: a[:, lo:hi]
     c, length = a.shape[:2]
     dims = [d + 2 * pad for d in a.shape[2:]]
     inner = (slice(pad, -pad),) * len(dims)
@@ -388,14 +395,9 @@ def _padded_rows(a: np.ndarray, pad: int):
     return rows
 
 
-def _padded(a: np.ndarray, pad: int) -> np.ndarray:
-    """``a`` with ``pad`` zeros on both sides of every axis but the first,
-    all rows at once; ``a`` itself when ``pad`` is 0."""
-    return _padded_rows(a, pad)(0, a.shape[1] + 2 * pad) if pad else a
-
-
 def _unpadded(a: np.ndarray, pad: int) -> np.ndarray:
-    """The view of a :func:`_padded` array that holds the original."""
+    """The view of an array padded as :func:`_padded_rows` pads that holds
+    the original."""
     return a[(slice(None),) + (slice(pad, -pad),) * (a.ndim - 1)] if pad else a
 
 
@@ -421,6 +423,13 @@ def _windows(a: np.ndarray, taps: tuple[int, ...], stride: int,
     view = np.ndarray(shape, a.dtype, a, 0, strides)
     view.flags.writeable = writeable
     return view
+
+
+def _block_windows(rows, p: slice, taps: tuple[int, ...], stride: int) -> np.ndarray:
+    """The (C, *taps, n, *S) window view (:func:`_windows`) of the output
+    rows ``p``, over the source rows they read, which ``rows(lo, hi)``
+    gives: a block's one read of its source, forward and backward."""
+    return _windows(rows(p.start * stride, (p.stop - 1) * stride + taps[0]), taps, stride)
 
 
 def _ordered_matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -479,8 +488,8 @@ class _Kernel:
         where ``rows(lo, hi)`` gives the source rows [lo, hi) of a (C, rows,
         *S) array and n is p's length times S's size. The source rows are
         dropped once copied into columns, and the columns on return."""
-        k, stride, lead, depth = self.taps[0], self.stride, int(not self.gemm), self.depth
-        win = _windows(rows(p.start * stride, (p.stop - 1) * stride + k), self.taps, stride)
+        lead, depth = int(not self.gemm), self.depth
+        win = _block_windows(rows, p, self.taps, self.stride)
         n = win.size // depth
         if lead or n < 2:
             cols = np.empty((depth + lead, max(n, 2)), win.dtype)
@@ -521,7 +530,7 @@ def _branch_rows(x: np.ndarray, kernel: _Kernel, relu: bool):
     the input those rows read alone. It reads no per-thread state."""
 
     def rows(lo: int, hi: int) -> np.ndarray:
-        y = kernel(lambda a, b: x[:, a:b], slice(lo, hi))
+        y = kernel(_padded_rows(x, 0), slice(lo, hi))
         if relu:
             np.maximum(y, 0, out=y)
         return y
@@ -590,10 +599,10 @@ def _conv(x: Tensor, weight: Tensor, bias: Tensor, stride: int, pad: int,
     per worker at a time (:func:`_run`), in both families; the worker count
     picks only the thread that runs a block, never its operands.
 
-    The node keeps no source. Backward builds the padded input again
-    (:func:`_padded`) and runs the one convolution backward on it
-    (:func:`_conv_grads`), in the family of forward; the unpadded part of
-    the source's gradient is ``x``'s.
+    The node keeps no source. Backward runs the one convolution backward
+    (:func:`_conv_grads`) in the family of forward, through a row reader
+    built as forward's, so it too pads only the rows of one block at a
+    time; the unpadded part of the source's gradient is ``x``'s.
 
     With ``relu`` set, both families clamp the biased output at 0 in place,
     and backward passes the output gradient only where the output is above
@@ -612,10 +621,7 @@ def _conv(x: Tensor, weight: Tensor, bias: Tensor, stride: int, pad: int,
     would give 0), and everywhere else both leave +0.0.
     """
     xd, wd, gemm = x.data, weight.data, _kernels.gemm
-    if pad:
-        rows, src = _padded_rows(xd, pad), xd.shape[:1] + tuple([d + 2 * pad for d in xd.shape[1:]])
-    else:
-        rows, src = (lambda lo, hi: xd[:, lo:hi]), xd.shape
+    rows, src = _padded_rows(xd, pad), xd.shape[:1] + tuple([d + 2 * pad for d in xd.shape[1:]])
     out, index = _conv_forward(_Kernel(wd, bias.data, stride, gemm), rows, src, relu, pool,
                                pool is not None and recording((x, weight, bias)))
 
@@ -624,47 +630,49 @@ def _conv(x: Tensor, weight: Tensor, bias: Tensor, stride: int, pad: int,
             g = g * (out > 0)  # exactly where the pre-activation is > 0
         if pool is not None:
             g = pool.scatter(g, index)
-        gsrc, gw, gb = _conv_grads(g, _padded(xd, pad), wd, stride, gemm,
+        # the reader is built again, not kept: a recorded node would keep
+        # its closure, about 500 B
+        gsrc, gw, gb = _conv_grads(g, _padded_rows(xd, pad), src, wd, stride, gemm,
                                    x.requires_grad, weight.requires_grad)
         return None if gsrc is None else _unpadded(gsrc, pad), gw, gb
 
     return make_node(out, (x, weight, bias), _bw)
 
 
-def _conv_grads(g: np.ndarray, src: np.ndarray, wd: np.ndarray, stride: int, gemm: bool,
-                need_src: bool, need_w: bool) -> tuple[np.ndarray | None, ...]:
-    """Every convolution's backward: the gradients of the (padded) source
-    ``src``, of the weights ``wd`` and of the bias, given the gradient ``g``
-    of the unpooled, pre-activation map; None for the source unless
-    ``need_src``, for the weights unless ``need_w``.
+def _conv_grads(g: np.ndarray, rows, src: tuple[int, ...], wd: np.ndarray, stride: int,
+                gemm: bool, need_src: bool, need_w: bool) -> tuple[np.ndarray | None, ...]:
+    """Every convolution's backward: the gradients of the (padded) (C, L,
+    *S) source ``src`` whose rows ``rows(lo, hi)`` gives, as forward's, of
+    the weights ``wd`` and of the bias, given the gradient ``g`` of the
+    unpooled, pre-activation map; None for the source unless ``need_src``,
+    for the weights unless ``need_w``.
 
-    It reads ``src`` through one (C, *taps, P, *S) view (:func:`_windows`),
-    over blocks of rows of P cut by the node's grid (:func:`_chunks`), as an
-    unpooled forward is. It rebuilds each block's columns rather than
-    keeping them, multiplies ``g`` by them for the weight gradient and by
-    the weights for the column gradient, and adds the latter to the
-    source's gradient one tap at a time, through the same view of a zero
-    array; the per-tap index list is built only when the source needs a
-    gradient. ``gemm`` picks only the product: ``np.matmul`` for GEMM,
+    It walks blocks of rows of P cut by the node's grid (:func:`_chunks`),
+    as an unpooled forward does. For the weight gradient, each block reads
+    the source rows it needs alone (:func:`_block_windows`) and multiplies
+    ``g`` by their columns, so no whole source is built or held; nothing of
+    the source is read unless ``need_w``. For the source gradient, it
+    multiplies the weights by ``g`` and adds the product to one zero
+    (padded) source-shaped array one tap at a time, through its (C, *taps,
+    P, *S) view (:func:`_windows`); the per-tap index list is built only
+    then. ``gemm`` picks only the product: ``np.matmul`` for GEMM,
     :func:`_ordered_matmul` (no BLAS) for the reference. The grid fixes each
     product's operands, so it also fixes the result bits.
     """
     fout, taps = wd.shape[0], wd.shape[2:]
     w2 = wd.reshape(fout, -1)
     matmul = np.matmul if gemm else _ordered_matmul
-    win = _windows(src, taps, stride)
-    lead = (slice(None),) * (1 + len(taps))  # the (C, *taps) axes of the view
-    fmap = win.shape[1 + len(taps):]  # (P, *S)
-    depth, per_row = w2.shape[1], math.prod(fmap[1:])
+    lead = (slice(None),) * (1 + len(taps))  # the (C, *taps) axes of a window view
+    depth, per_row = w2.shape[1], math.prod(g.shape[2:])
     gw = np.zeros_like(w2) if need_w else None
-    gsrc = np.zeros_like(src) if need_src else None
+    gsrc = np.zeros(src, wd.dtype) if need_src else None
     if gsrc is not None:
         gwin = _windows(gsrc, taps, stride, writeable=True)
         tap_index = [(slice(None),) + tap for tap in itertools.product(*map(range, taps))]
-    for p in _chunks(range(fmap[0] + 1), max(depth, fout) * per_row):
+    for p in _chunks(range(g.shape[1] + 1), max(depth, fout) * per_row):
         gc = g[:, p].reshape(fout, -1)
         if gw is not None:
-            gw += matmul(gc, win[lead + (p,)].reshape(depth, -1).T)
+            gw += matmul(gc, _block_windows(rows, p, taps, stride).reshape(depth, -1).T)
         if gsrc is not None:
             target = gwin[lead + (p,)]
             gcols = matmul(w2.T, gc).reshape(target.shape)

@@ -472,25 +472,28 @@ class TestStreamedFrontend:
         assert errors[0] == errors[1]
 
     @pytest.mark.parametrize("gemm", [True, False], ids=["gemm", "reference"])
-    def test_forward_pads_no_whole_input(self, gemm, monkeypatch):
-        """Neither a no-grad nor a recorded forward of the desk model makes a
-        padded copy of a whole input (``ops._padded``): ``conv2d`` pads the
-        rows of each block. Backward still does."""
-        model = build_model(desk_model_config(), seed=0)
-        wave = np.random.default_rng(3).standard_normal(4410).astype(np.float32)
-        real = ops._padded
+    def test_no_convolution_pads_a_whole_input(self, gemm, monkeypatch):
+        """A pooled ``conv2d`` of several blocks reads its zero-padded
+        source through ``ops._padded_rows`` a block of rows at a time,
+        forward and backward alike: no read spans the whole padded height."""
+        monkeypatch.setattr(ops, "_COLUMN_BUDGET", 4096)  # 10 forward, 7 backward blocks
+        real, spans = ops._padded_rows, []
 
-        def padded(*args):
-            raise AssertionError("forward padded a whole input")
+        def padded_rows(a, pad):
+            rows = real(a, pad)
+            return lambda lo, hi: spans.append(hi - lo) or rows(lo, hi)
 
-        monkeypatch.setattr(ops, "_padded", padded)
+        monkeypatch.setattr(ops, "_padded_rows", padded_rows)
+        rng = np.random.default_rng(0)
+        x, w, b = (Tensor(rng.standard_normal(s).astype(np.float32), requires_grad=True)
+                   for s in [(4, 20, 30), (8, 4, 3, 3), (8,)])
         with ops.gemm_kernels(gemm):
-            with no_grad():
-                model.forward(wave)
-            logits = model.forward(wave)
-            monkeypatch.setattr(ops, "_padded", real)
-            backward(ops.softmax_cross_entropy(logits, 2))
-        assert all(p.value.grad is not None for p in model.parameters())
+            y = ops.conv2d(x, w, b, relu=True, pool=(2, 2))
+        forward, spans[:] = list(spans), []
+        backward(weighted_sum(y, rng.standard_normal(y.shape).astype(np.float32)))
+        assert (len(forward), len(spans)) == (10, 7)
+        assert max(forward + spans) < 20 + 2
+        assert all(t.grad is not None for t in (x, w, b))
 
 
 def product_widths(model, wave, workers, record, monkeypatch):
