@@ -238,25 +238,31 @@ class Model:
     def forward_frontend(self, wave) -> Tensor:
         """Input window -> one-channel (frequency x time) feature image.
 
-        Each branch is one :func:`ops.conv1d_chain` node, recorded or not:
-        it computes the branch conv's rows as its phase conv reads them, so
-        no branch's unpooled map exists whole in forward or is kept for
-        backward, which computes it again. Training and eval run the same
+        The front end is one :func:`ops.frontend` node, recorded or not:
+        each branch computes its branch conv's rows as its phase conv reads
+        them, so no branch's unpooled map exists whole in forward or is kept
+        for backward, which computes it again; the pooled branch maps are
+        stacked once, into the node's output. Training and eval run the same
         front end.
         """
         cfg = self.config
         x = self._as_input(wave)
-        pooled = [ops.conv1d_chain(x, self.param(f"branch{i}.conv.weight").value,
-                                   self.param(f"branch{i}.conv.bias").value, b.stride,
-                                   cfg.relu_after_branch_conv,
-                                   self.param(f"branch{i}.phase.weight").value,
-                                   self.param(f"branch{i}.phase.bias").value,
-                                   cfg.phase_stride, cfg.frontend_time_bins)
-                  for i, b in enumerate(cfg.branches, start=1)]
-        return ops.reshape(ops.concat(pooled, axis=0), cfg.frontend_shape())
+        branches = [(self.param(f"branch{i}.conv.weight").value,
+                     self.param(f"branch{i}.conv.bias").value, b.stride,
+                     self.param(f"branch{i}.phase.weight").value,
+                     self.param(f"branch{i}.phase.bias").value)
+                    for i, b in enumerate(cfg.branches, start=1)]
+        return ops.frontend(x, branches, cfg.relu_after_branch_conv, cfg.phase_stride,
+                            cfg.frontend_time_bins)
 
     def forward_backend(self, featmap: Tensor) -> tuple[Tensor, list[Tensor]]:
-        """Feature image -> (logits, all level maps)."""
+        """Feature image -> (logits, all level maps).
+
+        Each level is one pooled :func:`ops.conv2d` node; the head's
+        features, every selected level map pooled to the target grid,
+        flattened and concatenated, are one :func:`ops.level_features`
+        node, which keeps the features and one winner per feature.
+        """
         cfg = self.config
         if featmap.shape != cfg.frontend_shape():
             raise ShapeError(f"featmap shape {featmap.shape} != {cfg.frontend_shape()}")
@@ -267,13 +273,8 @@ class Model:
                            self.param(f"conv{l}.bias").value, relu=True, pool=window)
             level_maps.append(x)
 
-        # flattening the channel stack lays out each level's flattened map in turn
-        th, tw = cfg.level_pool_target
-        pooled = [ops.adaptive_maxpool(ops.adaptive_maxpool(level_maps[idx], th, axis=1),
-                                       tw, axis=2)
-                  for idx in cfg.selected_levels()]
-        features = ops.reshape(ops.concat(pooled, axis=0), (cfg.fc_input_dim(),))
-
+        features = ops.level_features([level_maps[idx] for idx in cfg.selected_levels()],
+                                      cfg.level_pool_target)
         h = ops.relu(ops.linear(features, self.param("fc1.weight").value,
                                 self.param("fc1.bias").value))
         logits = ops.linear(h, self.param("fc2.weight").value,

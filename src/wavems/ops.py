@@ -14,8 +14,9 @@ and never reads the input, so no pool keeps it. Under
 :class:`~wavems.tensor.no_grad` no index is made. A pool's plan, its bins
 and taps, is built once per input shape and pool argument and cached
 (:func:`_window_plan`, :func:`_adaptive_plan`): every node of that shape,
-fused or not, shares the one read-only plan. The input's shape picks one
-of two forward kernels:
+fused or not, shares the one read-only plan, and the tables that only a
+recorded use reads are built on its first recorded use. The input's shape
+picks one of two forward kernels:
 
 - an :func:`adaptive_maxpool` over the last axis is a bin reduction
   (:class:`_BinPool`): one ``np.maximum.reduceat``, and one more over
@@ -33,10 +34,10 @@ element under tap t of output position (p, *s), read through the rows' own
 strides with no copy. The source is a slice of the input's rows (a view)
 for ``conv1d``; a zero-padded copy of those rows alone for ``conv2d``
 (:func:`_padded_rows`); and, for a front-end branch's forward
-(:func:`conv1d_chain`), recorded or not, the branch conv's own rows,
-computed as the phase conv reads them. So no convolution, forward or
-backward, makes a padded copy of a whole input, no forward holds a branch
-conv's map, and no graph keeps either.
+(:func:`frontend`, :func:`conv1d_chain`), recorded or not, the branch
+conv's own rows, computed as the phase conv reads them. So no convolution,
+forward or backward, makes a padded copy of a whole input, no forward holds
+a branch conv's map, and no graph keeps either.
 
 Every product of a node runs on one grid of blocks, set by the node's
 shape alone (:func:`_chunks`): runs of whole units (rows of the first
@@ -90,6 +91,12 @@ index: the ReLU mask is read off the output (the pooled maximum is above 0
 exactly where its winner is), a fused pool's gradient is scattered back to
 a conv-shaped array in backward, and ``conv2d``'s zero-padded input rows
 are built again in backward, a block at a time, rather than kept.
+
+The model's two multi-part layers are one node each, with the bits of the
+nodes they stand for by construction: :func:`frontend`, every branch's
+:func:`conv1d_chain` stacked into one image, and :func:`level_features`,
+the head's two pools per level map, flattened and concatenated. Neither
+keeps a second copy of its output or an intermediate map.
 """
 
 from __future__ import annotations
@@ -269,13 +276,18 @@ def _conv1d_checks(shape: tuple[int, ...], dtype: np.dtype, weight: Tensor, bias
     return _adaptive_pool((fout, (length - k) // stride + 1), pool, axis=1)
 
 
+#: A front-end branch's arguments: (weight, bias, stride, phase_weight,
+#: phase_bias), as :func:`conv1d_chain` takes them.
+Branch = tuple[Tensor, Tensor, int, Tensor, Tensor]
+
+
 def conv1d_chain(x: Tensor, weight: Tensor, bias: Tensor, stride: int, relu: bool,
                  phase_weight: Tensor, phase_bias: Tensor, phase_stride: int,
                  pool: int) -> Tensor:
     """A front-end branch, ``conv1d(conv1d(x, weight, bias, stride, relu),
     phase_weight, phase_bias, phase_stride, relu=True, pool=pool)``, as one
     node with five parents, with the same errors and the same bits, recorded
-    or not.
+    or not: :func:`frontend` of this one branch, without the leading axis.
 
     Forward runs one pooled node of the second convolution, on that
     convolution's own grid, whose blocks compute the rows of the first
@@ -283,42 +295,99 @@ def conv1d_chain(x: Tensor, weight: Tensor, bias: Tensor, stride: int, relu: boo
     the calling thread, so that map never exists whole: at full scale branch
     1's is 32 x 66140 float32, 8.5 MB. A recorded node keeps the pooled
     output and its first-hit index, as a pooled :func:`conv1d` does, and
-    nothing of the branch map. Backward scatters the pooled gradient to the
-    winners, computes the branch map once, as the branch conv's node does,
-    on its own grid, runs the phase conv's gradient products on it, applies
-    the branch ReLU mask and runs the branch conv's gradient products on
-    ``x`` (:func:`_conv_grads`, reading the map and ``x`` through row
-    slices, as the two nodes do): the two nodes' gradients by construction.
-    The phase products are the phase node's too, so the reference forward
-    bits are the two nodes' by construction as well. The forward's branch rows
-    are products of other widths than the branch node's, so the GEMM
-    forward bits are the two nodes' as long as BLAS gives a column the same
-    bits in products of different widths, as OpenBLAS 0.3.31 did in every
-    front end tested (``tests/test_workers.py``).
+    nothing of the branch map. Backward (:func:`_chain_grads`) scatters the
+    pooled gradient to the winners, computes the branch map once, as the
+    branch conv's node does, on its own grid, runs the phase conv's
+    gradient products on it, applies the branch ReLU mask and runs the
+    branch conv's gradient products on ``x`` (:func:`_conv_grads`, reading
+    the map and ``x`` through row slices, as the two nodes do): the two
+    nodes' gradients by construction. The phase products are the phase
+    node's too, so the reference forward bits are the two nodes' by
+    construction as well. The forward's branch rows are products of other
+    widths than the branch node's, so the GEMM forward bits are the two
+    nodes' as long as BLAS gives a column the same bits in products of
+    different widths, as OpenBLAS 0.3.31 did in every front end tested
+    (``tests/test_workers.py``).
     """
-    _conv1d_checks(x.shape, x.data.dtype, weight, bias, stride, None)
-    shape = (weight.shape[0], (x.shape[1] - weight.shape[2]) // stride + 1)
-    plan = _conv1d_checks(shape, x.data.dtype, phase_weight, phase_bias, phase_stride, pool)
-    xd, wd, bd, pwd, gemm = x.data, weight.data, bias.data, phase_weight.data, _kernels.gemm
-    parents = (x, weight, bias, phase_weight, phase_bias)
-    out, index = _conv_forward(_Kernel(pwd, phase_bias.data, phase_stride, gemm),
-                               _branch_rows(xd, _Kernel(wd, bd, stride, gemm), relu), shape,
-                               True, plan, recording(parents))
+    return _chains(x, [(weight, bias, stride, phase_weight, phase_bias)], relu, phase_stride,
+                   pool, ())
+
+
+def frontend(x: Tensor, branches: list[Branch], relu: bool, phase_stride: int,
+             pool: int) -> Tensor:
+    """The multi-resolution front end: ``conv1d_chain(x, *branch, ...)`` for
+    every branch over the one input ``x``, stacked along the filter axis into
+    a (1, sum of F, pool) image, as one node whose parents are ``x``, then
+    each branch's weight, bias, phase weight and phase bias in turn. Each
+    branch raises what :func:`conv1d_chain` raises, before any work.
+
+    The branch outputs are stacked by one ``np.concatenate``; the node keeps
+    the stack and each branch's first-hit index, not a second copy of the
+    pooled maps. Backward cuts the gradient into each branch's rows, and
+    reads the branch's ReLU mask from its rows of the stack; ``x``'s
+    gradient is the branches' summed in branch order, as the sweep sums
+    the gradients of one node per branch. Output and gradients are those of
+    one :func:`conv1d_chain` per branch, stacked by :func:`concat` and
+    :func:`reshape`, bit for bit by construction.
+    """
+    if not branches:
+        raise ValueError("frontend needs at least one branch")
+    return _chains(x, branches, relu, phase_stride, pool, (1,))
+
+
+def _chains(x: Tensor, branches: list[Branch], relu: bool, phase_stride: int, pool: int,
+            lead: tuple[int, ...]) -> Tensor:
+    """One node of :func:`conv1d_chain` per branch over ``x``, the outputs
+    stacked along the filter axis and given the leading axes ``lead``."""
+    plans = []  # each branch's map shape and pool plan
+    for w, b, stride, pw, pb in branches:
+        _conv1d_checks(x.shape, x.data.dtype, w, b, stride, None)
+        shape = (w.shape[0], (x.shape[1] - w.shape[2]) // stride + 1)
+        plans.append((shape, _conv1d_checks(shape, x.data.dtype, pw, pb, phase_stride, pool)))
+    parents = (x,) + tuple(t for w, b, _, pw, pb in branches for t in (w, b, pw, pb))
+    gemm, record = _kernels.gemm, recording(parents)
+    pooled, indexes = [], []
+    for (w, b, stride, pw, pb), (shape, plan) in zip(branches, plans):
+        out, index = _conv_forward(
+            _Kernel(pw.data, pb.data, phase_stride, gemm),
+            _branch_rows(x.data, _Kernel(w.data, b.data, stride, gemm), relu), shape, True,
+            plan, record)
+        pooled.append(out)
+        indexes.append(index)
+    out = pooled[0] if len(pooled) == 1 else np.concatenate(pooled)
 
     def _bw(g: np.ndarray):
-        g = plan.scatter(g * (out > 0), index)
-        # the branch kernel is built again, not kept: a reference one holds a
-        # bias-augmented copy of the weights
-        xrows = _padded_rows(xd, 0)
-        y, _ = _conv_forward(_Kernel(wd, bd, stride, gemm), xrows, xd.shape, relu, None, False)
-        gy, gpw, gpb = _conv_grads(g, _padded_rows(y, 0), y.shape, pwd, phase_stride, gemm,
-                                   True, phase_weight.requires_grad)
-        if relu:
-            gy *= y > 0  # exactly where the branch pre-activation is > 0
-        return _conv_grads(gy, xrows, xd.shape, wd, stride, gemm, x.requires_grad,
-                           weight.requires_grad) + (gpw, gpb)
+        g, grads, gx, lo = g.reshape(out.shape), [], None, 0
+        for branch, (_, plan), index in zip(branches, plans, indexes):
+            rows = slice(lo, lo + len(index))
+            gxb, *gparams = _chain_grads(plan.scatter(g[rows] * (out[rows] > 0), index), x,
+                                         branch, relu, phase_stride, gemm)
+            gx = gxb if gx is None else gx + gxb  # in branch order, as the sweep adds
+            grads += gparams
+            lo = rows.stop
+        return [gx] + grads
 
-    return make_node(out, parents, _bw)
+    return make_node(out.reshape(lead + out.shape), parents, _bw)
+
+
+def _chain_grads(g: np.ndarray, x: Tensor, branch: Branch, relu: bool, phase_stride: int,
+                 gemm: bool) -> tuple[np.ndarray | None, ...]:
+    """One front-end branch's backward, given the gradient ``g`` of its
+    phase conv's unpooled, pre-activation map: the gradients of ``x``, the
+    weight, the bias, the phase weight and the phase bias (None for ``x``
+    or a weight that needs none)."""
+    w, b, stride, pw, _ = branch
+    # the branch kernel is built again, not kept: a reference one holds a
+    # bias-augmented copy of the weights
+    xrows = _padded_rows(x.data, 0)
+    y, _ = _conv_forward(_Kernel(w.data, b.data, stride, gemm), xrows, x.shape, relu, None,
+                         False)
+    gy, gpw, gpb = _conv_grads(g, _padded_rows(y, 0), y.shape, pw.data, phase_stride, gemm,
+                               True, pw.requires_grad)
+    if relu:
+        gy *= y > 0  # exactly where the branch pre-activation is > 0
+    return _conv_grads(gy, xrows, x.shape, w.data, stride, gemm, x.requires_grad,
+                       w.requires_grad) + (gpw, gpb)
 
 
 def conv2d(x: Tensor, weight: Tensor, bias: Tensor, relu: bool = False,
@@ -700,6 +769,56 @@ def adaptive_maxpool(x: Tensor, target: int, axis: int) -> Tensor:
     return _pool_node(x, _adaptive_pool(x.shape, target, axis))
 
 
+def level_features(maps: list[Tensor], target: tuple[int, int]) -> Tensor:
+    """The multi-level head's feature vector: each (C, H, W) map pooled to
+    (C, th, tw) by ``adaptive_maxpool(adaptive_maxpool(m, th, axis=1), tw,
+    axis=2)``, flattened, and the maps concatenated in order, as one node
+    whose parents are the maps. Each map raises what those pools raise.
+
+    Both pools run on their shared plans, so the output has their bytes. A
+    recorded node keeps the output and, per feature, one composed winner:
+    the flat position in its map of the lowest column whose stage-1 maximum
+    equals the feature, at that column's first-hit row, in the narrowest
+    unsigned dtype that holds the map's size, which is the no-hit sentinel
+    of a NaN feature. It keeps neither the stage-1 maps nor their indices.
+    Backward writes the gradient straight to those positions in zero
+    map-shaped arrays: the gradients of the two pools, :func:`concat` and
+    :func:`reshape`, bit for bit by construction.
+    """
+    if not maps:
+        raise ValueError("level_features needs at least one map")
+    _check_dtypes(*maps)
+    th, tw = target
+    plans = []
+    for m in maps:
+        if m.data.ndim != 3:
+            raise ShapeError(f"level_features expects (C,H,W) maps, got {m.shape}")
+        rows = _adaptive_pool(m.shape, th, 1)
+        plans.append((rows, _adaptive_pool(rows.out_shape, tw, 2)))
+    record = recording(maps)
+    features, winners = [], []
+    for m, (rows, cols) in zip(maps, plans):
+        stage1, first_rows = rows.forward(m.data, record)
+        out, first_cols = cols.forward(stage1, record)
+        features.append(out.reshape(-1))
+        if record:  # each feature's column in stage 1, then that column's row
+            c, i, w = np.unravel_index(cols.winners(first_cols), stage1.shape)
+            at = np.ravel_multi_index((c, rows.firsts[1][i] + first_rows[c, i, w], w), m.shape,
+                                      mode="clip")
+            at[first_cols == len(cols.offsets)] = m.size  # a NaN feature's sentinel
+            winners.append(at.reshape(-1).astype(np.min_scalar_type(m.size)))
+    out = np.concatenate(features)
+
+    def _bw(g: np.ndarray):
+        grads, lo = [], 0
+        for m, at in zip(maps, winners):
+            grads.append(_put(m.shape, at, at < m.size, g[lo:lo + len(at)]))
+            lo += len(at)
+        return grads
+
+    return make_node(out, maps, _bw)
+
+
 def _window_pool(shape: tuple[int, ...], window) -> _Pool:
     """The shared plan of ``maxpool2d(., window)`` over a ``shape`` input
     (:func:`_window_plan`), after its argument checks, which run on every
@@ -793,12 +912,15 @@ class _Pool:
     ``edges`` and pools all its bins at once.
 
     A plan is shared by every node of its shape and by the worker threads
-    that fill their blocks, so its arrays are read-only.
+    that fill their blocks, so its arrays are read-only. The tables that
+    only a recording node reads (:meth:`bases`, and a bin pool's tap
+    weights) are built on first use and kept, so a plan used only under
+    :class:`~wavems.tensor.no_grad` never holds them.
     """
 
     # a plan is cached and shared by every node of its shape: no
     # per-instance dict, and no array of it may be written
-    __slots__ = ("shape", "firsts", "offsets", "taps", "edges", "index_dtype")
+    __slots__ = ("shape", "firsts", "offsets", "taps", "edges", "index_dtype", "_bases")
 
     def __init__(self, shape: tuple[int, ...], firsts: list[np.ndarray],
                  offsets: np.ndarray, taps: list[tuple] | None,
@@ -809,6 +931,27 @@ class _Pool:
         self.edges = _frozen(edges) if isinstance(edges, np.ndarray) else edges
         # tap numbers 0 .. n-1 and the no-hit sentinel n
         self.index_dtype = np.min_scalar_type(len(offsets))
+        self._bases = None
+
+    def bases(self) -> np.ndarray:
+        """The flat position in the input of each bin's first element, an
+        output-shaped table in the narrowest unsigned dtype that holds the
+        input's size. Built on the first call and kept; two threads that
+        both build it keep equal tables."""
+        if self._bases is None:
+            at, step = 0, 1  # last axis first
+            for axis in range(len(self.shape) - 1, -1, -1):
+                trailing = (1,) * (len(self.shape) - 1 - axis)
+                at = at + (self.firsts[axis] * step).reshape(-1, *trailing)
+                step *= self.shape[axis]
+            self._bases = _frozen(at.astype(np.min_scalar_type(step)))
+        return self._bases
+
+    def winners(self, index: np.ndarray) -> np.ndarray:
+        """The flat position in the input of each bin's first hit
+        (``index``). A bin with no hit gets its first element's position
+        plus the last tap's offset: inside the input, but no winner."""
+        return self.bases() + self.offsets.take(index, mode="clip")
 
     @property
     def out_shape(self) -> tuple[int, ...]:
@@ -855,18 +998,7 @@ class _Pool:
         at its first hit (``index``), zero everywhere else; a bin with no
         hit passes nothing. Bins are disjoint, so no two winners share an
         element."""
-        gx = np.zeros(self.shape, dtype=g.dtype)
-        at, step = 0, 1  # flat position of each bin's first element, last axis first
-        for axis in range(len(self.shape) - 1, -1, -1):
-            trailing = (1,) * (len(self.shape) - 1 - axis)
-            at = at + (self.firsts[axis] * step).reshape(-1, *trailing)
-            step *= self.shape[axis]
-        at += self.offsets.take(index, mode="clip")  # the sentinel's entry is dropped
-        hit = index < len(self.offsets)
-        if not hit.all():
-            at, g = at[hit], g[hit]
-        gx.reshape(-1)[at] = g
-        return gx
+        return _put(self.shape, self.winners(index), index < len(self.offsets), g)
 
 
 class _BinPool(_Pool):
@@ -882,26 +1014,49 @@ class _BinPool(_Pool):
     sentinel.
     """
 
-    __slots__ = ("sizes",)
+    __slots__ = ("sizes", "_weights")
 
     def __init__(self, shape: tuple[int, ...], firsts: list[np.ndarray],
                  offsets: np.ndarray, edges: np.ndarray):
         super().__init__(shape, firsts, offsets, None, edges)
         self.sizes = _frozen(edges[1:] - edges[:-1])
+        self._weights = None
+
+    def weights(self) -> np.ndarray:
+        """Each element's tap weight along the last axis: the tap count less
+        its tap number, in the index dtype. Built on the first call and kept,
+        as :meth:`bases` is."""
+        if self._weights is None:
+            n = len(self.offsets)
+            weights = np.repeat(self.firsts[-1] + n, self.sizes) - np.arange(self.shape[-1])
+            self._weights = _frozen(weights.astype(self.index_dtype))
+        return self._weights
 
     def fill(self, a: np.ndarray, bins: slice, out: np.ndarray, index: np.ndarray | None) -> None:
         """:meth:`forward` of the bins ``bins`` into ``out[..., bins]`` and,
         unless it is None, ``index[..., bins]``, where ``a`` holds exactly
         those bins' elements along the last axis."""
         starts, sizes, n = self.firsts[-1][bins], self.sizes[bins], len(self.offsets)
-        starts = starts - starts[0]  # within ``a``
+        first = starts[0]
+        starts = starts - first  # within ``a``
         out = out[..., bins]
         np.maximum.reduceat(a, starts, axis=-1, out=out)
         if index is None:
             return
-        weights = np.repeat(starts + n, sizes) - np.arange(a.shape[-1])
-        hits = (a == np.repeat(out, sizes, axis=-1)) * weights.astype(self.index_dtype)
+        weights = self.weights()[first:first + a.shape[-1]]
+        hits = (a == np.repeat(out, sizes, axis=-1)) * weights
         np.subtract(n, np.maximum.reduceat(hits, starts, axis=-1), out=index[..., bins])
+
+
+def _put(shape: tuple[int, ...], at: np.ndarray, hit: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """A zero array of ``shape`` holding each element of ``g`` at the flat
+    position ``at`` holds for it, where ``hit`` is set; the positions are
+    distinct."""
+    gx = np.zeros(shape, dtype=g.dtype)
+    if not hit.all():
+        at, g = at[hit], g[hit]
+    gx.reshape(-1)[at] = g
+    return gx
 
 
 def _pool_node(x: Tensor, pool: _Pool) -> Tensor:

@@ -334,20 +334,62 @@ class TestSharedPlans:
             assert plan_of(ops.maxpool2d(ops.conv2d(x, w2, b), (2, 2))) is plan_of(first)
 
     @pytest.mark.parametrize("plan,count", [
-        (lambda: ops._window_pool((2, 6, 8), (2, 3)), 4),  # edges a range, taps slices
-        (lambda: ops._adaptive_pool((2, 30), 4, axis=1), 5),
-        (lambda: ops._adaptive_pool((2, 30, 5), 4, axis=1), 4 + 8)], ids=["window", "bins", "lead"])
+        (lambda: ops._window_pool((2, 6, 8), (2, 3)), 4 + 1),  # edges a range, taps slices
+        (lambda: ops._adaptive_pool((2, 30), 4, axis=1), 5 + 2),
+        (lambda: ops._adaptive_pool((2, 30, 5), 4, axis=1), 4 + 8 + 1)],
+        ids=["window", "bins", "lead"])
     def test_plan_arrays_are_read_only(self, plan, count):
-        """Every array of a plan refuses writes, and its lists are tuples."""
+        """Every array of a plan refuses writes, and its lists are tuples:
+        also the tables a recorded use builds, the bins' flat positions and
+        a bin pool's tap weights, each in the narrowest dtype."""
         plan = plan()
+        out, index = plan.forward(np.zeros(plan.shape), record=True)
+        plan.scatter(out, index)
         assert isinstance(plan.firsts, tuple) and isinstance(plan.taps, (tuple, type(None)))
-        arrays = [*plan.firsts, plan.offsets, getattr(plan, "sizes", None), plan.edges]
+        tables = [plan.bases()] + ([plan.weights()] if hasattr(plan, "weights") else [])
+        assert tables[0].shape == plan.out_shape
+        assert tables[0].dtype == np.min_scalar_type(int(np.prod(plan.shape)))
+        assert all(t.dtype == plan.index_dtype for t in tables[1:])
+        arrays = [*plan.firsts, plan.offsets, getattr(plan, "sizes", None), plan.edges, *tables]
         arrays += [i for tap in plan.taps or () for i in tap]
         arrays = [a for a in arrays if isinstance(a, np.ndarray)]
         assert len(arrays) == count
         for a in arrays:
             with pytest.raises(ValueError, match="read-only"):
                 a[...] = 0
+
+    def test_tables_are_built_once_and_only_when_recording(self, monkeypatch):
+        """A no-grad desk forward leaves every plan without tables, so a
+        no-grad run's cached plans do not grow; a recorded step builds each
+        table once, in the narrowest integer dtype, and later steps reuse
+        it."""
+        plans = []
+        init = ops._Pool.__init__
+        monkeypatch.setattr(ops._Pool, "__init__",
+                            lambda self, *a: plans.append(self) or init(self, *a))
+        ops._window_plan.cache_clear()
+        ops._adaptive_plan.cache_clear()
+        model = build_model(desk_model_config(), seed=0)
+        wave = np.random.default_rng(2).standard_normal(model.window_length).astype(np.float32)
+        with no_grad():
+            model.forward(wave)
+        assert len(plans) == 15
+        assert all(p._bases is None and getattr(p, "_weights", None) is None for p in plans)
+
+        def tables():
+            return [t for p in plans for t in (p._bases, getattr(p, "_weights", None))
+                    if t is not None]
+
+        backward(ops.softmax_cross_entropy(model.forward(wave), 1))
+        built = tables()
+        assert len(built) > 0 and len(plans) == 15
+        for p in plans:
+            if p._bases is not None:
+                assert p._bases.dtype == np.min_scalar_type(int(np.prod(p.shape)))
+            if getattr(p, "_weights", None) is not None:
+                assert p._weights.dtype == p.index_dtype
+        backward(ops.softmax_cross_entropy(model.forward(wave), 1))
+        assert all(a is b for a, b in zip(tables(), built)) and len(tables()) == len(built)
 
     @pytest.mark.parametrize("conv", [False, True], ids=["maxpool2d", "conv2d"])
     def test_list_and_array_windows(self, conv):
@@ -488,3 +530,110 @@ class TestPooledPieces:
             assert pooled_bytes(op, pool, arrays, gemm, workers, record, True, indexes) == want
             if gemm and not record:
                 assert len(forward_chunks) == calls
+
+
+# The head's level maps: (C, H, W) with ragged row and column bins under a
+# (2, 3) target, the last map exactly one bin per row pair
+HEAD_MAPS = [(3, 9, 13), (4, 5, 7), (2, 4, 3)]
+HEAD_TARGET = (2, 3)
+
+
+def head_maps(kind, dtype):
+    """Level maps of one ``INPUTS`` kind. Integer maps hold -1, 0 and 1, so
+    most bins tie; NaN maps hold NaN in three elements each; signed-zero
+    maps mix +0.0 and -0.0 with a few ones."""
+    rng = np.random.default_rng(len(kind))
+    maps = []
+    for shape in HEAD_MAPS:
+        m = rng.standard_normal(shape)
+        if kind == "integer":
+            m = rng.integers(-1, 2, size=shape).astype(float)
+        elif kind == "signed-zero":
+            m = np.where(rng.random(shape) < 0.5, -0.0, 0.0)
+            m[rng.random(shape) < 0.1] = 1.0
+        elif kind == "nan":
+            m.reshape(-1)[rng.choice(m.size, 3, replace=False)] = np.nan
+        maps.append(m.astype(dtype))
+    return maps
+
+
+def head_bits(maps, gemm, workers, fused, record=True):
+    """The bytes of the head's features and, when recording, of each map's
+    gradient under an output gradient with -0.0 at every third feature: from
+    one ``ops.level_features`` node or, unless ``fused``, from the parent
+    graph, two ``ops.adaptive_maxpool`` per map, ``ops.concat`` and
+    ``ops.reshape``."""
+    th, tw = HEAD_TARGET
+    inputs = [Tensor(m.copy(), requires_grad=True) for m in maps]
+    with ops.gemm_kernels(gemm), ops.workers(workers), \
+            (contextlib.nullcontext() if record else no_grad()):
+        if fused:
+            out = ops.level_features(inputs, HEAD_TARGET)
+        else:
+            pooled = [ops.adaptive_maxpool(ops.adaptive_maxpool(m, th, axis=1), tw, axis=2)
+                      for m in inputs]
+            out = ops.reshape(ops.concat(pooled, axis=0), (sum(p.size for p in pooled),))
+        if record:
+            r = np.random.default_rng(out.size).standard_normal(out.shape).astype(out.dtype)
+            r[::3] = -0.0
+            backward(weighted_sum(out, r))
+    return [out.data.tobytes()] + [m.grad.tobytes() for m in inputs if record]
+
+
+class TestLevelFeatures:
+    """The head is one ``ops.level_features`` node with the bytes of the two
+    pools per level map, the stack and the flattening it stands for."""
+
+    @pytest.mark.parametrize("gemm", [False, True], ids=["reference", "gemm"])
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("kind", INPUTS)
+    def test_byte_identical_to_two_pools(self, kind, dtype, workers, gemm, monkeypatch):
+        monkeypatch.setattr(ops, "usable_cpus", lambda: 4)
+        maps = head_maps(kind, dtype)
+        want = head_bits(maps, gemm, 1, fused=False)
+        assert head_bits(maps, gemm, workers, fused=True) == want
+        assert head_bits(maps, gemm, workers, fused=True, record=False) == want[:1]
+        out = np.frombuffer(want[0], dtype)
+        if kind == "nan":  # some features are NaN, and they pass no gradient
+            assert np.isnan(out).any() and not np.isnan(out).all()
+        if kind == "signed-zero":  # both signs of zero among the features
+            assert (out == 0).any() and np.signbit(out[out == 0]).any()
+
+    def test_integer_maps_tie_across_rows_and_columns(self):
+        """The integer maps hold row-and-column bins whose maximum is in
+        several rows and several columns, where the two pools' order picks
+        the winner."""
+        th, tw = HEAD_TARGET
+        ties = 0
+        for m in head_maps("integer", np.float64):
+            rows = ops._adaptive_plan(m.shape, th, 1).firsts[1].tolist() + [m.shape[1]]
+            cols = ops._adaptive_plan((m.shape[0], th, m.shape[2]), tw, 2).firsts[2].tolist()
+            cols.append(m.shape[2])
+            for i in range(th):
+                for j in range(tw):
+                    b = m[:, rows[i]:rows[i + 1], cols[j]:cols[j + 1]]
+                    hit = b == b.max(axis=(1, 2), keepdims=True)
+                    ties += np.count_nonzero((hit.any(axis=2).sum(axis=1) > 1)
+                                             & (hit.any(axis=1).sum(axis=1) > 1))
+        assert ties > 0
+
+    def test_node_keeps_features_and_one_winner_each(self):
+        """A recorded head keeps its features and one winner per feature, in
+        the narrowest dtype that holds its map's size, and no stage-1 map."""
+        maps = [Tensor(m, requires_grad=True) for m in head_maps("random", np.float32)]
+        out = ops.level_features(maps, HEAD_TARGET)
+        held = [c.cell_contents for c in out._backward.__closure__]
+        winners = next(c for c in held if isinstance(c, list) and c
+                       and isinstance(c[0], np.ndarray))
+        assert [w.size for w in winners] == [m.shape[0] * 6 for m in maps]
+        assert [w.dtype for w in winners] == [np.uint16, np.uint8, np.uint8]
+        assert not [c for c in held if isinstance(c, np.ndarray) and c is not out.data]
+
+    @pytest.mark.parametrize("shapes,error", [
+        ([], ValueError), ([(2, 9)], ShapeError), ([(2, 9, 13), (2, 1, 13)], ShapeError),
+        ([(2, 9, 13), (2, 9, 2)], ShapeError)],
+        ids=["no-map", "2-d", "too-few-rows", "too-few-columns"])
+    def test_errors(self, shapes, error):
+        with pytest.raises(error):
+            ops.level_features([Tensor(np.ones(s)) for s in shapes], HEAD_TARGET)

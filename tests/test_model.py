@@ -1,5 +1,6 @@
 """Architecture construction, shape contracts, variants, and end-to-end gradients."""
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -286,40 +287,43 @@ def recorded_window_bytes(cfg, gemm, warm_up=True):
 
 class TestPooledGraphMemory:
     """Every phase and level conv pools inside its node, which keeps the
-    pooled map and a first-hit index but not the conv output; a front-end
-    branch's node keeps nothing of its branch conv's map."""
+    pooled map and a first-hit index but not the conv output; the front end
+    keeps nothing of a branch conv's map, and the head keeps its features
+    and one winner each."""
 
     @pytest.mark.parametrize("gemm", [False, True], ids=["reference", "gemm"])
     def test_desk_window_holds_pooled_maps_and_indices(self, gemm):
-        """A desk window holds the pooled phase maps and their stack, the
-        pooled level maps, the head and one uint8 index entry per pooled
-        bin, a quarter on top for the Python objects, and 512 B for each of
-        its 22 node objects; it holds 0.9x of that. Pool plans are shared
-        and built before the count, so a window holds none: plans kept per
-        node, branch 1's conv map, the phase or level conv outputs kept
-        beside their pooled maps, or a ReLU output kept beside any of them
-        would break the bound."""
+        """A desk window holds the stacked phase maps, the pooled level
+        maps, the head's features and the fc layers' outputs, one uint8
+        index entry per pooled bin and one winner per feature, a quarter on
+        top for the Python objects, and 512 B for each of its 9 node
+        objects; it holds 0.92x of that. Pool plans are shared and built
+        before the count, so a window holds none: a second copy of the
+        stacked phase maps, the head's stage-1 maps, plans kept per node,
+        branch 1's conv map, the phase or level conv outputs kept beside
+        their pooled maps, or a ReLU output kept beside any of them would
+        break the bound."""
         cfg = desk_model_config()
         held = recorded_window_bytes(cfg, gemm)
 
         frontend = cfg.frontend_rows * cfg.frontend_time_bins
         maps = cfg.level_map_shapes()
         th, tw = cfg.level_pool_target
-        head = sum(maps[i][0] * th * (maps[i][2] + tw) for i in cfg.selected_levels())
+        winners = sum(maps[i][0] * th * tw * np.min_scalar_type(math.prod(maps[i])).itemsize
+                      for i in cfg.selected_levels())
         levels = sum(c * h * w for c, h, w in maps)
-        values = (2 * frontend + levels + head
-                  + cfg.fc_input_dim() + 2 * cfg.fc_hidden + cfg.num_classes)
-        bins = frontend + levels + head
-        bound = 1.25 * (values * np.dtype(np.float32).itemsize + bins) + 22 * 512
+        values = frontend + levels + cfg.fc_input_dim() + 2 * cfg.fc_hidden + cfg.num_classes
+        bins = frontend + levels
+        bound = 1.25 * (values * np.dtype(np.float32).itemsize + bins + winners) + 9 * 512
         assert held < bound, f"window graph holds {held} bytes, bound {bound:.0f}"
 
     def test_full_scale_window_under_8_mib(self):
         held = recorded_window_bytes(full_scale_config(5), gemm=True, warm_up=False)
         assert held <= 8 * 2 ** 20, f"window graph holds {held / 2 ** 20:.2f} MiB"
 
-    def test_desk_window_has_22_nodes(self):
-        """One node per front-end branch, then the stack and its reshape,
-        the four level convs and the head; no branch conv node."""
+    def test_desk_window_has_9_nodes(self):
+        """The front end, the four level convs, the head's features, then
+        ``fc1``, its ReLU and ``fc2``: no branch, stack or pool node."""
         model = build_model(desk_model_config(), seed=0)
         logits = model.forward(np.zeros(model.config.window_length, np.float32))
-        assert graph_nodes(logits) == 22
+        assert graph_nodes(logits) == 9

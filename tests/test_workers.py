@@ -381,6 +381,38 @@ def branch_bits(model, wave, gemm, workers, chained, record=True):
     return got
 
 
+def frontend_bits(model, wave, gemm, workers, fused, x_grad):
+    """The bytes of the front end's output and of the gradients of the
+    window (if ``x_grad``) and of every branch parameter, under a random
+    output gradient with -0.0 at every third element. The front end runs as
+    one ``ops.frontend`` node or, unless ``fused``, as the parent graph: one
+    ``ops.conv1d_chain`` node per branch, ``ops.concat`` and
+    ``ops.reshape``."""
+    cfg = model.config
+    x = Tensor(wave[None], requires_grad=x_grad)
+    branches = [(model.param(f"branch{i}.conv.weight").value,
+                 model.param(f"branch{i}.conv.bias").value, b.stride,
+                 model.param(f"branch{i}.phase.weight").value,
+                 model.param(f"branch{i}.phase.bias").value)
+                for i, b in enumerate(cfg.branches, start=1)]
+    args = (cfg.relu_after_branch_conv, cfg.phase_stride, cfg.frontend_time_bins)
+    with ops.gemm_kernels(gemm), ops.workers(workers):
+        if fused:
+            out = ops.frontend(x, branches, *args)
+        else:
+            out = ops.reshape(ops.concat([ops.conv1d_chain(x, w, b, s, args[0], pw, pb, *args[1:])
+                                          for w, b, s, pw, pb in branches], axis=0),
+                              cfg.frontend_shape())
+        r = np.random.default_rng(1).standard_normal(out.shape).astype(out.dtype)
+        r.reshape(-1)[::3] = -0.0
+        backward(weighted_sum(out, r))
+    leaves = [x] * x_grad + [t for w, b, _, pw, pb in branches for t in (w, b, pw, pb)]
+    got = [out.shape, out.data.tobytes()] + [t.grad.tobytes() for t in leaves]
+    for t in leaves:
+        t.grad = None
+    return got
+
+
 @pytest.fixture(scope="module")
 def full_model():
     """A full-scale model with seeded biases, and one window."""
@@ -452,6 +484,43 @@ class TestStreamedFrontend:
         got = branch_bits(model, wave, gemm, workers, chained=True, record=False)
         assert got == [bits[:1] for bits in want]
         assert branch_bits(model, wave, gemm, workers, chained=True) == want
+
+    @pytest.mark.parametrize("gemm", [True, False], ids=["gemm", "reference"])
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("case", STREAMED)
+    def test_frontend_is_the_stacked_branches(self, case, workers, gemm, cpus, monkeypatch):
+        """One ``ops.frontend`` node gives the bytes of the parent graph at
+        one worker, a chain node per branch stacked by ``ops.concat`` and
+        ``ops.reshape``: the output and the gradients of the window and of
+        all twelve branch parameters."""
+        model, wave = streamed_case(case, monkeypatch)
+        want = frontend_bits(model, wave, gemm, 1, fused=False, x_grad=True)
+        assert want[0] == model.config.frontend_shape() and len(want) == 2 + 1 + 12
+        assert frontend_bits(model, wave, gemm, workers, fused=True, x_grad=True) == want
+
+    @pytest.mark.parametrize("gemm", [True, False], ids=["gemm", "reference"])
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_full_scale_frontend(self, workers, gemm, cpus, full_model):
+        model, wave = full_model
+        want = frontend_bits(model, wave, gemm, 1, fused=False, x_grad=False)
+        assert frontend_bits(model, wave, gemm, workers, fused=True, x_grad=False) == want
+
+    def test_frontend_errors(self):
+        """A bad branch raises what its ``ops.conv1d_chain`` raises; no
+        branch is no front end."""
+        rng = np.random.default_rng(0)
+        x = Tensor(rng.standard_normal((1, 300)))
+        good = [Tensor(rng.standard_normal(s)) for s in ((4, 1, 7), (4,), (4, 4, 3), (4,))]
+        bad = [good[0], good[1], Tensor(rng.standard_normal((4, 3, 3))), good[3]]
+        for branch in (bad, [good[0], Tensor(np.zeros(5)), *good[2:]]):
+            with pytest.raises(ShapeError) as chain:
+                ops.conv1d_chain(x, branch[0], branch[1], 1, True, branch[2], branch[3], 1, 20)
+            with pytest.raises(ShapeError) as stacked:
+                ops.frontend(x, [(good[0], good[1], 2, good[2], good[3]),
+                                 (branch[0], branch[1], 1, branch[2], branch[3])], True, 1, 20)
+            assert str(stacked.value) == str(chain.value)
+        with pytest.raises(ValueError, match="at least one branch"):
+            ops.frontend(x, [], True, 1, 20)
 
     @pytest.mark.parametrize("bad", ["phase-channels", "pool", "precision"])
     def test_errors_are_the_two_convs(self, bad):
