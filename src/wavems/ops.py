@@ -22,9 +22,9 @@ picks one of two forward kernels:
   (:class:`_BinPool`): one ``np.maximum.reduceat``, and one more over
   weights, highest at a bin's first element, for the index;
 - ``maxpool2d`` and an ``adaptive_maxpool`` over any other axis take a
-  running maximum over output-shaped strided slices or gathers of the
-  input (:class:`_Pool`). There, ``reduceat`` would walk the input with a
-  stride and was measured slower.
+  running maximum over output-shaped strided slices of the input, or
+  gathers where adaptive bins differ in length (:class:`_Pool`). There,
+  ``reduceat`` would walk the input with a stride and was measured slower.
 
 Convolutions read their source one block of output positions at a time,
 forward and backward. A block asks for the source rows it needs,
@@ -880,10 +880,13 @@ def _adaptive_plan(shape: tuple[int, ...], target: int, axis: int) -> _Pool:
     offsets = taps * math.prod(shape[axis + 1:])
     if axis == len(shape) - 1:
         return _BinPool(shape, firsts, offsets, bounds)
-    # row j holds the j-th index of every bin; short bins repeat their last
-    rows = _frozen(np.minimum(starts + taps[:, None], ends - 1))
     lead = (slice(None),) * axis
-    return _Pool(shape, firsts, offsets, [lead + (row,) for row in rows], None)
+    if length % target == 0:  # equal bins: tap j is a view, every bin's j-th element
+        reads = [lead + (slice(j, length, len(taps)),) for j in range(len(taps))]
+    else:  # row j holds the j-th index of every bin; short bins repeat their last
+        rows = _frozen(np.minimum(starts + taps[:, None], ends - 1))
+        reads = [lead + (row,) for row in rows]
+    return _Pool(shape, firsts, offsets, reads, None)
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -925,7 +928,9 @@ class _Pool:
     def __init__(self, shape: tuple[int, ...], firsts: list[np.ndarray],
                  offsets: np.ndarray, taps: list[tuple] | None,
                  edges: range | np.ndarray | None):
-        self.shape, self.offsets = shape, _frozen(offsets)
+        self.shape = shape
+        # in the dtype of :meth:`bases`, so that :meth:`winners` stays in it
+        self.offsets = _frozen(offsets.astype(np.min_scalar_type(math.prod(shape))))
         self.firsts = tuple(map(_frozen, firsts))
         self.taps = None if taps is None else tuple(taps)
         self.edges = _frozen(edges) if isinstance(edges, np.ndarray) else edges
@@ -944,7 +949,7 @@ class _Pool:
                 trailing = (1,) * (len(self.shape) - 1 - axis)
                 at = at + (self.firsts[axis] * step).reshape(-1, *trailing)
                 step *= self.shape[axis]
-            self._bases = _frozen(at.astype(np.min_scalar_type(step)))
+            self._bases = _frozen(at.astype(self.offsets.dtype))
         return self._bases
 
     def winners(self, index: np.ndarray) -> np.ndarray:

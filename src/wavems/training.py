@@ -23,7 +23,7 @@ from .datasets import DatasetManifest, ManifestEntry, fold_split
 from .errors import ConfigError, NonFiniteLossError
 from .model import Model, ModelConfig, build_model
 from .optim import sgd_step
-from .tensor import backward, zero_grads
+from .tensor import Tensor, backward, zero_grads
 
 
 @dataclass
@@ -80,9 +80,16 @@ def train_epoch(model: Model, entries: list[ManifestEntry],
     Convolutions and ``linear`` run on the GEMM kernels unless
     ``config.deterministic`` asks for the reference kernels (:mod:`wavems.ops`).
 
+    Each window is swept right after its forward, on its share of the batch
+    mean (its cross-entropy times 1/B), and its graph is dropped before the
+    next window's forward, so a step holds one window's graph at a time.
+    Parameter gradients accumulate in window order: the bits of one sweep
+    of the batch-mean loss over all B windows.
+
     Returns {"epoch", "lr", "loss", "train_acc", "n_examples"}; loss is the
     mean per-crop cross-entropy over the epoch. A NaN or infinite batch loss
-    raises NonFiniteLossError before that batch's backward pass or update.
+    raises NonFiniteLossError before that batch's update: its windows have
+    been swept, but parameters and momentum are as they were.
     """
     if not entries:
         raise ValueError("training set is empty")
@@ -98,26 +105,27 @@ def train_epoch(model: Model, entries: list[ManifestEntry],
     correct = 0
     with ops.gemm_kernels(not config.deterministic):
         for batch_lo in range(0, len(order), config.batch_size):
-            batch = order[batch_lo:batch_lo + config.batch_size]
+            chosen = [entries[int(idx)] for idx in order[batch_lo:batch_lo + config.batch_size]]
+            share = 1 / len(chosen)
             zero_grads(params)
-            chosen = [entries[int(idx)] for idx in batch]
-            logits = ops.reshape(ops.concat(
-                [model.forward(random_crop(clips[e.path], window, crop_rng, e.label).samples)
-                 for e in chosen], axis=0), (len(batch), -1))
+            rows = []
+            for e in chosen:
+                logits = model.forward(random_crop(clips[e.path], window, crop_rng, e.label).samples)
+                backward(ops.scale(ops.softmax_cross_entropy(logits, e.label), share))
+                rows.append(logits.data)
+                del logits  # free this window's graph before the next one's forward
             labels = [e.label for e in chosen]
-            correct += int((logits.data.argmax(axis=1) == labels).sum())
-            loss = ops.softmax_cross_entropy(logits, labels)
-            if not np.isfinite(loss.data):
+            logits = np.stack(rows)
+            correct += int((logits.argmax(axis=1) == labels).sum())
+            loss = ops.softmax_cross_entropy(Tensor(logits), labels).item()  # records nothing
+            if not np.isfinite(loss):
                 raise NonFiniteLossError(
-                    f"non-finite loss {loss.item()} at epoch {epoch}, batch "
+                    f"non-finite loss {loss} at epoch {epoch}, batch "
                     f"{batch_lo // config.batch_size} (0-based); parameters are "
                     f"left as they were before this batch")
-            backward(loss)
             sgd_step(params, lr=lr, momentum=config.momentum,
                      weight_decay=config.weight_decay)
-            total_loss += loss.item() * len(batch)
-            # free this step's graph before the next batch's forward
-            del loss, logits
+            total_loss += loss * len(chosen)
 
     n = len(entries)
     return {"epoch": epoch, "lr": lr, "loss": total_loss / n,

@@ -336,12 +336,14 @@ class TestSharedPlans:
     @pytest.mark.parametrize("plan,count", [
         (lambda: ops._window_pool((2, 6, 8), (2, 3)), 4 + 1),  # edges a range, taps slices
         (lambda: ops._adaptive_pool((2, 30), 4, axis=1), 5 + 2),
-        (lambda: ops._adaptive_pool((2, 30, 5), 4, axis=1), 4 + 8 + 1)],
-        ids=["window", "bins", "lead"])
+        (lambda: ops._adaptive_pool((2, 30, 5), 4, axis=1), 4 + 8 + 1),
+        (lambda: ops._adaptive_pool((2, 30, 5), 5, axis=1), 4 + 1)],  # taps slices
+        ids=["window", "bins", "lead", "lead-equal"])
     def test_plan_arrays_are_read_only(self, plan, count):
         """Every array of a plan refuses writes, and its lists are tuples:
         also the tables a recorded use builds, the bins' flat positions and
-        a bin pool's tap weights, each in the narrowest dtype."""
+        a bin pool's tap weights, each in the narrowest dtype, which the
+        taps' offsets share with the positions."""
         plan = plan()
         out, index = plan.forward(np.zeros(plan.shape), record=True)
         plan.scatter(out, index)
@@ -349,6 +351,7 @@ class TestSharedPlans:
         tables = [plan.bases()] + ([plan.weights()] if hasattr(plan, "weights") else [])
         assert tables[0].shape == plan.out_shape
         assert tables[0].dtype == np.min_scalar_type(int(np.prod(plan.shape)))
+        assert plan.offsets.dtype == tables[0].dtype == plan.winners(index).dtype
         assert all(t.dtype == plan.index_dtype for t in tables[1:])
         arrays = [*plan.firsts, plan.offsets, getattr(plan, "sizes", None), plan.edges, *tables]
         arrays += [i for tap in plan.taps or () for i in tap]
@@ -357,6 +360,23 @@ class TestSharedPlans:
         for a in arrays:
             with pytest.raises(ValueError, match="read-only"):
                 a[...] = 0
+
+    @pytest.mark.parametrize("shape,target,axis", [((2, 30, 5), 5, 1), ((12, 3, 4), 4, 0),
+                                                   ((2, 30, 5), 4, 1), ((7, 3), 3, 0)])
+    def test_equal_adaptive_bins_read_slices(self, shape, target, axis):
+        """Over a leading axis, equal bins are read through strided slices,
+        which are views, and unequal ones keep their index rows; either way
+        tap j reads every bin's j-th element, the last one again in a
+        shorter bin."""
+        plan = ops._adaptive_pool(shape, target, axis)
+        starts, ends = plan.firsts[axis], np.append(plan.firsts[axis][1:], shape[axis])
+        a = np.arange(np.prod(shape)).reshape(shape)
+        equal = shape[axis] % target == 0
+        for j, tap in enumerate(plan.taps):
+            assert isinstance(tap[axis], slice if equal else np.ndarray)
+            want = np.take(a, np.minimum(starts + j, ends - 1), axis=axis)
+            assert np.array_equal(a[tap], want)
+            assert np.shares_memory(a[tap], a) == equal
 
     def test_tables_are_built_once_and_only_when_recording(self, monkeypatch):
         """A no-grad desk forward leaves every plan without tables, so a

@@ -2,6 +2,7 @@
 
 import dataclasses
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,14 +10,14 @@ import pytest
 import wavems.training as training_mod
 from wavems import ops
 from wavems.checkpoint import load_checkpoint, save_checkpoint
-from wavems.datasets import synth_dataset
+from wavems.datasets import fold_split, synth_dataset
 from wavems.errors import CheckpointError, ConfigError, NonFiniteLossError
 from wavems.model import build_model
 from wavems.optim import sgd_step
 from wavems.tensor import backward, zero_grads
 from wavems.training import TrainConfig, lr_at, train, train_epoch
 
-from conftest import graph_nodes, tiny_model_config
+from conftest import desk_model_config, graph_nodes, tiny_model_config
 
 
 def micro_corpus(seed=21):
@@ -85,24 +86,92 @@ class TestTrainEpoch:
         train_epoch(model, entries, clips, 0, micro_train_config(1))
         assert len(calls) == 3
 
-    def test_one_loss_node_per_batch(self, monkeypatch):
-        """A batch's graph is its windows' graphs plus a concat, a reshape and
-        one cross-entropy node: no per-window loss, ``add`` or ``scale``."""
+    def test_each_window_swept_alone(self, monkeypatch):
+        """Each window is swept right after its forward: every ``backward``
+        call sees one window's graph plus its cross-entropy and ``scale``
+        nodes. The batch's loss is one cross-entropy over its stacked
+        (B, K) logits, which records nothing."""
         manifest, clips = micro_corpus()
         entries = manifest.entries[:20]  # batch 8 -> 8, 8, 4
         model = build_model(tiny_model_config(), seed=0)
         window = graph_nodes(model.forward(np.zeros(model.config.window_length, np.float32)))
-        for name in ("add", "scale"):
-            monkeypatch.setattr(ops, name, lambda *a, name=name: pytest.fail(f"ops.{name} called"))
         sizes, losses = [], []
         real_backward, real_loss = training_mod.backward, ops.softmax_cross_entropy
+
+        def loss_spy(logits, labels):
+            out = real_loss(logits, labels)
+            losses.append((logits.shape, out.requires_grad))
+            return out
+
         monkeypatch.setattr(training_mod, "backward",
                             lambda loss: sizes.append(graph_nodes(loss)) or real_backward(loss))
-        monkeypatch.setattr(ops, "softmax_cross_entropy",
-                            lambda *a: losses.append(a[0].shape) or real_loss(*a))
+        monkeypatch.setattr(ops, "softmax_cross_entropy", loss_spy)
         train_epoch(model, entries, clips, 0, micro_train_config(1))
-        assert losses == [(8, 3), (8, 3), (4, 3)]
-        assert sizes == [8 * window + 3, 8 * window + 3, 4 * window + 3]
+        assert sizes == [window + 2] * 20
+        swept = [((3,), True)]
+        assert losses == (swept * 8 + [((8, 3), False)]) * 2 + swept * 4 + [((4, 3), False)]
+
+    @pytest.mark.parametrize("n_workers", [1, 2])
+    @pytest.mark.parametrize("deterministic", [False, True], ids=["gemm", "reference"])
+    def test_gradients_are_one_batch_sweeps(self, monkeypatch, deterministic, n_workers):
+        """The gradients each step applies are, byte for byte, those of one
+        sweep of the batch-mean loss over the batch's stacked logits
+        (``concat``, ``reshape``, one ``softmax_cross_entropy``), at a batch
+        size whose 1/B float32 rounds."""
+        manifest, clips = micro_corpus()
+        entries = manifest.entries[:20]  # batch 6 -> 6, 6, 6, 2
+        model = build_model(tiny_model_config(), seed=3)
+        params = model.parameters()
+        crops, steps = [], []
+        real_crop, real_step = training_mod.random_crop, training_mod.sgd_step
+
+        def crop_spy(*a, **k):
+            crops.append(real_crop(*a, **k))
+            return crops[-1]
+
+        def step_spy(params, **kw):
+            got = [p.value.grad for p in params]
+            zero_grads(params)
+            logits = ops.reshape(ops.concat([model.forward(c.samples) for c in crops], axis=0),
+                                 (len(crops), -1))
+            backward(ops.softmax_cross_entropy(logits, [c.label for c in crops]))
+            steps.append((got, [p.value.grad for p in params]))
+            for p, g in zip(params, got):
+                p.value.grad = g
+            crops.clear()
+            real_step(params, **kw)
+
+        monkeypatch.setattr(training_mod, "random_crop", crop_spy)
+        monkeypatch.setattr(training_mod, "sgd_step", step_spy)
+        with ops.workers(n_workers):
+            train_epoch(model, entries, clips, 0,
+                        micro_train_config(1, batch_size=6, deterministic=deterministic))
+        assert len(steps) == 4
+        for got, want in steps:
+            for g, w in zip(got, want):
+                assert g.dtype == w.dtype == np.float32
+                assert g.tobytes() == w.tobytes()
+
+    def test_step_memory_does_not_grow_with_the_batch(self, desk_corpus):
+        """A desk step's peak at batch 64 is within 10% of its peak at
+        batch 8: a step holds one window's graph, not the batch's."""
+        manifest, clips = desk_corpus
+        entries = fold_split(manifest, 1)[0]
+        model = build_model(desk_model_config(), seed=0)
+        # untraced, a first step builds the pool plans' tables and fills the
+        # interpreter's free lists, which tracemalloc counts as held
+        train_epoch(model, entries[:64], clips, 0, TrainConfig(
+            epochs=1, batch_size=64, lr_stages=((1, 1e-2),)))
+        peaks = {}
+        for batch in (8, 64):  # an epoch of one batch each
+            config = TrainConfig(epochs=1, batch_size=batch, lr_stages=((1, 1e-2),))
+            tracemalloc.start()
+            try:
+                train_epoch(model, entries[:batch], clips, 0, config)
+                peaks[batch] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[64] <= 1.1 * peaks[8], peaks
 
     def test_deterministic_metrics(self):
         manifest, clips = micro_corpus()
