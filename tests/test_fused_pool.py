@@ -13,10 +13,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from wavems import ops
+from wavems import _conv, ops
 from wavems.datasets import fold_split
 from wavems.errors import ShapeError
-from wavems.model import build_model
+from wavems.model import build_model, full_scale_config
 from wavems.tensor import Tensor, backward, no_grad
 from wavems.training import TrainConfig, train_epoch
 
@@ -295,6 +295,67 @@ def plan_of(node):
     return next(c for c in cells if isinstance(c, ops._Pool))
 
 
+@pytest.fixture
+def built_plans(monkeypatch):
+    """Every pool plan built from now on; the plan caches start empty."""
+    plans = []
+    init = ops._Pool.__init__
+    monkeypatch.setattr(ops._Pool, "__init__",
+                        lambda self, *a: plans.append(self) or init(self, *a))
+    ops._window_plan.cache_clear()
+    ops._adaptive_plan.cache_clear()
+    return plans
+
+
+def plan_attributes(plan):
+    """Each attribute a plan holds, by name."""
+    return {name: getattr(plan, name) for cls in type(plan).__mro__
+            for name in getattr(cls, "__slots__", ())}
+
+
+def plan_arrays(plan):
+    """Every array a plan holds, taps' index rows included."""
+    for value in plan_attributes(plan).values():
+        for item in value if isinstance(value, tuple) else (value,):
+            for a in item if isinstance(item, tuple) else (item,):
+                if isinstance(a, np.ndarray):
+                    yield a
+
+
+def table_winners(plan, index):
+    """The first-hit positions as an output-sized table of each bin's first
+    element's flat position, plus the hit's offset, gave them."""
+    at, step = 0, 1  # last axis first
+    for axis in range(len(plan.shape) - 1, -1, -1):
+        trailing = (1,) * (len(plan.shape) - 1 - axis)
+        at = at + (plan.firsts[axis] * step).reshape(-1, *trailing)
+        step *= plan.shape[axis]
+    return at.astype(plan.offsets.dtype) + plan.offsets.take(index, mode="clip")
+
+
+def module_plans():
+    """A plan of every shape and pool argument this module pools."""
+    plans = []
+    cases = [(conv, xs, ws, stride or 1, pool) for conv, xs, ws, stride, pool in CASES.values()]
+    cases += [(conv, xs, ws, 1, pool) for conv, xs, ws, pool, *_ in PIECE_CASES.values()]
+    for conv, xs, ws, stride, pool in cases:
+        if conv == "conv1d":
+            plans.append(ops._adaptive_pool((ws[0], (xs[1] - ws[2]) // stride + 1), pool, 1))
+        else:
+            plans.append(ops._window_pool((ws[0],) + xs[1:], pool))
+    for shape in HEAD_MAPS:
+        rows = ops._adaptive_pool(shape, HEAD_TARGET[0], 1)
+        plans += [rows, ops._adaptive_pool(rows.out_shape, HEAD_TARGET[1], 2)]
+    plans += [ops._window_pool(shape, window) for shape, window in [
+        ((2, 6, 8), (2, 2)), ((2, 6, 8), (2, 3)), ((1, 1, 4), (1, 2)), ((2, 7, 9), (2, 3)),
+        ((4, 40, 40), (4, 4)), ((1, 800, 800), (2, 2))]]
+    plans += [ops._adaptive_pool(shape, target, axis) for shape, target, axis in [
+        ((2, 30), 4, 1), ((2, 30, 5), 4, 1), ((2, 30, 5), 5, 1), ((12, 3, 4), 4, 0),
+        ((7, 3), 3, 0), ((2, 6, 8), 3, 1), ((4, 3998), 200, 1), ((2, 66138), 441, 1),
+        ((256, 3), 1, 0), ((3, 512), 2, 1), ((1, 800, 800), 100, 2)]]
+    return plans
+
+
 class TestSharedPlans:
     """A pool's plan is built once per input shape and pool argument and
     shared, read-only, by every node of that shape."""
@@ -334,26 +395,25 @@ class TestSharedPlans:
             assert plan_of(ops.maxpool2d(ops.conv2d(x, w2, b), (2, 2))) is plan_of(first)
 
     @pytest.mark.parametrize("plan,count", [
-        (lambda: ops._window_pool((2, 6, 8), (2, 3)), 4 + 1),  # edges a range, taps slices
-        (lambda: ops._adaptive_pool((2, 30), 4, axis=1), 5 + 2),
-        (lambda: ops._adaptive_pool((2, 30, 5), 4, axis=1), 4 + 8 + 1),
-        (lambda: ops._adaptive_pool((2, 30, 5), 5, axis=1), 4 + 1)],  # taps slices
+        (lambda: ops._window_pool((2, 6, 8), (2, 3)), 3 + 1 + 3),  # edges a range, taps slices
+        (lambda: ops._adaptive_pool((2, 30), 4, axis=1), 2 + 1 + 2 + 2),
+        (lambda: ops._adaptive_pool((2, 30, 5), 4, axis=1), 3 + 1 + 3 + 8),
+        (lambda: ops._adaptive_pool((2, 30, 5), 5, axis=1), 3 + 1 + 3)],  # taps slices
         ids=["window", "bins", "lead", "lead-equal"])
     def test_plan_arrays_are_read_only(self, plan, count):
-        """Every array of a plan refuses writes, and its lists are tuples:
-        also the tables a recorded use builds, the bins' flat positions and
-        a bin pool's tap weights, each in the narrowest dtype, which the
-        taps' offsets share with the positions."""
+        """Every array of a plan refuses writes, and its lists are tuples.
+        The offsets, each axis's bases and the winners share the narrowest
+        dtype that holds the input's size."""
         plan = plan()
         out, index = plan.forward(np.zeros(plan.shape), record=True)
         plan.scatter(out, index)
         assert isinstance(plan.firsts, tuple) and isinstance(plan.taps, (tuple, type(None)))
-        tables = [plan.bases()] + ([plan.weights()] if hasattr(plan, "weights") else [])
-        assert tables[0].shape == plan.out_shape
-        assert tables[0].dtype == np.min_scalar_type(int(np.prod(plan.shape)))
-        assert plan.offsets.dtype == tables[0].dtype == plan.winners(index).dtype
-        assert all(t.dtype == plan.index_dtype for t in tables[1:])
-        arrays = [*plan.firsts, plan.offsets, getattr(plan, "sizes", None), plan.edges, *tables]
+        assert isinstance(plan.bases, tuple) and len(plan.bases) == len(plan.shape)
+        dtype = np.min_scalar_type(int(np.prod(plan.shape)))
+        assert plan.offsets.dtype == dtype == plan.winners(index).dtype
+        assert all(b.dtype == dtype for b in plan.bases)
+        arrays = [*plan.firsts, plan.offsets, *plan.bases, getattr(plan, "sizes", None),
+                  plan.edges]
         arrays += [i for tap in plan.taps or () for i in tap]
         arrays = [a for a in arrays if isinstance(a, np.ndarray)]
         assert len(arrays) == count
@@ -378,38 +438,23 @@ class TestSharedPlans:
             assert np.array_equal(a[tap], want)
             assert np.shares_memory(a[tap], a) == equal
 
-    def test_tables_are_built_once_and_only_when_recording(self, monkeypatch):
-        """A no-grad desk forward leaves every plan without tables, so a
-        no-grad run's cached plans do not grow; a recorded step builds each
-        table once, in the narrowest integer dtype, and later steps reuse
-        it."""
-        plans = []
-        init = ops._Pool.__init__
-        monkeypatch.setattr(ops._Pool, "__init__",
-                            lambda self, *a: plans.append(self) or init(self, *a))
-        ops._window_plan.cache_clear()
-        ops._adaptive_plan.cache_clear()
+    def test_recording_adds_nothing_to_a_plan(self, built_plans):
+        """A plan holds only what its constructor builds: after no-grad and
+        recorded desk forwards and two backward sweeps, every attribute of
+        every plan is the object it was after the first no-grad forward."""
         model = build_model(desk_model_config(), seed=0)
         wave = np.random.default_rng(2).standard_normal(model.window_length).astype(np.float32)
         with no_grad():
             model.forward(wave)
-        assert len(plans) == 15
-        assert all(p._bases is None and getattr(p, "_weights", None) is None for p in plans)
-
-        def tables():
-            return [t for p in plans for t in (p._bases, getattr(p, "_weights", None))
-                    if t is not None]
-
-        backward(ops.softmax_cross_entropy(model.forward(wave), 1))
-        built = tables()
-        assert len(built) > 0 and len(plans) == 15
-        for p in plans:
-            if p._bases is not None:
-                assert p._bases.dtype == np.min_scalar_type(int(np.prod(p.shape)))
-            if getattr(p, "_weights", None) is not None:
-                assert p._weights.dtype == p.index_dtype
-        backward(ops.softmax_cross_entropy(model.forward(wave), 1))
-        assert all(a is b for a, b in zip(tables(), built)) and len(tables()) == len(built)
+        assert len(built_plans) == 15
+        built = [plan_attributes(p) for p in built_plans]
+        for _ in range(2):
+            backward(ops.softmax_cross_entropy(model.forward(wave), 1))
+        assert len(built_plans) == 15
+        for p, before in zip(built_plans, built):
+            after = plan_attributes(p)
+            assert after.keys() == before.keys()
+            assert all(after[name] is before[name] for name in before)
 
     @pytest.mark.parametrize("conv", [False, True], ids=["maxpool2d", "conv2d"])
     def test_list_and_array_windows(self, conv):
@@ -455,6 +500,38 @@ class TestSharedPlans:
                 call(x3, x2)
             messages.append(str(raised.value))
         assert messages[0] == messages[1]
+
+    def test_winners_are_the_first_element_tables(self):
+        """``winners`` gives the positions that an output-sized table of
+        each bin's first element plus the hit's offset gave, in its dtype,
+        for every tap and the no-hit sentinel, on a plan of every shape this
+        module pools."""
+        rng = np.random.default_rng(9)
+        for plan in module_plans():
+            index = rng.integers(0, len(plan.offsets) + 1, plan.out_shape).astype(
+                plan.index_dtype)
+            got, want = plan.winners(index), table_winners(plan, index)
+            assert got.dtype == want.dtype and np.array_equal(got, want), plan.shape
+
+    def test_full_scale_plans_hold_little(self, built_plans):
+        """After one recorded full-scale GEMM step, the 15 plans hold under
+        0.25 MiB of arrays, and their winners are the tables' there too."""
+        model = build_model(full_scale_config(5), seed=0)
+        wave = np.random.default_rng(3).standard_normal(model.window_length).astype(np.float32)
+        with ops.gemm_kernels():
+            backward(ops.softmax_cross_entropy(model.forward(wave), 1))
+        assert len(built_plans) == 15
+        roots = {}
+        for p in built_plans:
+            for a in plan_arrays(p):
+                while isinstance(a.base, np.ndarray):
+                    a = a.base
+                roots[id(a)] = a.nbytes
+        assert sum(roots.values()) < 0.25 * 2 ** 20, sum(roots.values())
+        rng = np.random.default_rng(10)
+        for p in built_plans:
+            index = rng.integers(0, len(p.offsets) + 1, p.out_shape).astype(p.index_dtype)
+            assert np.array_equal(p.winners(index), table_winners(p, index)), p.shape
 
     def test_cache_is_bounded(self):
         for n in range(1, 2 * ops._PLANS + 2):
@@ -538,10 +615,11 @@ class TestPooledPieces:
     @pytest.mark.parametrize("case", PIECE_CASES)
     def test_byte_identical_to_separate_pool(self, case, kind, gemm, record, indexes,
                                              forward_chunks, monkeypatch):
-        monkeypatch.setattr(ops, "usable_cpus", lambda: 4)
+        monkeypatch.setattr(_conv, "usable_cpus", lambda: 4)
+        assert ops.workers(3).count == 3
         *_, budget, calls = PIECE_CASES[case]
         if budget is not None:
-            monkeypatch.setattr(ops, "_COLUMN_BUDGET", budget)
+            monkeypatch.setattr(_conv, "_COLUMN_BUDGET", budget)
         op, pool, arrays = piece_case(case, kind)
         want = pooled_bytes(op, pool, arrays, gemm, 1, record, False, indexes)
         assert len(want) == (5 if record else 1)
@@ -609,7 +687,8 @@ class TestLevelFeatures:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("kind", INPUTS)
     def test_byte_identical_to_two_pools(self, kind, dtype, workers, gemm, monkeypatch):
-        monkeypatch.setattr(ops, "usable_cpus", lambda: 4)
+        monkeypatch.setattr(_conv, "usable_cpus", lambda: 4)
+        assert ops.workers(2).count == 2
         maps = head_maps(kind, dtype)
         want = head_bits(maps, gemm, 1, fused=False)
         assert head_bits(maps, gemm, workers, fused=True) == want

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 
-from wavems import cli, ops
+from wavems import _conv, cli, ops
 from wavems.audio import encode_wav_pcm16
 from wavems.checkpoint import Checkpoint, save_checkpoint
 from wavems.datasets import dump_manifest
@@ -29,9 +29,9 @@ def rel_err(got, want) -> float:
 def chunk_count(rows, fout, depth, per_row=1):
     """Blocks the kernels split ``rows`` output rows of ``per_row``
     positions into, and whether the last is short: each block's (depth, n)
-    columns and (F, n) product hold at most ``ops._COLUMN_BUDGET``
+    columns and (F, n) product hold at most ``_conv._COLUMN_BUDGET``
     elements, and at least one row."""
-    step = min(rows, max(1, ops._COLUMN_BUDGET // (max(depth, fout) * per_row)))
+    step = min(rows, max(1, _conv._COLUMN_BUDGET // (max(depth, fout) * per_row)))
     return -(-rows // step), rows % step != 0
 
 
@@ -39,7 +39,7 @@ def chunk_count(rows, fout, depth, per_row=1):
 def column_budget(monkeypatch):
     """``column_budget(n)`` sets the elements a block may hold to ``n``, so
     small layers split into several blocks."""
-    return lambda n: monkeypatch.setattr(ops, "_COLUMN_BUDGET", n)
+    return lambda n: monkeypatch.setattr(_conv, "_COLUMN_BUDGET", n)
 
 
 @pytest.fixture
@@ -159,12 +159,15 @@ class TestAgreement:
         (10, 2, 3, 101, 1510, 71),  # 141 outputs, 2 per block
     ])
     def test_conv1d_ragged_chunks(self, stride, cin, fout, k, length, chunks, dtype,
-                                  column_budget):
+                                  column_budget, forward_chunks):
         column_budget(600)
         lout = (length - k) // stride + 1
         assert chunk_count(lout, fout, cin * k) == (chunks, True)
         op, arrays = conv1d_case(np.random.default_rng(chunks), dtype, stride,
                                  cin=cin, fout=fout, k=k, length=length)
+        with ops.gemm_kernels():
+            op(*[Tensor(a) for a in arrays])
+        assert len(forward_chunks) == chunks
         assert_agrees(op, arrays, chunks)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -172,10 +175,14 @@ class TestAgreement:
         (4, 8, 23, 9, 5),   # 5 rows per block
         (16, 8, 37, 5, 19),  # 2 rows per block
     ])
-    def test_conv2d_ragged_chunks(self, cin, fout, h, w, chunks, dtype, column_budget):
+    def test_conv2d_ragged_chunks(self, cin, fout, h, w, chunks, dtype, column_budget,
+                                  forward_chunks):
         column_budget(1800)
         assert chunk_count(h, fout, cin * 9, per_row=w) == (chunks, True)
         op, arrays = conv2d_case(np.random.default_rng(h), dtype, cin=cin, fout=fout, h=h, w=w)
+        with ops.gemm_kernels():
+            op(*[Tensor(a) for a in arrays])
+        assert len(forward_chunks) == chunks
         assert_agrees(op, arrays, h)
 
     @pytest.mark.parametrize("conv", ["conv1d", "conv2d"])
@@ -250,19 +257,19 @@ class TestWindows:
     def test_conv1d(self, stride):
         a = np.random.default_rng(stride).standard_normal((3, 257)).astype(np.float32)
         want = np.moveaxis(sliding_window_view(a, 11, axis=1)[:, ::stride], 2, 1)
-        got = ops._windows(a, (11,), stride)
+        got = _conv._windows(a, (11,), stride)
         assert got.shape == want.shape and np.array_equal(got, want)
         assert not got.flags.writeable
 
     def test_conv2d(self):
         a = np.random.default_rng(2).standard_normal((4, 9, 13))
         want = np.moveaxis(sliding_window_view(a, (3, 3), axis=(1, 2)), (3, 4), (1, 2))
-        got = ops._windows(a, (3, 3), 1)
+        got = _conv._windows(a, (3, 3), 1)
         assert got.shape == want.shape and np.array_equal(got, want)
 
     def test_writes_land_on_the_source(self):
         g = np.zeros((2, 6))
-        view = ops._windows(g, (3,), 2, writeable=True)  # (2, 3, 2): starts 0 and 2
+        view = _conv._windows(g, (3,), 2, writeable=True)  # (2, 3, 2): starts 0 and 2
         view[1, 2, 1] += 1.0  # channel 1, tap 2 of the output at 2
         assert g[1].tolist() == [0, 0, 0, 0, 1, 0]
 

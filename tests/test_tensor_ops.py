@@ -5,11 +5,12 @@ import math
 import re
 import threading
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from wavems import ops
+from wavems import _conv, ops
 from wavems.errors import ShapeError
 from wavems.optim import sgd_step
 from wavems.tensor import (Parameter, Tensor, backward, grad_enabled, make_node, no_grad,
@@ -66,6 +67,14 @@ def oracle_case(conv, case, rng):
     return x, w, b, 2 if case == "random" and conv == "conv1d" else 1
 
 
+def forward_blocks(monkeypatch):
+    """The block count of every convolution forward from now on."""
+    counts, real = [], _conv._run
+    monkeypatch.setattr(_conv, "_run", lambda fn, blocks: counts.append(len(blocks))
+                        or real(fn, blocks))
+    return counts
+
+
 def assert_oracle_bytes(got, want, case):
     assert got.dtype == want.dtype and got.shape == want.shape
     assert got.tobytes() == want.tobytes()
@@ -99,10 +108,12 @@ class TestConv1d:
     @pytest.mark.parametrize("case", ORACLE_CASES)
     def test_matches_oracle(self, case, split, rng, monkeypatch):
         if split:
-            monkeypatch.setattr(ops, "_COLUMN_BUDGET", ORACLE_SPLIT_BUDGET["conv1d"])
+            monkeypatch.setattr(_conv, "_COLUMN_BUDGET", ORACLE_SPLIT_BUDGET["conv1d"])
+        blocks = forward_blocks(monkeypatch)
         x, w, b, stride = oracle_case("conv1d", case, rng)
         out = ops.conv1d(Tensor(x), Tensor(w), Tensor(b), stride=stride)
         assert_oracle_bytes(out.data, conv1d_oracle(x, w, b, stride), case)
+        assert (blocks[0] > 1) == (split and case != "one-position")
 
     def test_shape_and_argument_errors(self):
         x, w, b = t(np.zeros((1, 2))), t(np.zeros((1, 1, 3))), t(np.zeros(1))
@@ -125,7 +136,7 @@ class TestConv1d:
                            [x, w, b], seed=seed)
 
 
-class TestConv1dChain:
+class TestFrontendBranch:
     @pytest.mark.parametrize("gemm", [False, True], ids=["reference", "gemm"])
     @pytest.mark.parametrize("phase_stride", [1, 2])
     @pytest.mark.parametrize("relu", [False, True])
@@ -139,9 +150,13 @@ class TestConv1dChain:
         b = t(rng.standard_normal(3), requires_grad=True)
         pw = t(rng.standard_normal((4, 3, 3)), requires_grad=True)
         pb = t(rng.standard_normal(4), requires_grad=True)
+
+        def branch():  # ``ops.frontend`` of this branch alone, without the leading axis
+            out = ops.frontend(x, [(w, b, 2, pw, pb)], relu, phase_stride, 4)
+            return ops.reshape(out, out.shape[1:])
+
         with ops.gemm_kernels(gemm):
-            check_op_gradients(lambda: ops.conv1d_chain(x, w, b, 2, relu, pw, pb, phase_stride, 4),
-                               [x, w, b, pw, pb], seed=phase_stride)
+            check_op_gradients(branch, [x, w, b, pw, pb], seed=phase_stride)
 
 
 # ---------------------------------------------------------------------------
@@ -166,10 +181,12 @@ class TestConv2d:
     @pytest.mark.parametrize("case", ORACLE_CASES)
     def test_matches_oracle(self, case, split, rng, monkeypatch):
         if split:
-            monkeypatch.setattr(ops, "_COLUMN_BUDGET", ORACLE_SPLIT_BUDGET["conv2d"])
+            monkeypatch.setattr(_conv, "_COLUMN_BUDGET", ORACLE_SPLIT_BUDGET["conv2d"])
+        blocks = forward_blocks(monkeypatch)
         x, w, b, _ = oracle_case("conv2d", case, rng)
         out = ops.conv2d(Tensor(x), Tensor(w), Tensor(b))
         assert_oracle_bytes(out.data, conv2d_oracle(x, w, b), case)
+        assert (blocks[0] > 1) == (split and case != "one-position")
 
     def test_rejects_non_3x3_kernel(self):
         with pytest.raises(ValueError):
@@ -850,3 +867,27 @@ class TestDeterminism:
         l2, w2, g2, b2 = run()
         assert l1 == l2
         assert np.array_equal(w1, w2) and np.array_equal(g1, g2) and np.array_equal(b1, b2)
+
+
+# The ``ops`` names that code outside it reads: ``perfbench/tracer.py``
+# rebinds the ops of its ``OPS`` by name, and the commands, training,
+# evaluation, the model and the sweep call the rest.
+PUBLIC_OPS = {"conv1d", "conv2d", "linear", "relu", "maxpool2d", "adaptive_maxpool", "concat",
+              "reshape", "softmax_cross_entropy", "add", "scale", "frontend", "level_features",
+              "softmax_probs", "gemm_kernels", "workers"}
+
+
+def test_public_ops_names():
+    """Every name in ``PUBLIC_OPS`` is a public callable of ``ops``, the
+    convolution controls are ``wavems._conv``'s own, and ``PUBLIC_OPS``
+    holds every ``ops`` name the tracer, the package and the CLI read."""
+    tracer = (Path(__file__).parents[1] / "perfbench" / "tracer.py").read_text()
+    traced = re.search(r"^OPS = \(([^)]*)\)", tracer, re.M).group(1)
+    read = set(re.findall(r'"(\w+)"', traced))
+    for source in Path(ops.__file__).parent.glob("*.py"):
+        read |= set(re.findall(r"\bops\.(\w+)", source.read_text()))
+    assert read == PUBLIC_OPS
+    assert all(callable(getattr(ops, name)) for name in PUBLIC_OPS)
+    for name in ("workers", "gemm_kernels", "gemm_enabled", "usable_cpus"):
+        assert getattr(ops, name) is getattr(_conv, name)
+    assert not hasattr(ops, "conv1d_chain")

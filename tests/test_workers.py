@@ -15,7 +15,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from wavems import cli, ops
+from wavems import _conv, cli, ops
 from wavems.datasets import fold_split
 from wavems.errors import ShapeError
 from wavems.model import ModelConfig, build_model, full_scale_config
@@ -31,14 +31,24 @@ from test_gemm import conv1d_case, conv2d_case, forward_chunks  # noqa: F401
 @pytest.fixture
 def cpus(monkeypatch):
     """Four usable CPUs, so up to four workers run on any host."""
-    monkeypatch.setattr(ops, "usable_cpus", lambda: 4)
+    monkeypatch.setattr(_conv, "usable_cpus", lambda: 4)
+    assert ops.workers(4).count == 4
 
 
 @pytest.fixture
 def three_blocks(monkeypatch):
     """A column budget that runs ``conv2d_case(rng, dtype, 32, 128, 23, 60)``
     in three blocks, of 8, 8 and 7 rows of 60 positions at depth 288."""
-    monkeypatch.setattr(ops, "_COLUMN_BUDGET", 8 * 288 * 60)
+    monkeypatch.setattr(_conv, "_COLUMN_BUDGET", 8 * 288 * 60)
+    assert _conv._chunks(range(24), 288 * 60) == [slice(0, 8), slice(8, 16), slice(16, 23)]
+
+
+def chain(x, w, b, stride, relu, pw, pb, phase_stride, pool):
+    """One front-end branch, ``conv1d(conv1d(x, w, b, stride, relu), pw, pb,
+    phase_stride, relu=True, pool=pool)``: ``ops.frontend`` of that branch
+    alone, its output without the leading axis."""
+    out = ops.frontend(x, [(w, b, stride, pw, pb)], relu, phase_stride, pool)
+    return ops.reshape(out, out.shape[1:])
 
 
 def run_conv(op, arrays, gemm, workers, r=None):
@@ -54,22 +64,22 @@ def run_conv(op, arrays, gemm, workers, r=None):
 
 class TestWorkerCount:
     def test_capped_at_usable_cpus(self, monkeypatch):
-        monkeypatch.setattr(ops, "usable_cpus", lambda: 3)
+        monkeypatch.setattr(_conv, "usable_cpus", lambda: 3)
         assert [ops.workers(n).count for n in (1, 2, 3, 4, 100000)] == [1, 2, 3, 3, 3]
 
     def test_usable_cpus_reads_affinity_then_cpu_count(self, monkeypatch):
-        monkeypatch.setattr(ops.os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
+        monkeypatch.setattr(_conv.os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
         assert ops.usable_cpus() == 3
-        monkeypatch.delattr(ops.os, "sched_getaffinity")
-        monkeypatch.setattr(ops.os, "cpu_count", lambda: 6)
+        monkeypatch.delattr(_conv.os, "sched_getaffinity")
+        monkeypatch.setattr(_conv.os, "cpu_count", lambda: 6)
         assert ops.usable_cpus() == 6
-        monkeypatch.setattr(ops.os, "cpu_count", lambda: None)
+        monkeypatch.setattr(_conv.os, "cpu_count", lambda: None)
         assert ops.usable_cpus() == 1
 
     def test_one_worker_starts_no_thread(self):
         before = threading.active_count()
         with ops.workers(1):
-            assert ops._kernels.pool is None
+            assert _conv._kernels.pool is None
             with ops.gemm_kernels(), no_grad():
                 build_model(desk_model_config(), seed=0).forward(np.ones(4410, np.float32))
             assert threading.active_count() == before
@@ -78,20 +88,20 @@ class TestWorkerCount:
         before = threading.active_count()
         seen = []
         with ops.workers(3):
-            pool = ops._kernels.pool
-            worker = threading.Thread(target=lambda: seen.append(ops._kernels.pool))
+            pool = _conv._kernels.pool
+            worker = threading.Thread(target=lambda: seen.append(_conv._kernels.pool))
             worker.start()
             worker.join(timeout=10)
             assert not worker.is_alive()
             with ops.workers(2):
-                assert ops._kernels.workers == 2 and ops._kernels.pool is not pool
-            assert ops._kernels.pool is pool and ops._kernels.workers == 3
+                assert _conv._kernels.workers == 2 and _conv._kernels.pool is not pool
+            assert _conv._kernels.pool is pool and _conv._kernels.workers == 3
             op, arrays = conv2d_case(np.random.default_rng(0), np.float32, 32, 128, 23, 60)
             with ops.gemm_kernels():
                 op(*map(Tensor, arrays))
             assert threading.active_count() > before
         assert seen == [None]
-        assert ops._kernels.pool is None and ops._kernels.workers == 1
+        assert _conv._kernels.pool is None and _conv._kernels.workers == 1
         assert threading.active_count() == before
 
 
@@ -162,7 +172,7 @@ class TestSplitForward:
     @pytest.mark.parametrize("gemm", [True, False])
     @pytest.mark.parametrize("case,budget,calls", CONV1D, ids=IDS)
     def test_conv1d(self, case, budget, calls, gemm, cpus, forward_chunks, monkeypatch):
-        monkeypatch.setattr(ops, "_COLUMN_BUDGET", budget)
+        monkeypatch.setattr(_conv, "_COLUMN_BUDGET", budget)
         stride, cin, fout, k, length = case
         op, arrays = conv1d_case(np.random.default_rng(length), np.float32, stride,
                                  cin=cin, fout=fout, k=k, length=length)
@@ -174,7 +184,7 @@ class TestSplitForward:
     @pytest.mark.parametrize("case,budget,calls", CONV2D, ids=IDS)
     def test_conv2d_relu_pool(self, case, budget, calls, gemm, cpus, forward_chunks,
                               monkeypatch):
-        monkeypatch.setattr(ops, "_COLUMN_BUDGET", budget)
+        monkeypatch.setattr(_conv, "_COLUMN_BUDGET", budget)
         cin, fout, h, w = case
         _, arrays = conv2d_case(np.random.default_rng(h), np.float32, cin, fout, h, w)
 
@@ -242,7 +252,7 @@ class TestSplitForward:
         """A full-scale phase conv, and the streamed branch-1 chain whose
         blocks also compute their branch rows (no grad), peak within
         ``workers`` blocks' arrays: a block's columns and its product, and a
-        chain block's branch rows, each hold about ``ops._COLUMN_BUDGET``
+        chain block's branch rows, each hold about ``_conv._COLUMN_BUDGET``
         float32 elements at most. An allowance covers the pooled output and
         the worker threads' own state. The pool starts before the measured
         call."""
@@ -255,7 +265,7 @@ class TestSplitForward:
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-        assert peak <= workers * arrays * ops._COLUMN_BUDGET * 4 + (256 << 10), peak
+        assert peak <= workers * arrays * _conv._COLUMN_BUDGET * 4 + (256 << 10), peak
 
     @pytest.mark.parametrize("gemm", [True, False], ids=["gemm", "reference"])
     @pytest.mark.parametrize("workers", [1, 2])
@@ -295,7 +305,7 @@ def _branch_chain(rng):
     """Full-scale branch 1, (1, 66150) -> (32, 66140) -> 441 bins."""
     x, w, b, pw, pb = (Tensor(rng.standard_normal(s).astype(np.float32))
                        for s in ((1, 66150), (32, 1, 11), (32,), (32, 32, 3), (32,)))
-    return lambda: ops.conv1d_chain(x, w, b, 1, True, pw, pb, 1, 441)
+    return lambda: chain(x, w, b, 1, True, pw, pb, 1, 441)
 
 
 BRANCH1 = {"phase": _phase_conv, "branch": _branch_chain}
@@ -313,8 +323,8 @@ SPLIT_BUDGET = 1 << 16
 def split_config(tmp_path, monkeypatch):
     """A run config of ``SPLIT_MODEL``, on two usable CPUs, under
     ``SPLIT_BUDGET``."""
-    monkeypatch.setattr(ops, "usable_cpus", lambda: 2)
-    monkeypatch.setattr(ops, "_COLUMN_BUDGET", SPLIT_BUDGET)
+    monkeypatch.setattr(_conv, "usable_cpus", lambda: 2)
+    monkeypatch.setattr(_conv, "_COLUMN_BUDGET", SPLIT_BUDGET)
     path = tmp_path / "split.json"
     path.write_text(json.dumps({"model": SPLIT_MODEL, "train": MICRO_TRAIN}))
     return path
@@ -347,7 +357,7 @@ def streamed_case(case, monkeypatch):
         for name, p in model.named_parameters():
             if name.startswith("branch") and ".conv." in name:
                 p.value.data[:] = -np.abs(p.value.data) if name.endswith("weight") else -0.0
-    monkeypatch.setattr(ops, "_COLUMN_BUDGET", 4 if case == "one-column" else SPLIT_BUDGET)
+    monkeypatch.setattr(_conv, "_COLUMN_BUDGET", 4 if case == "one-column" else SPLIT_BUDGET)
     return model, wave
 
 
@@ -355,7 +365,7 @@ def branch_bits(model, wave, gemm, workers, chained, record=True):
     """Per front-end branch of ``model`` over ``wave``: the output's bytes
     and, when recording, the bytes of the gradients of its five parents
     (the window requires a gradient too) under a random output gradient.
-    The branch runs as one ``ops.conv1d_chain`` node or, unless ``chained``,
+    The branch runs as one ``ops.frontend`` node or, unless ``chained``,
     as the two ``ops.conv1d`` nodes it stands for."""
     cfg, got = model.config, []
     with ops.gemm_kernels(gemm), ops.workers(workers):
@@ -365,8 +375,8 @@ def branch_bits(model, wave, gemm, workers, chained, record=True):
                                ("conv.weight", "conv.bias", "phase.weight", "phase.bias"))
             with contextlib.nullcontext() if record else no_grad():
                 if chained:
-                    out = ops.conv1d_chain(x, w, bias, b.stride, cfg.relu_after_branch_conv,
-                                           pw, pb, cfg.phase_stride, cfg.frontend_time_bins)
+                    out = chain(x, w, bias, b.stride, cfg.relu_after_branch_conv, pw, pb,
+                                cfg.phase_stride, cfg.frontend_time_bins)
                 else:
                     y = ops.conv1d(x, w, bias, b.stride, cfg.relu_after_branch_conv)
                     out = ops.conv1d(y, pw, pb, cfg.phase_stride, relu=True,
@@ -385,9 +395,8 @@ def frontend_bits(model, wave, gemm, workers, fused, x_grad):
     """The bytes of the front end's output and of the gradients of the
     window (if ``x_grad``) and of every branch parameter, under a random
     output gradient with -0.0 at every third element. The front end runs as
-    one ``ops.frontend`` node or, unless ``fused``, as the parent graph: one
-    ``ops.conv1d_chain`` node per branch, ``ops.concat`` and
-    ``ops.reshape``."""
+    one ``ops.frontend`` node or, unless ``fused``, as one ``ops.frontend``
+    node per branch, ``ops.concat`` and ``ops.reshape``."""
     cfg = model.config
     x = Tensor(wave[None], requires_grad=x_grad)
     branches = [(model.param(f"branch{i}.conv.weight").value,
@@ -400,7 +409,7 @@ def frontend_bits(model, wave, gemm, workers, fused, x_grad):
         if fused:
             out = ops.frontend(x, branches, *args)
         else:
-            out = ops.reshape(ops.concat([ops.conv1d_chain(x, w, b, s, args[0], pw, pb, *args[1:])
+            out = ops.reshape(ops.concat([chain(x, w, b, s, args[0], pw, pb, *args[1:])
                                           for w, b, s, pw, pb in branches], axis=0),
                               cfg.frontend_shape())
         r = np.random.default_rng(1).standard_normal(out.shape).astype(out.dtype)
@@ -425,7 +434,7 @@ def full_model():
 
 
 class TestStreamedFrontend:
-    """A front-end branch is one ``ops.conv1d_chain`` node, recorded or not,
+    """A front-end branch is one ``ops.frontend`` node, recorded or not,
     whose forward blocks compute the branch rows they read and whose
     backward computes the branch map again. It gives the bytes of the two
     ``ops.conv1d`` nodes it stands for at one worker, output and all five
@@ -443,12 +452,12 @@ class TestStreamedFrontend:
         model, wave = streamed_case(case, monkeypatch)
         want = branch_bits(model, wave, gemm, 1, chained=False)
         slabs = []
-        real = ops._windows
-        monkeypatch.setattr(ops, "_windows",
+        real = _conv._windows
+        monkeypatch.setattr(_conv, "_windows",
                             lambda a, *args: slabs.append(a.shape) or real(a, *args))
         got = branch_bits(model, wave, gemm, workers, chained=True, record=False)
-        assert got == [bits[:1] for bits in want]
-        monkeypatch.setattr(ops, "_windows", real)
+        assert got == [bits[:1] for bits in want] and slabs
+        monkeypatch.setattr(_conv, "_windows", real)
         assert branch_bits(model, wave, gemm, workers, chained=True) == want
         if case == "one-column":
             assert (4, 1) in slabs
@@ -468,7 +477,7 @@ class TestStreamedFrontend:
             w, bias = (model.param(f"branch{i}.conv.{n}").value for n in ("weight", "bias"))
             want = ops.conv1d(Tensor(x), w, bias, stride=b.stride,
                               relu=cfg.relu_after_branch_conv).data
-            rows = ops._branch_rows(x, ops._Kernel(w.data, bias.data, b.stride, False),
+            rows = _conv._branch_rows(x, _conv._Kernel(w.data, bias.data, b.stride, False),
                                     cfg.relu_after_branch_conv)
             n = want.shape[1]
             for lo, hi in [(0, n), (0, 1), (n // 2, n // 2 + 1), (n - 1, n), (3, n // 3)]:
@@ -490,7 +499,7 @@ class TestStreamedFrontend:
     @pytest.mark.parametrize("case", STREAMED)
     def test_frontend_is_the_stacked_branches(self, case, workers, gemm, cpus, monkeypatch):
         """One ``ops.frontend`` node gives the bytes of the parent graph at
-        one worker, a chain node per branch stacked by ``ops.concat`` and
+        one worker, a one-branch node per branch stacked by ``ops.concat`` and
         ``ops.reshape``: the output and the gradients of the window and of
         all twelve branch parameters."""
         model, wave = streamed_case(case, monkeypatch)
@@ -506,19 +515,19 @@ class TestStreamedFrontend:
         assert frontend_bits(model, wave, gemm, workers, fused=True, x_grad=False) == want
 
     def test_frontend_errors(self):
-        """A bad branch raises what its ``ops.conv1d_chain`` raises; no
-        branch is no front end."""
+        """A bad branch raises what it raises alone; no branch is no front
+        end."""
         rng = np.random.default_rng(0)
         x = Tensor(rng.standard_normal((1, 300)))
         good = [Tensor(rng.standard_normal(s)) for s in ((4, 1, 7), (4,), (4, 4, 3), (4,))]
         bad = [good[0], good[1], Tensor(rng.standard_normal((4, 3, 3))), good[3]]
         for branch in (bad, [good[0], Tensor(np.zeros(5)), *good[2:]]):
-            with pytest.raises(ShapeError) as chain:
-                ops.conv1d_chain(x, branch[0], branch[1], 1, True, branch[2], branch[3], 1, 20)
+            with pytest.raises(ShapeError) as alone:
+                chain(x, branch[0], branch[1], 1, True, branch[2], branch[3], 1, 20)
             with pytest.raises(ShapeError) as stacked:
                 ops.frontend(x, [(good[0], good[1], 2, good[2], good[3]),
                                  (branch[0], branch[1], 1, branch[2], branch[3])], True, 1, 20)
-            assert str(stacked.value) == str(chain.value)
+            assert str(stacked.value) == str(alone.value)
         with pytest.raises(ValueError, match="at least one branch"):
             ops.frontend(x, [], True, 1, 20)
 
@@ -536,23 +545,23 @@ class TestStreamedFrontend:
         for record in (True, False):
             x, w, b, pw, pb = (Tensor(a, requires_grad=record) for a in arrays)
             with pytest.raises((ShapeError, ValueError)) as err:
-                ops.conv1d_chain(x, w, b, 1, True, pw, pb, 1, pool)
+                chain(x, w, b, 1, True, pw, pb, 1, pool)
             errors.append((type(err.value), str(err.value)))
         assert errors[0] == errors[1]
 
     @pytest.mark.parametrize("gemm", [True, False], ids=["gemm", "reference"])
     def test_no_convolution_pads_a_whole_input(self, gemm, monkeypatch):
         """A pooled ``conv2d`` of several blocks reads its zero-padded
-        source through ``ops._padded_rows`` a block of rows at a time,
+        source through ``_conv._padded_rows`` a block of rows at a time,
         forward and backward alike: no read spans the whole padded height."""
-        monkeypatch.setattr(ops, "_COLUMN_BUDGET", 4096)  # 10 forward, 7 backward blocks
-        real, spans = ops._padded_rows, []
+        monkeypatch.setattr(_conv, "_COLUMN_BUDGET", 4096)  # 10 forward, 7 backward blocks
+        real, spans = _conv._padded_rows, []
 
         def padded_rows(a, pad):
             rows = real(a, pad)
             return lambda lo, hi: spans.append(hi - lo) or rows(lo, hi)
 
-        monkeypatch.setattr(ops, "_padded_rows", padded_rows)
+        monkeypatch.setattr(_conv, "_padded_rows", padded_rows)
         rng = np.random.default_rng(0)
         x, w, b = (Tensor(rng.standard_normal(s).astype(np.float32), requires_grad=True)
                    for s in [(4, 20, 30), (8, 4, 3, 3), (8,)])
@@ -630,17 +639,17 @@ def ablate_args(root, config, out, threads):
 
 @pytest.fixture
 def thread_counts(monkeypatch):
-    """The number of live threads after each block run (``ops._run``). It
+    """The number of live threads after each block run (``_conv._run``). It
     rises above the count before a command once a block run of more than one
     block has handed blocks to a pool, whose threads live until it ends."""
     counts = []
-    real = ops._run
+    real = _conv._run
 
     def run(fn, blocks):
         real(fn, blocks)
         counts.append(threading.active_count())
 
-    monkeypatch.setattr(ops, "_run", run)
+    monkeypatch.setattr(_conv, "_run", run)
     return counts
 
 
@@ -699,14 +708,14 @@ class TestCommands:
                 "eval": eval_args(corpus_dir, ckpt, tmp_path / "r", 2),
                 "ablate": ablate_args(corpus_dir, split_config, tmp_path / "a", 2)}[command]
         if fail:
-            counted = ops._run
+            counted = _conv._run
 
             def run(fn, blocks):
                 counted(fn, blocks)
                 if len(blocks) > 1:  # these blocks went to the pool
                     raise OSError("disk gone")
 
-            monkeypatch.setattr(ops, "_run", run)
+            monkeypatch.setattr(_conv, "_run", run)
         thread_counts.clear()
         before = threading.active_count()
         assert cli.main(argv) == (1 if fail else 0)
