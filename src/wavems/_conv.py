@@ -292,18 +292,15 @@ def _branch_rows(x: np.ndarray, kernel: _Kernel, relu: bool):
     return rows
 
 
-def _conv_forward(kernel: _Kernel, rows, src: tuple[int, ...], relu: bool,
+def _conv_forward(kernel: _Kernel, rows, shape: tuple[int, ...], relu: bool,
                   pool: _Pool | None, record: bool) -> tuple[np.ndarray, np.ndarray | None]:
-    """A convolution's forward over the (C, L, *S) source ``src`` whose rows
+    """A convolution's forward to its unpooled map of ``shape``, as the
+    node's argument check gives it, from the source rows that
     ``rows(lo, hi)`` gives: the output, pooled if ``pool`` is given, and its
     first-hit index if ``record`` is set (else None). Each block of the
     grid, run by :func:`_run`, fills its own part of the output.
     """
-    taps, stride, fout = kernel.taps, kernel.stride, len(kernel.w)
-    shape = (fout, (src[1] - taps[0]) // stride + 1)  # the unpooled map's
-    if len(src) > 2:
-        shape += tuple([d - k + 1 for d, k in zip(src[2:], taps[1:])])
-    per_row = math.prod(shape[2:])
+    fout, per_row = shape[0], math.prod(shape[2:])
     if pool is None:
         out, index, edges = np.empty(shape, kernel.w.dtype), None, range(shape[1] + 1)
     else:

@@ -116,7 +116,9 @@ def cross_validate(model_config: ModelConfig, train_config: TrainConfig,
                    variant: str = "model",
                    fold_runner: Optional[FoldRunner] = None,
                    clips: Optional[dict[str, AudioClip]] = None) -> AblationRow:
-    """Train and evaluate on every fold, ``repeats`` times with shifted seeds.
+    """Train and evaluate on every fold the manifest's entries hold, in
+    ascending order, ``repeats`` times with shifted seeds; a fold number no
+    entry holds is skipped, not run.
 
     Reports the mean and population standard deviation over all
     fold x repeat accuracies; the raw values stay on the row so any other
@@ -125,9 +127,10 @@ def cross_validate(model_config: ModelConfig, train_config: TrainConfig,
     if repeats < 1:
         raise ValueError(f"repeats must be >= 1, got {repeats}")
     runner = fold_runner or _default_fold_runner(clips)
+    folds = sorted({e.fold for e in manifest.entries})
     accuracies: dict[tuple[int, int], float] = {}
     for repeat in range(repeats):
-        for fold in range(1, manifest.num_folds + 1):
+        for fold in folds:
             accuracies[(fold, repeat)] = runner(model_config, train_config,
                                                 manifest, fold, repeat)
     values = np.array(list(accuracies.values()))

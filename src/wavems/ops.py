@@ -2,8 +2,10 @@
 graph node: only those the architecture needs. Convolution nodes:
 :func:`_conv` (the fused ReLU and pool) and :func:`frontend`, on the array
 machinery of :mod:`wavems._conv`, whose ``workers``, ``gemm_kernels``,
-``gemm_enabled`` and ``usable_cpus`` are re-exported here. Pools:
-:class:`_Pool`. The head: :func:`level_features`.
+``gemm_enabled`` and ``usable_cpus`` are re-exported here. Every
+convolution's arguments: :func:`_conv_shape`, which gives its output shape.
+A pooled convolution's backward starts at :func:`_preactivation_grad`.
+Pools: :class:`_Pool`. The head: :func:`level_features`.
 """
 
 from __future__ import annotations
@@ -36,33 +38,50 @@ def conv1d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1,
     ``relu`` and ``adaptive_maxpool(., pool, axis=1)`` if ``pool`` is given
     (:func:`_conv`); a bad ``pool`` raises as that would, before any work.
     """
-    pool = _conv1d_checks(x.shape, x.data.dtype, weight, bias, stride, pool)
-    return _conv(x, weight, bias, stride, 0, relu, pool)
+    shape = _conv_shape(x.shape, x.data.dtype, weight, bias, stride, 0)
+    return _conv(x, weight, bias, stride, 0, relu, shape,
+                 None if pool is None else _adaptive_pool(shape, pool, 1))
 
 
-def _conv1d_checks(shape: tuple[int, ...], dtype: np.dtype, weight: Tensor, bias: Tensor,
-                   stride: int, pool: int | None) -> _Pool | None:
-    """:func:`conv1d`'s argument checks, for an input of ``shape`` and
-    ``dtype``; the plan of the fused pool, if ``pool`` is given."""
+def conv2d(x: Tensor, weight: Tensor, bias: Tensor, relu: bool = False,
+           pool: tuple[int, int] | None = None) -> Tensor:
+    """3x3 cross-correlation, stride 1, zero padding 1, x: (C, H, W),
+    weight: (F, C, 3, 3), bias: (F,), then ReLU if ``relu`` and
+    ``maxpool2d(., pool)`` if ``pool`` is given (:func:`_conv`). Another
+    kernel size, or a bad ``pool``, raises before any work.
+    """
+    shape = _conv_shape(x.shape, x.data.dtype, weight, bias, 1, 1)
+    return _conv(x, weight, bias, 1, 1, relu, shape,
+                 None if pool is None else _window_pool(shape, pool))
+
+
+def _conv_shape(shape: tuple[int, ...], dtype: np.dtype, weight: Tensor, bias: Tensor,
+                stride: int, pad: int) -> tuple[int, ...]:
+    """The argument checks of a convolution over an input of ``shape`` and
+    ``dtype`` with ``pad`` zeros around each spatial axis: :func:`conv1d`'s
+    at 0, :func:`conv2d`'s at 1. Returns the unpooled output's shape: the
+    filter count, then (d + 2 * pad - k) // stride + 1 on the first spatial
+    axis and d + 2 * pad - k + 1 on any other, for an extent d and a filter
+    extent k."""
     for t in (weight, bias):
         if t.data.dtype != dtype:
             raise ValueError(f"mixed-precision graph: {t.data.dtype.name} vs {dtype.name}")
     if not isinstance(stride, (int, np.integer)) or stride <= 0:
         raise ValueError(f"stride must be a positive int, got {stride!r}")
-    if len(shape) != 2 or weight.data.ndim != 3 or bias.data.ndim != 1:
-        raise ShapeError(
-            f"conv1d expects (C,L), (F,C,k), (F,); got {shape}, {weight.shape}, {bias.shape}")
-    cin, length = shape
-    fout, cw, k = weight.shape
-    if cw != cin:
-        raise ShapeError(f"conv1d channel mismatch: input {cin}, weight {cw}")
+    name, layout = (("conv1d", "(C,L), (F,C,k)"), ("conv2d", "(C,H,W), (F,C,3,3)"))[pad]
+    if len(shape) != 2 + pad or weight.data.ndim != 3 + pad or bias.data.ndim != 1:
+        raise ShapeError(f"{name} expects {layout}, (F,); got {shape}, {weight.shape}, {bias.shape}")
+    fout, cw, *taps = weight.shape
+    if pad and taps != [3, 3]:
+        raise ValueError(f"conv2d kernel must be 3x3, got {taps[0]}x{taps[1]}")
+    if cw != shape[0]:
+        raise ShapeError(f"{name} channel mismatch: input {shape[0]}, weight {cw}")
     if bias.shape != (fout,):
-        raise ShapeError(f"conv1d bias shape {bias.shape} != ({fout},)")
-    if length < k:
-        raise ShapeError(f"conv1d input length {length} < filter length {k}")
-    if pool is None:
-        return None
-    return _adaptive_pool((fout, (length - k) // stride + 1), pool, axis=1)
+        raise ShapeError(f"{name} bias shape {bias.shape} != ({fout},)")
+    if not pad and shape[1] < taps[0]:  # a padded 3x3 filter takes any input
+        raise ShapeError(f"conv1d input length {shape[1]} < filter length {taps[0]}")
+    first, *rest = [d + 2 * pad - k for d, k in zip(shape[1:], taps)]
+    return (fout, first // stride + 1, *[d + 1 for d in rest])
 
 
 #: A front-end branch's arguments (:func:`frontend`): (weight, bias, stride,
@@ -90,29 +109,29 @@ def frontend(x: Tensor, branches: list[Branch], relu: bool, phase_stride: int,
     """
     if not branches:
         raise ValueError("frontend needs at least one branch")
-    plans = []  # each branch's map shape and pool plan
+    plans = []  # each branch's map shape, and its phase conv's pool plan
     for w, b, stride, pw, pb in branches:
-        _conv1d_checks(x.shape, x.data.dtype, w, b, stride, None)
-        shape = (w.shape[0], (x.shape[1] - w.shape[2]) // stride + 1)
-        plans.append((shape, _conv1d_checks(shape, x.data.dtype, pw, pb, phase_stride, pool)))
+        shape = _conv_shape(x.shape, x.data.dtype, w, b, stride, 0)
+        plans.append((shape, _adaptive_pool(
+            _conv_shape(shape, x.data.dtype, pw, pb, phase_stride, 0), pool, 1)))
     parents = (x,) + tuple(t for w, b, _, pw, pb in branches for t in (w, b, pw, pb))
     gemm, record = gemm_enabled(), recording(parents)
     pooled, indexes = [], []
-    for (w, b, stride, pw, pb), (shape, plan) in zip(branches, plans):
+    for (w, b, stride, pw, pb), (_, plan) in zip(branches, plans):
         out, index = conv._conv_forward(
             conv._Kernel(pw.data, pb.data, phase_stride, gemm),
-            conv._branch_rows(x.data, conv._Kernel(w.data, b.data, stride, gemm), relu), shape,
-            True, plan, record)
+            conv._branch_rows(x.data, conv._Kernel(w.data, b.data, stride, gemm), relu),
+            plan.shape, True, plan, record)
         pooled.append(out)
         indexes.append(index)
     out = pooled[0] if len(pooled) == 1 else np.concatenate(pooled)
 
     def _bw(g: np.ndarray):
         g, grads, gx, lo = g.reshape(out.shape), [], None, 0
-        for branch, (_, plan), index in zip(branches, plans, indexes):
+        for branch, (shape, plan), index in zip(branches, plans, indexes):
             rows = slice(lo, lo + len(index))
-            gxb, *gparams = _chain_grads(plan.scatter(g[rows] * (out[rows] > 0), index), x,
-                                         branch, relu, phase_stride, gemm)
+            gxb, *gparams = _chain_grads(_preactivation_grad(g[rows], out[rows], True, plan, index),
+                                         x, branch, shape, relu, phase_stride, gemm)
             gx = gxb if gx is None else gx + gxb  # in branch order, as the sweep adds
             grads += gparams
             lo = rows.stop
@@ -121,16 +140,17 @@ def frontend(x: Tensor, branches: list[Branch], relu: bool, phase_stride: int,
     return make_node(out.reshape((1,) + out.shape), parents, _bw)
 
 
-def _chain_grads(g: np.ndarray, x: Tensor, branch: Branch, relu: bool, phase_stride: int,
-                 gemm: bool) -> tuple[np.ndarray | None, ...]:
+def _chain_grads(g: np.ndarray, x: Tensor, branch: Branch, shape: tuple[int, int], relu: bool,
+                 phase_stride: int, gemm: bool) -> tuple[np.ndarray | None, ...]:
     """One front-end branch's backward from the gradient ``g`` of its phase
-    conv's unpooled, pre-activation map, on the branch map computed again as
-    the branch conv does: the gradients of ``x`` and the four parameters."""
+    conv's unpooled, pre-activation map, on the branch map, of ``shape``,
+    computed again as the branch conv does: the gradients of ``x`` and the
+    four parameters."""
     w, b, stride, pw, _ = branch
     # the branch kernel is built again, not kept: a reference one holds a
     # bias-augmented copy of the weights
     xrows = conv._padded_rows(x.data, 0)
-    y, _ = conv._conv_forward(conv._Kernel(w.data, b.data, stride, gemm), xrows, x.shape, relu,
+    y, _ = conv._conv_forward(conv._Kernel(w.data, b.data, stride, gemm), xrows, shape, relu,
                               None, False)
     gy, gpw, gpb = conv._conv_grads(g, conv._padded_rows(y, 0), y.shape, pw.data, phase_stride,
                                     gemm, True, pw.requires_grad)
@@ -140,70 +160,50 @@ def _chain_grads(g: np.ndarray, x: Tensor, branch: Branch, relu: bool, phase_str
                             w.requires_grad) + (gpw, gpb)
 
 
-def conv2d(x: Tensor, weight: Tensor, bias: Tensor, relu: bool = False,
-           pool: tuple[int, int] | None = None) -> Tensor:
-    """3x3 cross-correlation, stride 1, zero padding 1, x: (C, H, W),
-    weight: (F, C, 3, 3), bias: (F,), then ReLU if ``relu`` and
-    ``maxpool2d(., pool)`` if ``pool`` is given (:func:`_conv`). Another
-    kernel size, or a bad ``pool``, raises before any work.
-    """
-    _check_dtypes(x, weight, bias)
-    if x.data.ndim != 3 or weight.data.ndim != 4 or bias.data.ndim != 1:
-        raise ShapeError(
-            f"conv2d expects (C,H,W), (F,C,3,3), (F,); got {x.shape}, {weight.shape}, {bias.shape}")
-    cin = x.shape[0]
-    fout, cw, kh, kw = weight.shape
-    if (kh, kw) != (3, 3):
-        raise ValueError(f"conv2d kernel must be 3x3, got {kh}x{kw}")
-    if cw != cin:
-        raise ShapeError(f"conv2d channel mismatch: input {cin}, weight {cw}")
-    if bias.shape != (fout,):
-        raise ShapeError(f"conv2d bias shape {bias.shape} != ({fout},)")
-
-    if pool is not None:
-        pool = _window_pool((fout,) + x.shape[1:], pool)
-    return _conv(x, weight, bias, 1, 1, relu, pool)
-
-
-def _conv(x: Tensor, weight: Tensor, bias: Tensor, stride: int, pad: int,
-          relu: bool, pool: _Pool | None) -> Tensor:
+def _conv(x: Tensor, weight: Tensor, bias: Tensor, stride: int, pad: int, relu: bool,
+          shape: tuple[int, ...], pool: _Pool | None) -> Tensor:
     """One convolution node over ``x`` with ``pad`` zeros around each
-    spatial axis, in the kernel family of the calling thread, which reads
-    ``x`` a block of rows at a time, forward and backward, and keeps no copy
-    of it.
+    spatial axis, to an unpooled map of ``shape`` (:func:`_conv_shape`), in
+    the kernel family of the calling thread, which reads ``x`` a block of
+    rows at a time, forward and backward, and keeps no copy of it.
 
-    With ``relu``, the output is clamped at 0 in place, and backward passes
-    the gradient only where the output is above 0: the pre-activation's
-    mask, so the bits are those of :func:`relu` after the convolution.
-
-    With ``pool``, each forward block pools its own bins, so the unpooled
-    map is never whole, and the node keeps the pooled output and, when it
-    records, the first-hit index. Backward multiplies the pooled gradient
-    by ``pooled > 0``, the ReLU mask at every winner, and scatters it to the
-    winners of a zero conv-shaped array (:meth:`_Pool.scatter`). That is the
-    array the separate ReLU and pool give, bit for bit: at a winner both
-    multiply the same gradient by the same mask (a masked negative gradient
-    gives -0.0 and a NaN stays NaN, where a selection would give 0), and
-    everywhere else both leave +0.0.
+    With ``relu``, the output is clamped at 0 in place. With ``pool``, each
+    forward block pools its own bins, so the unpooled map is never whole,
+    and the node keeps the pooled output and, when it records, the first-hit
+    index. Backward starts from the pre-activation gradient
+    (:func:`_preactivation_grad`).
     """
     xd, wd, gemm = x.data, weight.data, gemm_enabled()
-    rows, src = (conv._padded_rows(xd, pad),
-                 xd.shape[:1] + tuple([d + 2 * pad for d in xd.shape[1:]]))
-    out, index = conv._conv_forward(conv._Kernel(wd, bias.data, stride, gemm), rows, src, relu,
-                                    pool, pool is not None and recording((x, weight, bias)))
+    out, index = conv._conv_forward(conv._Kernel(wd, bias.data, stride, gemm),
+                                    conv._padded_rows(xd, pad), shape, relu, pool,
+                                    pool is not None and recording((x, weight, bias)))
 
     def _bw(g: np.ndarray):
-        if relu:
-            g = g * (out > 0)  # exactly where the pre-activation is > 0
-        if pool is not None:
-            g = pool.scatter(g, index)
+        src = xd.shape[:1] + tuple([d + 2 * pad for d in xd.shape[1:]])
         # the reader is built again, not kept: a recorded node would keep
         # its closure, about 500 B
-        gsrc, gw, gb = conv._conv_grads(g, conv._padded_rows(xd, pad), src, wd, stride, gemm,
+        gsrc, gw, gb = conv._conv_grads(_preactivation_grad(g, out, relu, pool, index),
+                                        conv._padded_rows(xd, pad), src, wd, stride, gemm,
                                         x.requires_grad, weight.requires_grad)
         return None if gsrc is None else conv._unpadded(gsrc, pad), gw, gb
 
     return make_node(out, (x, weight, bias), _bw)
+
+
+def _preactivation_grad(g: np.ndarray, out: np.ndarray, relu: bool, pool: _Pool | None,
+                        index: np.ndarray | None) -> np.ndarray:
+    """The gradient of a convolution node's unpooled, pre-activation map,
+    from the gradient ``g`` of its output ``out``: ``g`` times ``out > 0``
+    if ``relu``, the pre-activation's mask, then, with ``pool``, scattered
+    to the winners (``index``) of a zero map-shaped array
+    (:meth:`_Pool.scatter`). That is the array the separate ReLU and pool
+    give, bit for bit: at a winner both multiply the same gradient by the
+    same mask (a masked negative gradient gives -0.0 and a NaN stays NaN,
+    where a selection would give 0), and everywhere else both leave +0.0.
+    """
+    if relu:
+        g = g * (out > 0)  # exactly where the pre-activation is > 0
+    return g if pool is None else pool.scatter(g, index)
 
 
 def maxpool2d(x: Tensor, window: tuple[int, int]) -> Tensor:
@@ -246,12 +246,10 @@ def level_features(maps: list[Tensor], target: tuple[int, int]) -> Tensor:
         stage1, first_rows = rows.forward(m.data, record)
         out, first_cols = cols.forward(stage1, record)
         features.append(out.reshape(-1))
-        if record:  # each feature's column in stage 1, then that column's row
-            c, i, w = np.unravel_index(cols.winners(first_cols), stage1.shape)
-            at = np.ravel_multi_index((c, rows.firsts[1][i] + first_rows[c, i, w], w), m.shape,
-                                      mode="clip")
+        if record:  # each feature's winner in stage 1, then that one's in the map
+            at = rows.winners(first_rows).take(cols.winners(first_cols))
             at[first_cols == len(cols.offsets)] = m.size  # a NaN feature's sentinel
-            winners.append(at.reshape(-1).astype(np.min_scalar_type(m.size)))
+            winners.append(at.reshape(-1))
     out = np.concatenate(features)
 
     def _bw(g: np.ndarray):

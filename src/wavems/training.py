@@ -138,8 +138,12 @@ def _check_resumable(ckpt: Checkpoint, model_config: ModelConfig,
 
     The schedule may be extended, but every completed epoch must have run
     at the learning rate ``config`` gives it, and everything else that
-    shapes a step or its random draws must match.
+    shapes a step or its random draws must match. A checkpoint loaded
+    weights-only has no velocities to continue from.
     """
+    if ckpt.velocities is None:
+        raise ConfigError("cannot resume: the checkpoint was loaded weights-only "
+                          "(load_checkpoint(..., velocities=False))")
     if ckpt.model_config != model_config:
         raise ConfigError("checkpoint model config differs from the requested one")
     done = ckpt.train_config
@@ -181,10 +185,6 @@ def train(model_config: ModelConfig, train_config: TrainConfig,
     # Canonical order: shuffle permutation then depends only on (seed, epoch).
     train_entries = sorted(train_entries, key=lambda e: e.path)
 
-    if clips is None:
-        loader = make_clip_loader(model_config.sample_rate)
-        clips = {e.path: loader(e.path) for e in train_entries}
-
     if resume_from is not None:
         _check_resumable(resume_from, model_config, train_config)
         model = resume_from.restore_model()
@@ -194,6 +194,10 @@ def train(model_config: ModelConfig, train_config: TrainConfig,
         model = build_model(model_config, seed=train_config.seed)
         history = []
         start_epoch = 0
+
+    if clips is None:
+        loader = make_clip_loader(model_config.sample_rate)
+        clips = {e.path: loader(e.path) for e in train_entries}
 
     def snapshot(epoch: int) -> Checkpoint:
         return Checkpoint.from_model(model, train_config, epoch, history,

@@ -5,7 +5,8 @@ import pytest
 
 from wavems import ops
 from wavems.audio import AudioClip
-from wavems.datasets import DatasetManifest, ManifestEntry, synth_dataset
+from wavems.datasets import (DatasetManifest, ManifestEntry, fold_split, load_manifest,
+                             synth_dataset)
 from wavems.errors import ManifestError
 from wavems.evaluation import (ablate_levels, ablate_temporal, ablation_csv,
                                ablation_table_text, cross_validate, evaluate,
@@ -205,6 +206,28 @@ class TestCrossValidate:
         values = np.array(list(row.accuracies.values()))
         assert abs(row.mean - values.mean()) < 1e-12
         assert abs(row.stddev - values.std()) < 1e-12
+
+    @pytest.mark.parametrize("corpus", ["gapped", "short"])
+    def test_runs_the_folds_the_manifest_holds(self, corpus):
+        """Every fold the manifest holds runs, in order, and no other, when
+        the fold numbers have a gap or a corpus has fewer clips per class
+        than the folds it was asked for."""
+        if corpus == "gapped":
+            manifest = load_manifest("path,label,fold\na.wav,0,1\nb.wav,1,3\nc.wav,0,3\n")
+            folds = (1, 3)
+        else:  # two clips per class fill folds 1 and 2 of the 5 requested
+            manifest, _ = synth_dataset(3, 2, 0.15, 4410, seed=0, num_folds=5)
+            folds = (1, 2)
+        ran = []
+
+        def run(model_config, train_config, manifest, fold, repeat):
+            fold_split(manifest, fold)  # what training does first: an unknown fold raises
+            ran.append((fold, repeat))
+            return 0.5
+
+        row = cross_validate(tiny_model_config(num_classes=manifest.num_classes), TrainConfig(),
+                             manifest, repeats=2, fold_runner=run)
+        assert ran == list(row.accuracies) == [(f, r) for r in range(2) for f in folds]
 
     def test_default_runner_votes_on_the_checkpoint_weights(self, monkeypatch):
         """The default fold runner votes with the trained checkpoint's own

@@ -160,6 +160,89 @@ class TestFrontendBranch:
 
 
 # ---------------------------------------------------------------------------
+# convolution arguments
+# ---------------------------------------------------------------------------
+
+def ones(*shape, dtype=np.float32):
+    return Tensor(np.ones(shape, dtype))
+
+
+#: Good arguments of ``conv1d``, ``conv2d`` and a one-branch ``frontend``,
+#: whose branch conv maps the (1, 30) window to a (4, 13) map, and whose
+#: phase conv maps that to (4, 11).
+CONV_ARGUMENTS = {
+    "conv1d": dict(x=ones(2, 10), w=ones(3, 2, 4), b=ones(3), stride=2, pool=2),
+    "conv2d": dict(x=ones(2, 5, 6), w=ones(3, 2, 3, 3), b=ones(3), pool=(2, 2)),
+    "frontend": dict(x=ones(1, 30), w=ones(4, 1, 5), b=ones(4), stride=2, pw=ones(4, 4, 3),
+                     pb=ones(4), phase_stride=1, pool=5),
+}
+
+_PRECISION = "mixed-precision graph: float64 vs float32"
+_STRIDE = "stride must be a positive int, got 0"
+_RANK1 = "conv1d expects (C,L), (F,C,k), (F,); got "
+
+#: (case, convolution, changed arguments, exception type, message): each bad
+#: argument on ``conv1d``, ``conv2d``, and a front-end branch's branch conv
+#: and phase conv. ``conv2d`` has no stride, a padded 3x3 filter fits any
+#: input, and only the phase conv of a branch is pooled; only ``conv2d``
+#: fixes its filter size.
+BAD_CONV_ARGUMENTS = [
+    ("precision", "conv1d", dict(b=ones(3, dtype=np.float64)), ValueError, _PRECISION),
+    ("precision", "conv2d", dict(b=ones(3, dtype=np.float64)), ValueError, _PRECISION),
+    ("precision", "branch", dict(b=ones(4, dtype=np.float64)), ValueError, _PRECISION),
+    ("precision", "phase", dict(pb=ones(4, dtype=np.float64)), ValueError, _PRECISION),
+    ("stride", "conv1d", dict(stride=0), ValueError, _STRIDE),
+    ("stride", "branch", dict(stride=0), ValueError, _STRIDE),
+    ("stride", "phase", dict(phase_stride=0), ValueError, _STRIDE),
+    ("rank", "conv1d", dict(w=ones(3, 2)), ShapeError, _RANK1 + "(2, 10), (3, 2), (3,)"),
+    ("rank", "conv2d", dict(w=ones(3, 2, 3)), ShapeError,
+     "conv2d expects (C,H,W), (F,C,3,3), (F,); got (2, 5, 6), (3, 2, 3), (3,)"),
+    ("rank", "branch", dict(w=ones(4, 1)), ShapeError, _RANK1 + "(1, 30), (4, 1), (4,)"),
+    ("rank", "phase", dict(pw=ones(4, 4)), ShapeError, _RANK1 + "(4, 13), (4, 4), (4,)"),
+    ("kernel", "conv2d", dict(w=ones(3, 2, 3, 5)), ValueError, "conv2d kernel must be 3x3, got 3x5"),
+    ("channels", "conv1d", dict(w=ones(3, 3, 4)), ShapeError,
+     "conv1d channel mismatch: input 2, weight 3"),
+    ("channels", "conv2d", dict(w=ones(3, 3, 3, 3)), ShapeError,
+     "conv2d channel mismatch: input 2, weight 3"),
+    ("channels", "branch", dict(w=ones(4, 2, 5)), ShapeError,
+     "conv1d channel mismatch: input 1, weight 2"),
+    ("channels", "phase", dict(pw=ones(4, 5, 3)), ShapeError,
+     "conv1d channel mismatch: input 4, weight 5"),
+    ("bias", "conv1d", dict(b=ones(4)), ShapeError, "conv1d bias shape (4,) != (3,)"),
+    ("bias", "conv2d", dict(b=ones(4)), ShapeError, "conv2d bias shape (4,) != (3,)"),
+    ("bias", "branch", dict(b=ones(5)), ShapeError, "conv1d bias shape (5,) != (4,)"),
+    ("bias", "phase", dict(pb=ones(5)), ShapeError, "conv1d bias shape (5,) != (4,)"),
+    ("short", "conv1d", dict(w=ones(3, 2, 11)), ShapeError,
+     "conv1d input length 10 < filter length 11"),
+    ("short", "branch", dict(w=ones(4, 1, 31)), ShapeError,
+     "conv1d input length 30 < filter length 31"),
+    ("short", "phase", dict(pw=ones(4, 4, 14)), ShapeError,
+     "conv1d input length 13 < filter length 14"),
+    ("pool", "conv1d", dict(pool=5), ShapeError, "axis extent 4 < pool target 5"),
+    ("pool", "conv2d", dict(pool=(6, 2)), ShapeError, "pool window (6, 2) exceeds input 5x6"),
+    ("pool", "phase", dict(pool=12), ShapeError, "axis extent 11 < pool target 12"),
+]
+
+
+@pytest.mark.parametrize("case,conv,changes,error,message", BAD_CONV_ARGUMENTS,
+                         ids=[f"{case}-{conv}" for case, conv, *_ in BAD_CONV_ARGUMENTS])
+def test_bad_convolution_arguments(case, conv, changes, error, message, monkeypatch):
+    """A bad argument raises its exception type and message before any
+    convolution runs, on every convolution node that takes it."""
+    monkeypatch.setattr(_conv, "_run", lambda fn, blocks: pytest.fail("a convolution ran"))
+    a = {**CONV_ARGUMENTS["frontend" if conv in ("branch", "phase") else conv], **changes}
+    with pytest.raises(error) as raised:
+        if conv == "conv1d":
+            ops.conv1d(a["x"], a["w"], a["b"], a["stride"], relu=True, pool=a["pool"])
+        elif conv == "conv2d":
+            ops.conv2d(a["x"], a["w"], a["b"], relu=True, pool=a["pool"])
+        else:
+            ops.frontend(a["x"], [(a["w"], a["b"], a["stride"], a["pw"], a["pb"])], True,
+                         a["phase_stride"], a["pool"])
+    assert type(raised.value) is error and str(raised.value) == message
+
+
+# ---------------------------------------------------------------------------
 # conv2d
 # ---------------------------------------------------------------------------
 

@@ -12,7 +12,7 @@ from wavems import ops
 from wavems.checkpoint import load_checkpoint, save_checkpoint
 from wavems.datasets import fold_split, synth_dataset
 from wavems.errors import CheckpointError, ConfigError, NonFiniteLossError
-from wavems.model import build_model
+from wavems.model import Model, build_model
 from wavems.optim import sgd_step
 from wavems.tensor import backward, zero_grads
 from wavems.training import TrainConfig, lr_at, train, train_epoch
@@ -479,6 +479,17 @@ class TestResumeRefusal:
                         tmp_path / "half.ckpt")
         with pytest.raises(ConfigError, match="RNG state"):
             self._resume(halfway, load_checkpoint(tmp_path / "half.ckpt"))
+
+    def test_weights_only_checkpoint_refused_before_any_forward(self, halfway, tmp_path,
+                                                                 monkeypatch):
+        """A checkpoint loaded without its velocities cannot continue the run:
+        resume refuses it before the first window's forward."""
+        save_checkpoint(halfway[2], tmp_path / "half.ckpt")
+        forwards = []
+        monkeypatch.setattr(Model, "forward", lambda self, wave: forwards.append(wave))
+        with pytest.raises(ConfigError, match="loaded weights-only"):
+            self._resume(halfway, load_checkpoint(tmp_path / "half.ckpt", velocities=False))
+        assert forwards == []
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf/nan arithmetic on the way
