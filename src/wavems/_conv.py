@@ -332,25 +332,54 @@ def _conv_grads(g: np.ndarray, rows, src: tuple[int, ...], wd: np.ndarray, strid
     with ``gemm``'s family. A block reads the source rows it needs alone,
     only for the weight gradient, and adds its source gradient to one zero
     source-shaped array a tap at a time. The bias gradient sums ``g`` whole.
+
+    A block multiplies once per tap group each way. A 1-D convolution of
+    several channels and taps (every phase conv) has a group per tap: its
+    weight gradient reads the tap's (C, P) window, a view of the source
+    rows (copied at a stride above 1, so that the positions are at unit
+    step, as in columns), and its source gradient is a (C, P) product, so
+    no (C * k, P) block is made. Any other convolution has one group of
+    every tap: a 2-D window is copied to columns anyway and a one-channel
+    window is already a view, so products per tap there only add calls
+    (measured slower on every such layer). A reference element keeps
+    its terms and its einsum loop either way; GEMM's per-tap weight
+    gradient is a narrower BLAS product, with other bits.
     """
-    fout, taps = wd.shape[0], wd.shape[2:]
-    w2 = wd.reshape(fout, -1)
+    fout, cin, *taps = wd.shape
     matmul = np.matmul if gemm else _ordered_matmul
     lead = (slice(None),) * (1 + len(taps))  # the (C, *taps) axes of a window view
-    depth, per_row = w2.shape[1], math.prod(g.shape[2:])
-    gw = np.zeros_like(w2) if need_w else None
+    depth, per_row = wd[0].size, math.prod(g.shape[2:])
+    gw = np.zeros_like(wd) if need_w else None
+    # a group per tap of a multi-channel 1-D convolution, else one of every
+    # tap: where each sits on a window view's (C, *taps) axes
+    per_tap = cin > 1 and len(taps) == 1 and taps[0] > 1
+    groups = []  # ... with its (F, C * its taps) weights and weight gradient
+    for at in [(slice(None), t) for t in range(taps[0])] if per_tap else [(slice(None),)]:
+        wg = wd[(slice(None),) + at].reshape(fout, -1)
+        gwg = None if gw is None else gw[(slice(None),) + at].reshape(wg.shape, copy=False)
+        groups.append((at, wg, gwg))
     gsrc = np.zeros(src, wd.dtype) if need_src else None
     if gsrc is not None:
         gwin = _windows(gsrc, taps, stride, writeable=True)
-        tap_index = [(slice(None),) + tap for tap in itertools.product(*map(range, taps))]
+        tap_adds = [(slice(None),) + tap
+                    for tap in itertools.product(*map(range, () if per_tap else taps))]
     for p in _chunks(range(g.shape[1] + 1), max(depth, fout) * per_row):
         gc = g[:, p].reshape(fout, -1)
         if gw is not None:
-            gw += matmul(gc, _block_windows(rows, p, taps, stride).reshape(depth, -1).T)
+            win = _block_windows(rows, p, taps, stride)
+            for at, wg, gwg in groups:
+                cols = win[at].reshape(wg.shape[1], -1)  # a copy for a 2-D window
+                if per_tap and stride > 1:  # positions at unit step, as in a copy
+                    cols = cols.copy()
+                gwg += matmul(gc, cols.T)
+            del win, cols  # the source rows, and any copy, before the next product
         if gsrc is not None:
             target = gwin[lead + (p,)]
-            gcols = matmul(w2.T, gc).reshape(target.shape)
-            # one add per tap: within a tap no two positions share an element
-            for tap in tap_index:
-                target[tap] += gcols[tap]
-    return gsrc, None if gw is None else gw.reshape(wd.shape), g.reshape(fout, -1).sum(axis=1)
+            for at, wg, _ in groups:
+                part = target[at]
+                gcols = matmul(wg.T, gc).reshape(part.shape)
+                # one add per tap: within a tap no two positions share an element
+                for tap in tap_adds:
+                    part[tap] += gcols[tap]
+                del gcols  # before the next product
+    return gsrc, gw, g.reshape(fout, -1).sum(axis=1)

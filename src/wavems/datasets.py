@@ -149,13 +149,17 @@ def synth_dataset(num_classes: int, clips_per_class: int, clip_seconds: float,
                   ) -> tuple[DatasetManifest, dict[str, AudioClip]]:
     """Generate the synthetic corpus in memory.
 
-    Returns a manifest plus a path->clip mapping; folds are assigned
-    round-robin within each class. Identical seeds give bit-identical data.
+    Returns a manifest plus a path->clip mapping; folds 1..``num_folds``
+    are assigned round-robin within each class, and the manifest's
+    ``num_folds`` is the largest fold its entries hold, as in
+    :func:`load_manifest`. Identical seeds give bit-identical data.
     """
     if num_classes < 1 or num_classes > SYNTH_MAX_CLASSES:
         raise ValueError(f"num_classes must be in 1..{SYNTH_MAX_CLASSES}, got {num_classes}")
     if clips_per_class < 1:
         raise ValueError("clips_per_class must be positive")
+    if num_folds < 1:
+        raise ValueError(f"num_folds must be positive, got {num_folds}")
     top_edge = synth_class_center_hz(num_classes - 1) * 2 ** 0.25
     if top_edge >= sample_rate / 2:
         raise ValueError(
@@ -177,7 +181,7 @@ def synth_dataset(num_classes: int, clips_per_class: int, clip_seconds: float,
             clips[path] = AudioClip(samples, sample_rate, source_id=path)
             entries.append(ManifestEntry(path, label, fold=(i % num_folds) + 1))
 
-    manifest = DatasetManifest(entries, num_classes=num_classes, num_folds=num_folds)
+    manifest = DatasetManifest(entries, num_classes, max(e.fold for e in entries))
     return manifest, clips
 
 

@@ -78,6 +78,8 @@ def _conv_shape(shape: tuple[int, ...], dtype: np.dtype, weight: Tensor, bias: T
         raise ShapeError(f"{name} channel mismatch: input {shape[0]}, weight {cw}")
     if bias.shape != (fout,):
         raise ShapeError(f"{name} bias shape {bias.shape} != ({fout},)")
+    if 0 in shape or 0 in weight.shape:
+        raise ShapeError(f"{name} has an empty axis: input {shape}, weight {weight.shape}")
     if not pad and shape[1] < taps[0]:  # a padded 3x3 filter takes any input
         raise ShapeError(f"conv1d input length {shape[1]} < filter length {taps[0]}")
     first, *rest = [d + 2 * pad - k for d, k in zip(shape[1:], taps)]

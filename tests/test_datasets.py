@@ -114,6 +114,18 @@ class TestSynthDataset:
             counts[(e.label, e.fold)] = counts.get((e.label, e.fold), 0) + 1
         assert all(counts[(c, f)] == 8 for c in range(5) for f in range(1, 6))
 
+    def test_num_folds_is_the_largest_fold_held(self):
+        """Two clips per class fill folds 1 and 2 of the 5 asked for; the
+        manifest says 2, as the CSV it writes reads back."""
+        m, _ = synth_dataset(3, 2, 0.05, 4410, seed=0, num_folds=5)
+        assert m.num_folds == 2 == max(e.fold for e in m.entries)
+        assert load_manifest(dump_manifest(m)) == m
+
+    @pytest.mark.parametrize("num_folds", [0, -2])
+    def test_num_folds_must_be_positive(self, num_folds):
+        with pytest.raises(ValueError, match="num_folds must be positive"):
+            synth_dataset(2, 3, 0.05, 4410, seed=0, num_folds=num_folds)
+
     @pytest.mark.parametrize("label", [0, 2, 4])
     def test_spectral_peak_near_center(self, label):
         # Welch-averaged spectrum peak within one third of an octave

@@ -1,6 +1,8 @@
 """GEMM convolution kernels: gradients, agreement with the reference
 kernels, the scope of the switch, and how callers select them."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.lib.stride_tricks import sliding_window_view
@@ -248,6 +250,98 @@ class TestGradientOracles:
             column_budget(3 * max(w[0].size, len(w)) * x.shape[2])
         self.assert_matches_oracle(op, arrays, lambda g: conv2d_grad_oracle(x, w, g),
                                    gemm, seed)
+
+
+class TestTapGroups:
+    """A multi-channel 1-D convolution's backward multiplies tap by tap on
+    views of the source rows; every other convolution multiplies once per
+    block (``_conv._conv_grads``)."""
+
+    @staticmethod
+    def column_grads(g, x, w, stride):
+        """The (x, weight, bias) gradients of a ``conv1d`` node by one
+        product each way per block on its (C * k, P) im2col columns: the
+        column formulation the tap groups replace, in the reference family."""
+        fout, _, k = w.shape
+        depth = w[0].size
+        w2 = w.reshape(fout, -1)
+        gw, gx = np.zeros_like(w2), np.zeros_like(x)
+        gwin = _conv._windows(gx, (k,), stride, writeable=True)
+        for p in _conv._chunks(range(g.shape[1] + 1), max(depth, fout)):
+            gc = g[:, p]
+            cols = _conv._block_windows(lambda lo, hi: x[:, lo:hi], p, (k,), stride)
+            gw += _conv._ordered_matmul(gc, cols.reshape(depth, -1).T)
+            target = gwin[:, :, p]
+            gcols = _conv._ordered_matmul(w2.T, gc).reshape(target.shape)
+            for t in range(k):
+                target[:, t] += gcols[:, t]
+        return gx, gw.reshape(w.shape), g.sum(axis=1)
+
+    @pytest.mark.parametrize("blocks", ["one_block", "blocks"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_reference_is_the_column_formulation(self, stride, dtype, blocks, column_budget):
+        """Byte for byte: each element keeps its terms and its einsum loop."""
+        rng = np.random.default_rng(90 + stride)
+        _, arrays = conv1d_case(rng, dtype, stride, cin=5, fout=4, k=3, length=303)
+        x, w, _ = arrays
+        if blocks == "blocks":  # blocks of 40 output rows
+            column_budget(40 * w[0].size)
+        shape = ops.conv1d(*[Tensor(a) for a in arrays], stride=stride).shape
+        g = rng.standard_normal(shape).astype(dtype)
+        _, *got = run_op(lambda *t: ops.conv1d(*t, stride=stride), arrays, g, False)
+        for have, want in zip(got, self.column_grads(g, x, w, stride)):
+            assert have.dtype == want.dtype and have.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("gemm", [False, True], ids=["reference", "gemm"])
+    def test_backward_holds_no_column_block(self, gemm):
+        """A (11, 4400) source, 11 filters of 3 taps: backward holds the
+        source gradient and (11, P) products, never a (33, P) block."""
+        rng = np.random.default_rng(34)
+        x, w, b = [Tensor(rng.standard_normal(s).astype(np.float32), requires_grad=True)
+                   for s in ((11, 4400), (11, 11, 3), (11,))]
+        with ops.gemm_kernels(gemm):
+            out = ops.conv1d(x, w, b)
+            g = rng.standard_normal(out.shape).astype(np.float32)
+            tracemalloc.start()
+            try:
+                grads = out._backward(g)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert grads[0].shape == x.shape
+        assert peak < x.data.nbytes + 33 * out.shape[1] * 4, peak
+
+    @pytest.mark.parametrize("gemm", [False, True], ids=["reference", "gemm"])
+    def test_desk_products(self, gemm, monkeypatch):
+        """A recorded desk window's backward: the three phase convs multiply
+        once per tap each way, the branch convs and the level convs once per
+        block (every desk layer is one block), each way they need."""
+        calls, products = [], []
+        real_grads, real_ordered, real_matmul = _conv._conv_grads, _conv._ordered_matmul, np.matmul
+
+        def grads(g, rows, src, wd, *args):
+            products.clear()
+            out = real_grads(g, rows, src, wd, *args)
+            calls.append((wd.shape, len(products)))
+            return out
+
+        def spy(real):
+            return lambda *a, **k: products.append(1) or real(*a, **k)
+
+        monkeypatch.setattr(_conv, "_conv_grads", grads)
+        monkeypatch.setattr(_conv, "_ordered_matmul", spy(real_ordered))
+        monkeypatch.setattr(np, "matmul", spy(real_matmul))
+        model = build_model(desk_model_config(), seed=0)
+        window = np.random.default_rng(1).standard_normal(model.config.window_length)
+        with ops.gemm_kernels(gemm):
+            backward(ops.softmax_cross_entropy(model.forward(window.astype(np.float32)), 0))
+        phase, branch, level = 2 * 3, 1, 2  # the branch convs' input needs no gradient
+        assert sorted(calls) == sorted([
+            ((11, 11, 3), phase), ((11, 11, 3), phase), ((10, 10, 3), phase),
+            ((11, 1, 11), branch), ((11, 1, 51), branch), ((10, 1, 101), branch),
+            ((8, 1, 3, 3), level), ((16, 8, 3, 3), level), ((16, 16, 3, 3), level),
+            ((16, 16, 3, 3), level)])
 
 
 class TestWindows:

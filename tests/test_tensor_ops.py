@@ -218,6 +218,20 @@ BAD_CONV_ARGUMENTS = [
      "conv1d input length 30 < filter length 31"),
     ("short", "phase", dict(pw=ones(4, 4, 14)), ShapeError,
      "conv1d input length 13 < filter length 14"),
+    ("empty", "conv1d", dict(x=ones(2, 0)), ShapeError,
+     "conv1d has an empty axis: input (2, 0), weight (3, 2, 4)"),
+    ("empty-height", "conv2d", dict(x=ones(2, 0, 6)), ShapeError,
+     "conv2d has an empty axis: input (2, 0, 6), weight (3, 2, 3, 3)"),
+    ("empty-width", "conv2d", dict(x=ones(2, 5, 0)), ShapeError,
+     "conv2d has an empty axis: input (2, 5, 0), weight (3, 2, 3, 3)"),
+    ("empty", "branch", dict(x=ones(1, 0)), ShapeError,
+     "conv1d has an empty axis: input (1, 0), weight (4, 1, 5)"),
+    ("empty-channels", "conv2d", dict(x=ones(0, 5, 6), w=ones(3, 0, 3, 3)), ShapeError,
+     "conv2d has an empty axis: input (0, 5, 6), weight (3, 0, 3, 3)"),
+    ("empty-filters", "conv1d", dict(w=ones(0, 2, 4), b=ones(0)), ShapeError,
+     "conv1d has an empty axis: input (2, 10), weight (0, 2, 4)"),
+    ("empty-taps", "phase", dict(pw=ones(4, 4, 0)), ShapeError,
+     "conv1d has an empty axis: input (4, 13), weight (4, 4, 0)"),
     ("pool", "conv1d", dict(pool=5), ShapeError, "axis extent 4 < pool target 5"),
     ("pool", "conv2d", dict(pool=(6, 2)), ShapeError, "pool window (6, 2) exceeds input 5x6"),
     ("pool", "phase", dict(pool=12), ShapeError, "axis extent 11 < pool target 12"),
