@@ -323,15 +323,19 @@ def _conv_forward(kernel: _Kernel, rows, shape: tuple[int, ...], relu: bool,
 
 
 def _conv_grads(g: np.ndarray, rows, src: tuple[int, ...], wd: np.ndarray, stride: int,
-                gemm: bool, need_src: bool, need_w: bool) -> tuple[np.ndarray | None, ...]:
+                gemm: bool, need_src: bool, need_w: bool,
+                need_b: bool) -> tuple[np.ndarray | None, ...]:
     """Every convolution's backward, given the gradient ``g`` of the
     unpooled, pre-activation map: the gradients of the (padded) source
     ``src`` whose rows ``rows(lo, hi)`` gives, as forward's (None unless
     ``need_src``), of the weights ``wd`` (None unless ``need_w``) and of the
-    bias. It walks the unpooled node's grid in order, in the calling thread,
-    with ``gemm``'s family. A block reads the source rows it needs alone,
-    only for the weight gradient, and adds its source gradient to one zero
-    source-shaped array a tap at a time. The bias gradient sums ``g`` whole.
+    bias (None unless ``need_b``). It walks the unpooled node's grid in
+    order, in the calling thread, with ``gemm``'s family. A block reads the
+    source rows it needs alone, only for the weight gradient (``rows`` is
+    not called without ``need_w``), and adds its source gradient to one
+    zero source-shaped array a tap at a time. Each gradient's products and
+    adds do not depend on which others are made, so a call per gradient
+    gives the bits of one call for all. The bias gradient sums ``g`` whole.
 
     A block multiplies once per tap group each way. A 1-D convolution of
     several channels and taps (every phase conv) has a group per tap: its
@@ -382,4 +386,4 @@ def _conv_grads(g: np.ndarray, rows, src: tuple[int, ...], wd: np.ndarray, strid
                 for tap in tap_adds:
                     part[tap] += gcols[tap]
                 del gcols  # before the next product
-    return gsrc, gw, g.reshape(fout, -1).sum(axis=1)
+    return gsrc, gw, g.reshape(fout, -1).sum(axis=1) if need_b else None

@@ -132,8 +132,8 @@ def frontend(x: Tensor, branches: list[Branch], relu: bool, phase_stride: int,
         g, grads, gx, lo = g.reshape(out.shape), [], None, 0
         for branch, (shape, plan), index in zip(branches, plans, indexes):
             rows = slice(lo, lo + len(index))
-            gxb, *gparams = _chain_grads(_preactivation_grad(g[rows], out[rows], True, plan, index),
-                                         x, branch, shape, relu, phase_stride, gemm)
+            gxb, *gparams = _chain_grads(g[rows], out[rows], plan, index, x, branch, shape, relu,
+                                         phase_stride, gemm)
             gx = gxb if gx is None else gx + gxb  # in branch order, as the sweep adds
             grads += gparams
             lo = rows.stop
@@ -142,24 +142,40 @@ def frontend(x: Tensor, branches: list[Branch], relu: bool, phase_stride: int,
     return make_node(out.reshape((1,) + out.shape), parents, _bw)
 
 
-def _chain_grads(g: np.ndarray, x: Tensor, branch: Branch, shape: tuple[int, int], relu: bool,
-                 phase_stride: int, gemm: bool) -> tuple[np.ndarray | None, ...]:
-    """One front-end branch's backward from the gradient ``g`` of its phase
-    conv's unpooled, pre-activation map, on the branch map, of ``shape``,
-    computed again as the branch conv does: the gradients of ``x`` and the
-    four parameters."""
-    w, b, stride, pw, _ = branch
+def _chain_grads(g: np.ndarray, out: np.ndarray, plan: _Pool, index: np.ndarray, x: Tensor,
+                 branch: Branch, shape: tuple[int, int], relu: bool, phase_stride: int,
+                 gemm: bool) -> tuple[np.ndarray | None, ...]:
+    """One front-end branch's backward, from the gradient ``g`` of its
+    pooled output ``out`` (pool ``plan``, first hits ``index``): the
+    gradients of ``x`` and the four parameters. It makes the phase conv's
+    pre-activation gradient (:func:`_preactivation_grad`) and the branch
+    map, of ``shape``, computed again as the branch conv does.
+
+    Each array goes once spent, so the branch map and the phase source
+    gradient never coexist: the branch ReLU's mask is taken, the phase
+    weight and bias gradients are made, the map goes, the phase source
+    gradient is made, and the pre-activation gradient goes before the
+    branch conv's backward. A ``_conv_grads`` call per gradient makes the
+    products and adds of one call for all.
+    """
+    w, b, stride, pw, pb = branch
+    g = _preactivation_grad(g, out, True, plan, index)
     # the branch kernel is built again, not kept: a reference one holds a
     # bias-augmented copy of the weights
     xrows = conv._padded_rows(x.data, 0)
     y, _ = conv._conv_forward(conv._Kernel(w.data, b.data, stride, gemm), xrows, shape, relu,
                               None, False)
-    gy, gpw, gpb = conv._conv_grads(g, conv._padded_rows(y, 0), y.shape, pw.data, phase_stride,
-                                    gemm, True, pw.requires_grad)
+    mask = y > 0 if relu else None  # exactly where the branch pre-activation is > 0
+    _, gpw, gpb = conv._conv_grads(g, conv._padded_rows(y, 0), shape, pw.data, phase_stride,
+                                   gemm, False, pw.requires_grad, pb.requires_grad)
+    del y
+    gy = conv._conv_grads(g, None, shape, pw.data, phase_stride, gemm, True, False, False)[0]
+    del g
     if relu:
-        gy *= y > 0  # exactly where the branch pre-activation is > 0
+        gy *= mask
+        del mask
     return conv._conv_grads(gy, xrows, x.shape, w.data, stride, gemm, x.requires_grad,
-                            w.requires_grad) + (gpw, gpb)
+                            w.requires_grad, b.requires_grad) + (gpw, gpb)
 
 
 def _conv(x: Tensor, weight: Tensor, bias: Tensor, stride: int, pad: int, relu: bool,
@@ -186,7 +202,7 @@ def _conv(x: Tensor, weight: Tensor, bias: Tensor, stride: int, pad: int, relu: 
         # its closure, about 500 B
         gsrc, gw, gb = conv._conv_grads(_preactivation_grad(g, out, relu, pool, index),
                                         conv._padded_rows(xd, pad), src, wd, stride, gemm,
-                                        x.requires_grad, weight.requires_grad)
+                                        x.requires_grad, weight.requires_grad, bias.requires_grad)
         return None if gsrc is None else conv._unpadded(gsrc, pad), gw, gb
 
     return make_node(out, (x, weight, bias), _bw)

@@ -6,10 +6,12 @@ tensor through :func:`make_node`, the graph extension API: the closure maps
 the output's adjoint to one gradient per input and changes nothing itself.
 Calling :func:`backward` on a scalar result sums those gradients and fills
 ``grad`` on every reachable leaf (a tensor no op produced, such as a
-parameter or an input) that requires gradients. Op outputs keep ``grad`` at
-``None``: their adjoints live only during the sweep. Gradients accumulate
-additively, both across multiple uses of a tensor and across repeated
-backward calls; reset them explicitly with :func:`zero_grads`.
+parameter or an input) that requires gradients, as soon as the leaf's last
+consumer has run. Op outputs keep ``grad`` at ``None``: their adjoints live
+only during the sweep. Gradients accumulate additively, both across multiple
+uses of a tensor and across repeated backward calls, into one array per
+leaf that the sweep owns and adds into in place; reset them explicitly with
+:func:`zero_grads`.
 
 A computation graph uses one precision throughout (float32 or float64;
 mixed graphs are rejected by the ops) and is confined to a single logical
@@ -127,18 +129,23 @@ def backward(loss: Tensor) -> None:
     """Reverse-mode sweep from a scalar loss.
 
     Adds d(loss)/d(t) to ``grad`` on every leaf ``t`` that requires
-    gradients and is reachable through the recorded graph, on top of any
-    gradient already there. What the closures return is summed, never in
-    place, into an adjoint table local to this call; each adjoint is dropped
-    once its node's closure has consumed it, so op outputs get no ``grad``.
+    gradients and is reachable through the recorded graph. What the
+    closures return is summed, never in place, into an adjoint table local
+    to this call; each adjoint is dropped once its node's closure has
+    consumed it, so op outputs get no ``grad``. A leaf's adjoint leaves the
+    table as soon as its last consumer's closure has run: into ``grad`` as
+    a copy when that is None, else added into ``grad`` in place, so a
+    ``grad`` set from outside is written to.
     """
     if loss.shape != ():
         raise ShapeError(f"backward requires a scalar loss, got shape {loss.shape}")
 
     # Iterative post-order topological sort, so a deep graph (a long
-    # ``ops.add`` chain, say) does not meet Python's recursion limit.
+    # ``ops.add`` chain, say) does not meet Python's recursion limit. Each
+    # node is expanded once, so ``uses`` counts each leaf's consumer edges.
     topo: list[Tensor] = []
     visited: set[int] = set()
+    uses: dict[int, int] = {}
     stack: list[tuple[Tensor, bool]] = [(loss, False)]
     while stack:
         node, expanded = stack.pop()
@@ -150,6 +157,8 @@ def backward(loss: Tensor) -> None:
         visited.add(id(node))
         stack.append((node, True))
         for parent in node._parents:
+            if parent._backward is None:
+                uses[id(parent)] = uses.get(id(parent), 0) + 1
             if id(parent) not in visited:
                 stack.append((parent, False))
 
@@ -161,13 +170,26 @@ def backward(loss: Tensor) -> None:
         adjoint = adjoints.pop(id(node), None)
         if adjoint is None:
             continue
-        if node._backward is None:
-            node.grad = adjoint if node.grad is None else node.grad + adjoint
+        if node._backward is None:  # the loss, or a leaf a consumer gave no adjoint
+            _add_grad(node, adjoint)
             continue
         for parent, g in zip(node._parents, node._backward(adjoint), strict=True):
             if g is not None and parent.requires_grad:
                 cur = adjoints.get(id(parent))
                 adjoints[id(parent)] = g if cur is None else cur + g
+            if parent._backward is None:
+                uses[id(parent)] -= 1
+                if not uses[id(parent)] and id(parent) in adjoints:  # its last consumer
+                    _add_grad(parent, adjoints.pop(id(parent)))
+
+
+def _add_grad(leaf: Tensor, adjoint: np.ndarray) -> None:
+    """Add a leaf's complete adjoint to its ``grad``: a copy when that is
+    None, as a closure may hand one array to several parents."""
+    if leaf.grad is None:
+        leaf.grad = adjoint.copy()
+    else:
+        leaf.grad += adjoint
 
 
 class Parameter:

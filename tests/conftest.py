@@ -1,4 +1,7 @@
-"""Shared fixtures: shrunken architectures and the synthetic desk corpus."""
+"""Shared fixtures: shrunken architectures, the synthetic desk corpus and
+a tracemalloc probe."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -63,6 +66,18 @@ def graph_nodes(root) -> int:
                 seen.add(id(parent))
                 stack.append(parent)
     return count
+
+
+def traced(fn):
+    """Run ``fn()`` under tracemalloc: its result, then the bytes traced as
+    held when it returned and at peak."""
+    tracemalloc.start()
+    try:
+        out = fn()
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return out, held, peak
 
 
 @pytest.fixture(scope="session")

@@ -9,7 +9,6 @@ import mmap
 import os
 import re
 import struct
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,7 +24,7 @@ from wavems.model import Model, build_model
 from wavems.optim import sgd_step
 from wavems.training import TrainConfig
 
-from conftest import desk_model_config, tiny_model_config
+from conftest import desk_model_config, tiny_model_config, traced
 
 TRAIN = TrainConfig(epochs=1, batch_size=8, lr_stages=((1, 0.01),), seed=3)
 
@@ -224,15 +223,10 @@ class TestWeightsOnlyModel:
         save_checkpoint(trained_like(tiny_model_config(fc_hidden=8192)), path)
         peaks = {}
         for velocities in (True, False):
-            tracemalloc.start()
-            try:
-                ckpt = load_checkpoint(path, velocities=velocities)
-                model = ckpt.restore_model()
-                peaks[velocities] = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+            model, _, peaks[velocities] = traced(
+                lambda: load_checkpoint(path, velocities=velocities).restore_model())
             param_bytes = sum(p.value.data.nbytes for _, p in model.named_parameters())
-            del ckpt, model
+            del model
         assert param_bytes > 3 * 2 ** 20
         assert peaks[False] < 2 ** 20
         assert peaks[True] >= 2 * param_bytes  # the guard sees restore's copies

@@ -1,7 +1,6 @@
 """Command-line surface: workflows, exit codes, config validation."""
 
 import json
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,7 +13,7 @@ from wavems.datasets import load_manifest
 from wavems.model import ModelConfig
 from wavems.training import TrainConfig
 
-from conftest import tiny_model_config
+from conftest import tiny_model_config, traced
 
 
 MICRO_MODEL = {
@@ -462,12 +461,7 @@ class TestPreloadedClips:
         the samples' share, which this allowance does not cover."""
         cfg = parse_run_config(json.dumps({"model": MICRO_MODEL}))
         cli._preload_clips(long_corpus.entries[:1], cfg)  # first-call allocations
-        tracemalloc.start()
-        try:
-            clips = cli._preload_clips(long_corpus.entries, cfg)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        clips, _, peak = traced(lambda: cli._preload_clips(long_corpus.entries, cfg))
         stored = sum(len(c) for c in clips.values())
         assert stored == 48 * 4410
         assert peak <= 4 * stored + (512 << 10), (peak, stored)

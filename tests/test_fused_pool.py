@@ -8,7 +8,6 @@ forward cut in blocks on bin edges at any worker count.
 """
 
 import contextlib
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,7 +19,7 @@ from wavems.model import build_model, full_scale_config
 from wavems.tensor import Tensor, backward, no_grad
 from wavems.training import TrainConfig, train_epoch
 
-from conftest import desk_model_config
+from conftest import desk_model_config, traced
 from gradcheck import check_op_gradients, weighted_sum
 from test_gemm import forward_chunks  # noqa: F401
 
@@ -168,12 +167,7 @@ class TestFusedPool:
                   Tensor(np.zeros(4), requires_grad=True)]
         with ops.gemm_kernels(gemm):
             op(*inputs)  # first-call allocations stay out of the count
-            tracemalloc.start()
-            try:
-                out = op(*inputs)
-                held = tracemalloc.get_traced_memory()[0]
-            finally:
-                tracemalloc.stop()
+            out, held, _ = traced(lambda: op(*inputs))
         kept = out.data.nbytes + out.data.size  # float64 output and uint8 index
         assert kept <= held < kept + unpooled // 8, (held, kept)
 
@@ -218,12 +212,7 @@ class TestPoolIndex:
         pool = (ops._window_pool(a.shape, (2, 2)) if kind == "window"
                 else ops._adaptive_pool(a.shape, 100, axis=2))
         pool.forward(a, record)
-        tracemalloc.start()
-        try:
-            out, index = pool.forward(a, record)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        (out, index), _, peak = traced(lambda: pool.forward(a, record))
         assert (index is not None) == record
         if record:
             assert index.dtype == np.uint8 and peak >= out.nbytes + index.nbytes

@@ -1,7 +1,6 @@
 """GEMM convolution kernels: gradients, agreement with the reference
 kernels, the scope of the switch, and how callers select them."""
 
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,7 +14,7 @@ from wavems.model import build_model
 from wavems.tensor import Tensor, backward
 from wavems.training import train, train_epoch
 
-from conftest import desk_model_config, tiny_model_config
+from conftest import desk_model_config, tiny_model_config, traced
 from gradcheck import check_op_gradients, weighted_sum
 from oracles import conv1d_grad_oracle, conv2d_grad_oracle, conv2d_oracle
 from test_training import micro_corpus, micro_train_config
@@ -303,20 +302,16 @@ class TestTapGroups:
         with ops.gemm_kernels(gemm):
             out = ops.conv1d(x, w, b)
             g = rng.standard_normal(out.shape).astype(np.float32)
-            tracemalloc.start()
-            try:
-                grads = out._backward(g)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+            grads, _, peak = traced(lambda: out._backward(g))
         assert grads[0].shape == x.shape
         assert peak < x.data.nbytes + 33 * out.shape[1] * 4, peak
 
     @pytest.mark.parametrize("gemm", [False, True], ids=["reference", "gemm"])
     def test_desk_products(self, gemm, monkeypatch):
         """A recorded desk window's backward: the three phase convs multiply
-        once per tap each way, the branch convs and the level convs once per
-        block (every desk layer is one block), each way they need."""
+        once per tap each way, in one call for the weight gradient and one
+        for the source gradient, the branch convs and the level convs once
+        per block (every desk layer is one block), each way they need."""
         calls, products = [], []
         real_grads, real_ordered, real_matmul = _conv._conv_grads, _conv._ordered_matmul, np.matmul
 
@@ -336,8 +331,9 @@ class TestTapGroups:
         window = np.random.default_rng(1).standard_normal(model.config.window_length)
         with ops.gemm_kernels(gemm):
             backward(ops.softmax_cross_entropy(model.forward(window.astype(np.float32)), 0))
-        phase, branch, level = 2 * 3, 1, 2  # the branch convs' input needs no gradient
+        phase, branch, level = 3, 1, 2  # the branch convs' input needs no gradient
         assert sorted(calls) == sorted([
+            ((11, 11, 3), phase), ((11, 11, 3), phase), ((10, 10, 3), phase),
             ((11, 11, 3), phase), ((11, 11, 3), phase), ((10, 10, 3), phase),
             ((11, 1, 11), branch), ((11, 1, 51), branch), ((10, 1, 101), branch),
             ((8, 1, 3, 3), level), ((16, 8, 3, 3), level), ((16, 16, 3, 3), level),

@@ -1,7 +1,6 @@
 """Architecture construction, shape contracts, variants, and end-to-end gradients."""
 
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,7 +11,7 @@ from wavems.model import (BranchSpec, ModelConfig, build_model, full_scale_confi
                           param_count, single_branch_variant)
 from wavems.tensor import Tensor, backward
 
-from conftest import desk_model_config, graph_nodes, tiny_model_config
+from conftest import desk_model_config, graph_nodes, tiny_model_config, traced
 from gradcheck import assert_rel_close
 
 
@@ -275,12 +274,7 @@ def recorded_window_bytes(cfg, gemm, warm_up=True):
     with ops.gemm_kernels(gemm):
         if warm_up:
             model.forward(wave)  # first-call allocations stay out of the count
-        tracemalloc.start()
-        try:
-            logits = model.forward(wave)
-            held = tracemalloc.get_traced_memory()[0]
-        finally:
-            tracemalloc.stop()
+        logits, held, _ = traced(lambda: model.forward(wave))
     assert logits.requires_grad
     return held
 

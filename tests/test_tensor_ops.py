@@ -4,7 +4,7 @@ error contracts, and the optimizer update rule."""
 import math
 import re
 import threading
-import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -12,10 +12,12 @@ import pytest
 
 from wavems import _conv, ops
 from wavems.errors import ShapeError
+from wavems.model import Model, build_model
 from wavems.optim import sgd_step
 from wavems.tensor import (Parameter, Tensor, backward, grad_enabled, make_node, no_grad,
                            zero_grads)
 
+from conftest import desk_model_config, traced
 from gradcheck import assert_rel_close, check_op_gradients, fd_gradient, weighted_sum
 from oracles import (adaptive_maxpool_oracle, adaptive_pool_bins, conv1d_oracle,
                      conv2d_oracle, maxpool2d_oracle)
@@ -157,6 +159,40 @@ class TestFrontendBranch:
 
         with ops.gemm_kernels(gemm):
             check_op_gradients(branch, [x, w, b, pw, pb], seed=phase_stride)
+
+    @pytest.mark.parametrize("gemm", [False, True], ids=["reference", "gemm"])
+    def test_backward_drops_each_array_when_spent(self, gemm, monkeypatch):
+        """A desk window's front-end backward, per branch: the branch map,
+        computed again, is alive for the phase weight gradient and gone
+        before the phase source gradient is made; the phase pre-activation
+        gradient is gone before the branch conv's backward."""
+        maps, phase_grads, events = [], [], []
+        real_forward, real_grads = _conv._conv_forward, _conv._conv_grads
+
+        def forward(kernel, rows, shape, relu, pool, record):
+            out, index = real_forward(kernel, rows, shape, relu, pool, record)
+            if pool is None:  # only a branch map is unpooled in a desk window
+                maps.append(weakref.ref(out))
+            return out, index
+
+        def grads(g, rows, src, wd, *args):
+            need_src, need_w = args[2:4]
+            if wd.ndim == 3 and wd.shape[1] > 1:  # a phase conv
+                events.append(("phase source" if need_src else "phase weight",
+                               maps[-1]() is not None))
+                phase_grads.append(weakref.ref(g))
+            elif wd.ndim == 3:  # a branch conv
+                events.append(("branch", phase_grads[-1]() is not None))
+            return real_grads(g, rows, src, wd, *args)
+
+        monkeypatch.setattr(_conv, "_conv_forward", forward)
+        monkeypatch.setattr(_conv, "_conv_grads", grads)
+        model = build_model(desk_model_config(), seed=0)
+        window = np.random.default_rng(2).standard_normal(model.config.window_length)
+        with ops.gemm_kernels(gemm):
+            backward(ops.softmax_cross_entropy(model.forward(window.astype(np.float32)), 0))
+        assert len(maps) == 3
+        assert events == [("phase weight", True), ("phase source", False), ("branch", False)] * 3
 
 
 # ---------------------------------------------------------------------------
@@ -425,12 +461,7 @@ class TestFusedRelu:
                   Tensor(np.zeros(1), requires_grad=True)]
         with ops.gemm_kernels(gemm):
             op(*inputs)  # first-call allocations stay out of the count
-            tracemalloc.start()
-            try:
-                out = op(*inputs)
-                held = tracemalloc.get_traced_memory()[0]
-            finally:
-                tracemalloc.stop()
+            out, held, _ = traced(lambda: op(*inputs))
         assert held < out.data.nbytes + x.nbytes // 8, (held, out.data.nbytes)
 
 
@@ -702,6 +733,37 @@ class TestBatchedCrossEntropy:
 # backward machinery
 # ---------------------------------------------------------------------------
 
+def whole_table_sweep(loss):
+    """``backward`` as it was before leaf adjoints left the sweep at their
+    last consumer: every adjoint waits in the table for its node's turn,
+    and a leaf's is added to ``grad`` out of place."""
+    topo, visited, stack = [], set(), [(loss, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if expanded:
+            topo.append(node)
+            continue
+        if id(node) in visited:
+            continue
+        visited.add(id(node))
+        stack.append((node, True))
+        for parent in node._parents:
+            if id(parent) not in visited:
+                stack.append((parent, False))
+    adjoints = {id(loss): np.ones((), dtype=loss.data.dtype)} if loss.requires_grad else {}
+    for node in reversed(topo):
+        adjoint = adjoints.pop(id(node), None)
+        if adjoint is None:
+            continue
+        if node._backward is None:
+            node.grad = adjoint if node.grad is None else node.grad + adjoint
+            continue
+        for parent, g in zip(node._parents, node._backward(adjoint), strict=True):
+            if g is not None and parent.requires_grad:
+                cur = adjoints.get(id(parent))
+                adjoints[id(parent)] = g if cur is None else cur + g
+
+
 class TestBackward:
     def test_sum_gives_ones(self, rng):
         x = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
@@ -750,6 +812,81 @@ class TestBackward:
         x, z = t([1.0], requires_grad=True), t([1.0], requires_grad=True)
         backward(ops.tsum(ops.add(ops.add(x, z), x)))
         assert x.grad.tolist() == [2.0] and z.grad.tolist() == [1.0]
+
+    def test_each_leaf_owns_its_grad(self):
+        """``add`` hands one array to both parents; each ``grad`` starts as
+        a copy, so the second sweep's in-place adds leave the other alone."""
+        x, z = t([1.0], requires_grad=True), t([1.0], requires_grad=True)
+        for _ in range(2):
+            backward(ops.tsum(ops.add(x, z)))
+        assert x.grad.tolist() == [2.0] and z.grad.tolist() == [2.0]
+        assert not np.shares_memory(x.grad, z.grad)
+
+    def test_grad_set_from_outside_is_added_into(self):
+        x = t([1.0, 2.0], requires_grad=True)
+        x.grad = mine = np.array([3.0, 4.0])
+        backward(ops.tsum(x))
+        assert x.grad is mine and mine.tolist() == [4.0, 5.0]
+
+    def test_shared_nodes_match_the_whole_table_sweep(self):
+        """x has three consumers and the op node ``a`` two: swept twice, the
+        leaves' gradients are the bytes of a sweep that holds every adjoint
+        until its node's turn, so x's three terms are summed before they
+        join its ``grad``."""
+        rng = np.random.default_rng(35)
+        xv, wv, r = rng.standard_normal((3, 8))
+        grads = []
+        for sweep in (backward, whole_table_sweep):
+            x, w = t(xv, requires_grad=True), t(wv, requires_grad=True)
+            a = ops.add(ops.scale(x, 1.7), w)
+            loss = weighted_sum(ops.add(ops.add(ops.add(x, a), ops.relu(a)), x), r)
+            sweep(loss)
+            sweep(loss)
+            grads.append((x.grad.tobytes(), w.grad.tobytes()))
+        assert grads[0] == grads[1]
+
+    @pytest.mark.parametrize("gemm", [False, True], ids=["reference", "gemm"])
+    def test_desk_windows_match_the_whole_table_sweep(self, gemm):
+        """Two recorded desk windows swept into the same gradients, the
+        second added into the first's: the bytes of the whole-table sweep."""
+        model = build_model(desk_model_config(), seed=0)
+        windows = np.random.default_rng(36).standard_normal(
+            (2, model.config.window_length)).astype(np.float32)
+        grads = []
+        for sweep in (backward, whole_table_sweep):
+            zero_grads(model.parameters())
+            with ops.gemm_kernels(gemm):
+                for label, window in enumerate(windows):
+                    sweep(ops.scale(ops.softmax_cross_entropy(model.forward(window), label), 0.5))
+            grads.append([p.value.grad.tobytes() for p in model.parameters()])
+        assert grads[0] == grads[1]
+
+    def test_backend_grads_are_set_before_the_frontend_closure(self, monkeypatch):
+        """A leaf's adjoint leaves the sweep at its last consumer: when the
+        front end's closure runs, every back-end parameter has its
+        ``grad`` and no front-end parameter has one yet."""
+        seen = []
+        real = Model.forward_frontend
+
+        def forward_frontend(model, wave):
+            out = real(model, wave)
+            closure = out._backward
+
+            def spy(g):
+                seen.append({name for name, p in model.named_parameters()
+                             if p.value.grad is not None})
+                return closure(g)
+
+            out._backward = spy
+            return out
+
+        monkeypatch.setattr(Model, "forward_frontend", forward_frontend)
+        model = build_model(desk_model_config(), seed=0)
+        window = np.random.default_rng(3).standard_normal(model.config.window_length)
+        backward(ops.softmax_cross_entropy(model.forward(window.astype(np.float32)), 0))
+        names = [name for name, _ in model.named_parameters()]
+        assert seen == [{name for name in names if not name.startswith("branch")}]
+        assert all(p.value.grad is not None for p in model.parameters())
 
     def test_loss_without_graph_is_a_no_op(self, rng):
         x = Tensor(rng.standard_normal(4), requires_grad=True)
@@ -889,6 +1026,52 @@ class TestSgdStep:
     def test_missing_grad_is_state_error(self):
         with pytest.raises(RuntimeError):
             sgd_step([self._param([1.0])], lr=0.1, momentum=0.9, weight_decay=0.0)
+
+    @pytest.mark.parametrize("fault, error", [("no gradient", RuntimeError),
+                                              ("read-only velocity", ValueError),
+                                              ("read-only weight", ValueError)])
+    def test_a_bad_last_parameter_changes_none(self, fault, error):
+        """Every parameter is checked before any is stepped."""
+        params = [self._param([1.0]), self._param([2.0, 3.0])]
+        for p in params:
+            p.value.grad = np.array([0.5] * p.value.size)
+            p.velocity[...] = 0.25
+        last = params[-1]
+        if fault == "no gradient":
+            last.value.grad = None
+        elif fault == "read-only velocity":
+            last.velocity = np.broadcast_to(0.25, last.value.shape)
+        else:
+            last.value.data.flags.writeable = False
+        before = [(p.value.data.tobytes(), p.velocity.tobytes()) for p in params]
+        with pytest.raises(error, match=fault):
+            sgd_step(params, lr=0.1, momentum=0.9, weight_decay=5e-4)
+        assert [(p.value.data.tobytes(), p.velocity.tobytes()) for p in params] == before
+
+    @pytest.mark.parametrize("exempt", [False, True])
+    def test_bits_are_the_formulas(self, exempt):
+        """g + wd*w, mu*v + that, w - lr*v, each as one numpy expression."""
+        rng = np.random.default_rng(37)
+        w, v, g = rng.standard_normal((3, 64)).astype(np.float32)
+        p = Parameter(Tensor(w.copy()), decay_exempt=exempt, velocity=v.copy())
+        p.value.grad = g
+        sgd_step([p], lr=1e-2, momentum=0.9, weight_decay=5e-4)
+        if not exempt:
+            g = g + 5e-4 * w
+        v = v * 0.9
+        v += g
+        w = w - 1e-2 * v
+        assert p.velocity.tobytes() == v.tobytes() and p.value.data.tobytes() == w.tobytes()
+
+    def test_one_temporary_at_a_time(self):
+        """With weight decay, a (1024, 1024) float32 step peaks below 1.1x
+        the parameter's bytes: ``wd*w`` plus the gradient, then ``lr*v``,
+        in one array."""
+        rng = np.random.default_rng(38)
+        p = Parameter(Tensor(rng.standard_normal((1024, 1024), dtype=np.float32)))
+        p.value.grad = rng.standard_normal((1024, 1024), dtype=np.float32)
+        _, _, peak = traced(lambda: sgd_step([p], lr=1e-2, momentum=0.9, weight_decay=5e-4))
+        assert peak < 1.1 * p.value.data.nbytes, peak
 
     def test_momentum_zero_equals_vanilla_gd(self, rng):
         w0 = rng.standard_normal(8)

@@ -2,7 +2,6 @@
 
 import dataclasses
 import re
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,12 +11,12 @@ from wavems import ops
 from wavems.checkpoint import load_checkpoint, save_checkpoint
 from wavems.datasets import fold_split, synth_dataset
 from wavems.errors import CheckpointError, ConfigError, NonFiniteLossError
-from wavems.model import Model, build_model
+from wavems.model import Model, ModelConfig, build_model
 from wavems.optim import sgd_step
 from wavems.tensor import backward, zero_grads
 from wavems.training import TrainConfig, lr_at, train, train_epoch
 
-from conftest import desk_model_config, graph_nodes, tiny_model_config
+from conftest import desk_model_config, graph_nodes, tiny_model_config, traced
 
 
 def micro_corpus(seed=21):
@@ -165,13 +164,32 @@ class TestTrainEpoch:
         peaks = {}
         for batch in (8, 64):  # an epoch of one batch each
             config = TrainConfig(epochs=1, batch_size=batch, lr_stages=((1, 1e-2),))
-            tracemalloc.start()
-            try:
-                train_epoch(model, entries[:batch], clips, 0, config)
-                peaks[batch] = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+            _, _, peaks[batch] = traced(
+                lambda: train_epoch(model, entries[:batch], clips, 0, config))
         assert peaks[64] <= 1.1 * peaks[8], peaks
+
+    def test_full_scale_step_holds_each_gradient_once(self):
+        """A full-scale GEMM step of two windows on one worker, swept as
+        ``train_epoch`` sweeps, peaks below 72 MiB. fc1's weight (512 x
+        14080, 27.5 MiB in float32) is the largest array: the sweep adds
+        each leaf's adjoint into its ``grad`` at its last consumer, and
+        ``sgd_step`` makes one temporary. Adjoints held to the sweep's end,
+        or an out-of-place add into ``grad``, would each add an fc1-sized
+        array, and the two of them 95 MiB in all."""
+        model = build_model(ModelConfig(num_classes=5), seed=4)
+        params = model.parameters()
+        windows = np.random.default_rng(4).standard_normal(
+            (2, model.config.window_length)).astype(np.float32)
+
+        def step():
+            zero_grads(params)
+            for label, window in enumerate(windows):
+                backward(ops.scale(ops.softmax_cross_entropy(model.forward(window), label), 0.5))
+            sgd_step(params, lr=1e-2, momentum=0.9, weight_decay=5e-4)
+
+        with ops.gemm_kernels(True):
+            _, _, peak = traced(step)
+        assert peak < 72 * 2 ** 20, peak / 2 ** 20
 
     def test_deterministic_metrics(self):
         manifest, clips = micro_corpus()

@@ -10,7 +10,6 @@ import json
 import sys
 import threading
 import time
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,7 +21,7 @@ from wavems.model import ModelConfig, build_model, full_scale_config
 from wavems.tensor import Tensor, backward, no_grad
 from wavems.training import train
 
-from conftest import desk_model_config
+from conftest import desk_model_config, traced
 from gradcheck import weighted_sum
 from test_cli import MICRO_MODEL, MICRO_TRAIN, config_file, corpus_dir  # noqa: F401
 from test_gemm import conv1d_case, conv2d_case, forward_chunks  # noqa: F401
@@ -259,12 +258,7 @@ class TestSplitForward:
         op, arrays = BRANCH1[layer](np.random.default_rng(6)), {"phase": 2, "branch": 3}[layer]
         with ops.gemm_kernels(gemm), ops.workers(workers), no_grad():
             op()
-            tracemalloc.start()
-            try:
-                op()
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+            _, _, peak = traced(op)
         assert peak <= workers * arrays * _conv._COLUMN_BUDGET * 4 + (256 << 10), peak
 
     @pytest.mark.parametrize("gemm", [True, False], ids=["gemm", "reference"])
@@ -285,12 +279,7 @@ class TestSplitForward:
             op, unpooled = BRANCH1[layer](rng), 32 * (66138 if layer == "phase" else 66140) * 4
         with ops.gemm_kernels(gemm), ops.workers(workers), no_grad():
             op()
-            tracemalloc.start()
-            try:
-                op()
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+            _, _, peak = traced(op)
         assert peak < unpooled, (peak, unpooled)
 
 
