@@ -1,7 +1,6 @@
 """GEMM convolution kernels: gradients, agreement with the reference
 kernels, the scope of the switch, and how callers select them."""
 
-
 import numpy as np
 import pytest
 from numpy.lib.stride_tricks import sliding_window_view
